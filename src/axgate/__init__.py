@@ -25,15 +25,12 @@ from .kernel import (
     PROVEN,
     REFUTED,
     ActionRequest,
-    Conjecture,
-    FormulationFailure,
     ProofTrace,
     RefusalCause,
     SystemState,
     VerificationResult,
     decide,
     eval_condition,
-    formulate_conjecture,
     verify,
 )
 from .oracle import oracle_verify
@@ -46,8 +43,6 @@ __all__ = [
     "AuditWriter",
     "Axiom",
     "CompileResult",
-    "Conjecture",
-    "FormulationFailure",
     "Gateway",
     "GatewayConfig",
     "LatencyReport",
@@ -65,7 +60,6 @@ __all__ = [
     "compile_source",
     "decide",
     "eval_condition",
-    "formulate_conjecture",
     "load_config",
     "load_environment",
     "load_scenario",

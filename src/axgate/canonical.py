@@ -13,7 +13,7 @@ import hashlib
 import json
 from fractions import Fraction
 
-from .values import Money
+from .values import KIND_MONEY, KIND_QUANTITY, Money
 
 ZERO_DIGEST = "0" * 64
 
@@ -23,24 +23,12 @@ def rational_token(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def rational_from_token(token: str) -> Fraction:
-    return Fraction(token)
-
-
 def to_plain(value: object) -> object:
     """Map a typed value tree onto JSON-compatible canonical structures."""
     if value is None or isinstance(value, (bool, int, str)):
         return value
-    if isinstance(value, Fraction):
-        return rational_token(value)
-    if isinstance(value, Money):
-        minor: object
-        if value.minor.denominator == 1:
-            minor = value.minor.numerator
-        else:
-            # Scaled intermediates can carry fractional minor units.
-            minor = rational_token(value.minor)
-        return {"ccy": value.ccy, "minor": minor}
+    if isinstance(value, (Fraction, Money)):
+        return plain_value(value)
     if isinstance(value, (list, tuple)):
         return [to_plain(v) for v in value]
     if isinstance(value, dict):
@@ -49,7 +37,8 @@ def to_plain(value: object) -> object:
 
 
 def plain_value(value: object) -> object:
-    """Fast single-value canonicalization for already-flat leaves."""
+    """Canonical plain form of one leaf value: rationals as "p/q", money as
+    {"ccy", "minor"} with integral minor units as a JSON integer."""
     t = type(value)
     if t is Fraction:
         return f"{value.numerator}/{value.denominator}"
@@ -57,10 +46,20 @@ def plain_value(value: object) -> object:
         minor = value.minor
         return {
             "ccy": value.ccy,
+            # Scaled intermediates can carry fractional minor units.
             "minor": minor.numerator if minor.denominator == 1
             else f"{minor.numerator}/{minor.denominator}",
         }
     return value  # None, bool, int, str pass through
+
+
+def value_from_plain(plain: object, decl) -> object:
+    """Inverse of plain_value for a leaf of the declared concept's kind."""
+    if decl.kind == KIND_QUANTITY:
+        return Fraction(plain)
+    if decl.kind == KIND_MONEY:
+        return Money(Fraction(plain["minor"]), plain["ccy"])
+    return plain  # flag, enum and text values are already plain
 
 
 def canonical_bytes(doc: object) -> bytes:

@@ -22,9 +22,10 @@ from fractions import Fraction
 from . import __version__
 from .audit import find_record, verify_chain
 from .bench import bench
+from .canonical import value_from_plain
 from .compiler import compile_file, load_environment, save_environment
 from .gateway import load_archived_trace, load_config, serve
-from .kernel import ActionRequest, SystemState, verify
+from .kernel import ActionRequest, ProofTrace, RefusalCause, SystemState, verify
 from .notices import render_notice_from_parts
 from .oracle import oracle_verify
 from .randgen import iter_instances
@@ -92,14 +93,6 @@ def _synthesize_value(decl):
     return "bench"
 
 
-class _PlainBindings:
-    """Duck-typed trace carrying bindings recovered from an archive."""
-
-    def __init__(self, bindings, entries=()):
-        self.bindings = bindings
-        self.entries = entries
-
-
 def _cmd_audit_explain(args) -> int:
     record = find_record(args.file, request_id=args.request_id)
     if record is None:
@@ -114,28 +107,19 @@ def _cmd_audit_explain(args) -> int:
         print("warning: archived environment version differs from the record",
               file=sys.stderr)
     traces_path = args.traces or (args.file + ".traces")
-    trace_doc = load_archived_trace(traces_path, record.trace_digest)
+    trace_doc = load_archived_trace(traces_path, record.trace_digest) or {}
     bindings = {}
-    if trace_doc:
-        for symbol, plain in trace_doc.get("bindings", {}).items():
-            decl = env.registry.get(symbol)
-            if decl is None:
-                continue
-            if decl.kind == "quantity" and isinstance(plain, str):
-                bindings[symbol] = Fraction(plain)
-            elif decl.kind == "money" and isinstance(plain, dict):
-                minor = plain.get("minor", 0)
-                minor = Fraction(minor) if isinstance(minor, int) \
-                    else Fraction(str(minor))
-                bindings[symbol] = Money(minor, plain.get("ccy", ""))
-            else:
-                bindings[symbol] = plain
-    from .kernel import RefusalCause
-
+    for symbol, plain in trace_doc.get("bindings", {}).items():
+        decl = env.registry.get(symbol)
+        if decl is None:
+            continue
+        try:
+            bindings[symbol] = value_from_plain(plain, decl)
+        except (KeyError, TypeError, ValueError):
+            continue  # another environment's kind: rendered as unavailable
+    trace = ProofTrace(record.env_version, record.tool, (), bindings, {})
     causes = tuple(RefusalCause(*c) for c in record.refusal_causes)
-    notice = render_notice_from_parts(
-        causes, _PlainBindings(bindings), env, record.request_id
-    )
+    notice = render_notice_from_parts(causes, trace, env, record.request_id)
     print(notice.render())
     return 0
 

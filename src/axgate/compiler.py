@@ -174,7 +174,6 @@ class BindingPlan:
     request_symbols: tuple[str, ...]
     state_symbols: tuple[str, ...]
     derived_symbols: tuple[str, ...]  # dependency order
-    axiom_base_symbols: dict  # axiom id -> frozenset of non-derived symbols
     axiom_symbols: dict  # axiom id -> frozenset of all needed symbols
 
 
@@ -196,23 +195,7 @@ class PolicyEnvironment:
         self.source_digest = source_digest
         self.version_digest = digest_of(policy_to_plain(registry, self.axioms))
         self.derivation_order = derivation_order(registry)
-        self.base_expansion = self._compute_expansions()
         self._plans: dict[str, BindingPlan] = {}
-
-    def _compute_expansions(self) -> dict[str, frozenset[str]]:
-        """Map each symbol to the base (non-derived) symbols it depends on."""
-        expansion: dict[str, frozenset[str]] = {}
-        for decl in self.registry:
-            if decl.origin != "derived":
-                expansion[decl.symbol] = frozenset((decl.symbol,))
-        for symbol in self.derivation_order:
-            decl = self.registry.get(symbol)
-            base: set[str] = set()
-            if decl is not None and decl.derived is not None:
-                for ref in walk_names(decl.derived):
-                    base |= expansion.get(ref.symbol, frozenset())
-            expansion[symbol] = frozenset(base)
-        return expansion
 
     def _direct_symbols(self, expr: Expr) -> set[str]:
         return {ref.symbol for ref in walk_names(expr)}
@@ -225,12 +208,9 @@ class PolicyEnvironment:
         in_scope = tuple(a for a in self.axioms if a.matches_tool(tool))
         needed: set[str] = set()
         axiom_syms: dict[str, frozenset[str]] = {}
-        axiom_base: dict[str, frozenset[str]] = {}
         for axiom in in_scope:
-            direct = self._direct_symbols(axiom.condition)
             full: set[str] = set()
-            base: set[str] = set()
-            stack = list(direct)
+            stack = list(self._direct_symbols(axiom.condition))
             while stack:
                 sym = stack.pop()
                 if sym in full:
@@ -240,10 +220,7 @@ class PolicyEnvironment:
                 if decl is not None and decl.origin == "derived" \
                         and decl.derived is not None:
                     stack.extend(self._direct_symbols(decl.derived))
-                else:
-                    base.add(sym)
             axiom_syms[axiom.id] = frozenset(full)
-            axiom_base[axiom.id] = frozenset(base)
             needed |= full
 
         request_syms = []
@@ -263,7 +240,6 @@ class PolicyEnvironment:
             request_symbols=tuple(request_syms),
             state_symbols=tuple(state_syms),
             derived_symbols=tuple(derived_syms),
-            axiom_base_symbols=axiom_base,
             axiom_symbols=axiom_syms,
         )
         self._plans[tool] = plan

@@ -331,22 +331,26 @@ class _Handler(BaseHTTPRequestHandler):
         logger.debug("%s " + fmt, self.client_address[0], *args)
 
     def _send_json(self, status: int, doc: dict) -> None:
-        body = json.dumps(doc).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        self._send_raw(status, json.dumps(doc).encode("utf-8"),
+                       "application/json", {})
 
     def _send_raw(self, status: int, body: bytes, content_type: str,
                   headers: dict[str, str]) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", content_type or "application/octet-stream")
-        self.send_header("Content-Length", str(len(body)))
-        for key, value in headers.items():
-            self.send_header(key, value)
-        self.end_headers()
-        self.wfile.write(body)
+        try:
+            self.send_response(status)
+            self.send_header("Content-Type",
+                             content_type or "application/octet-stream")
+            self.send_header("Content-Length", str(len(body)))
+            for key, value in headers.items():
+                self.send_header(key, value)
+            self.end_headers()
+            self.wfile.write(body)
+        except OSError:
+            # The client reset or closed the connection. The request was
+            # already decided and audited; a lost reply is not a new decision.
+            self.close_connection = True
+            logger.info("client %s went away before the %d response",
+                        self.client_address[0], status)
 
     def do_GET(self) -> None:
         if self.path == "/v1/healthz":
@@ -572,34 +576,29 @@ class Gateway:
             self.requests_received += 1
         snapshot = self.snapshot
         env_version = snapshot.env.version_digest
-        enforce = self.config.mode == "enforce"
+        enforced = self.config.mode == "enforce" and forward
+
+        def refuse(status: int, error: str, note: str, request_id: str = "",
+                   tool: str = "", reason: str = "binding-failure") -> None:
+            self._audit(request_id=request_id, tool=tool,
+                        env_version=env_version, decision=REFUTED,
+                        trace_digest=ZERO_DIGEST, causes=((reason, None, None),),
+                        enforced=enforced, note=note)
+            handler._send_json(status, {"error": error})
 
         raw = _read_body(handler, self.config.max_body_bytes)
         if raw is None:
-            self._audit(request_id="", tool="", env_version=env_version,
-                        decision=REFUTED, trace_digest=ZERO_DIGEST,
-                        causes=(("binding-failure", None, None),),
-                        enforced=enforce and forward, note="oversize-body")
-            handler._send_json(413, {"error": "oversize-body"})
+            refuse(413, "oversize-body", "oversize-body")
             return
 
         parsed = _parse_tool_call(raw)
         if isinstance(parsed, str):
-            self._audit(request_id="", tool="", env_version=env_version,
-                        decision=REFUTED, trace_digest=ZERO_DIGEST,
-                        causes=(("binding-failure", None, None),),
-                        enforced=enforce and forward, note=parsed)
-            handler._send_json(400, {"error": parsed})
+            refuse(400, parsed, parsed)
             return
         request_id, tool, raw_params, state_override = parsed
 
         if not self._inflight.acquire(blocking=False):
-            self._audit(request_id=request_id, tool=tool,
-                        env_version=env_version, decision=REFUTED,
-                        trace_digest=ZERO_DIGEST,
-                        causes=(("binding-failure", None, None),),
-                        enforced=enforce and forward, note="backpressure")
-            handler._send_json(429, {"error": "too-many-requests"})
+            refuse(429, "too-many-requests", "backpressure", request_id, tool)
             return
         try:
             self._process_tool_call(
@@ -608,15 +607,8 @@ class Gateway:
             )
         except Exception:
             logger.exception("internal error handling %s", request_id)
-            self._audit(request_id=request_id, tool=tool,
-                        env_version=env_version, decision=REFUTED,
-                        trace_digest=ZERO_DIGEST,
-                        causes=(("evaluation-failure", None, None),),
-                        enforced=enforce and forward, note="internal-error")
-            try:
-                handler._send_json(500, {"error": "internal-error"})
-            except OSError:
-                pass
+            refuse(500, "internal-error", "internal-error", request_id, tool,
+                   "evaluation-failure")
         finally:
             self._inflight.release()
 

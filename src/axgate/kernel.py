@@ -67,28 +67,6 @@ class SystemState:
 
 
 @dataclass(frozen=True, slots=True)
-class Conjecture:
-    """A closed statement: every symbol any in-scope axiom needs is bound."""
-
-    request_id: str
-    env_version: str
-    bindings: Mapping[str, object]
-    in_scope_axioms: tuple[str, ...]
-
-
-@dataclass(frozen=True, slots=True)
-class FormulationFailure:
-    """Raised conceptually, returned concretely: the action could not be
-    closed over the environment. Always refuted downstream."""
-
-    request_id: str
-    env_version: str
-    bindings: Mapping[str, object]  # whatever did bind
-    in_scope_axioms: tuple[str, ...]
-    failures: tuple[tuple[str, str], ...]  # (symbol, "missing" | "kind-mismatch")
-
-
-@dataclass(frozen=True, slots=True)
 class ValNode:
     """One node of a valuation tree: operator, recorded value, children."""
 
@@ -224,71 +202,20 @@ def _bind(request: ActionRequest, state: SystemState, env: PolicyEnvironment, pl
         bindings[symbol] = value
         provenance[symbol] = "state"
 
-    for symbol in plan.derived_symbols:
-        decl = env.registry.get(symbol)
-        expansion = env.base_expansion[symbol]
-        if any(base not in bindings for base in expansion):
-            continue  # the base failure is already recorded
+    for symbol in plan.derived_symbols:  # dependency order
         try:
-            bindings[symbol] = _eval_value(decl.derived, bindings)
+            bindings[symbol] = _eval_tree(env.registry.get(symbol).derived,
+                                          bindings).value
             provenance[symbol] = "derived"
+        except KeyError:
+            continue  # an input did not bind; its failure is already recorded
         except _EvalFault:
             failures.append((symbol, DETAIL_EVAL))
 
     return bindings, provenance, tuple(failures)
 
 
-def formulate_conjecture(
-    request: ActionRequest, state: SystemState, env: PolicyEnvironment
-) -> Conjecture | FormulationFailure:
-    """Close the action over the environment, or report why it cannot close."""
-    plan = env.plan_for(request.tool)
-    bindings, _, failures = _bind(request, state, env, plan)
-    ids = tuple(a.id for a in plan.axioms)
-    if failures:
-        return FormulationFailure(
-            request_id=request.request_id, env_version=env.version_digest,
-            bindings=bindings, in_scope_axioms=ids, failures=failures,
-        )
-    return Conjecture(
-        request_id=request.request_id, env_version=env.version_digest,
-        bindings=bindings, in_scope_axioms=ids,
-    )
-
-
 # Evaluation ------------------------------------------------------------------
-
-
-def _eval_value(expr: Expr, bindings: Mapping[str, object]):
-    """Plain exact evaluation (used for derived symbols; no tree)."""
-    if isinstance(expr, Lit):
-        return expr.value
-    if isinstance(expr, Sym):
-        return bindings[expr.symbol]
-    if isinstance(expr, Binary):
-        return _arith(expr.op,
-                      _eval_value(expr.left, bindings),
-                      _eval_value(expr.right, bindings))
-    if isinstance(expr, Compare):
-        return _cmp(expr.op,
-                    _eval_value(expr.left, bindings),
-                    _eval_value(expr.right, bindings))
-    if isinstance(expr, BoolOp):
-        left = _eval_value(expr.left, bindings)
-        right = _eval_value(expr.right, bindings)
-        return (left and right) if expr.op == "and" else (left or right)
-    if isinstance(expr, Unary):
-        value = _eval_value(expr.operand, bindings)
-        if expr.op == "not":
-            return not value
-        return Money(-value.minor, value.ccy) if isinstance(value, Money) else -value
-    if isinstance(expr, BoolLit):
-        return expr.value
-    if isinstance(expr, StrLit):
-        return expr.value
-    if isinstance(expr, Atom):
-        return expr.atom
-    raise _EvalFault(f"unevaluable node {expr!r}")
 
 
 def _arith(op: str, left, right):

@@ -97,22 +97,6 @@ def value_from_wire(raw: object, kind: str) -> Value:
     raise WireValueError(f"unknown kind: {kind!r}")
 
 
-def value_matches_kind(value: object, kind: str, *, ccy: str | None = None,
-                       atoms: tuple[str, ...] = ()) -> bool:
-    """Check that an already-typed value carries the declared kind tag."""
-    if kind == KIND_QUANTITY:
-        return isinstance(value, Fraction)
-    if kind == KIND_MONEY:
-        return isinstance(value, Money) and (ccy is None or value.ccy == ccy)
-    if kind == KIND_FLAG:
-        return isinstance(value, bool)
-    if kind == KIND_ENUM:
-        return isinstance(value, str) and value in atoms
-    if kind == KIND_TEXT:
-        return isinstance(value, str)
-    return False
-
-
 def decimal_digits(q: Fraction) -> int | None:
     """Number of decimal places of q when it terminates, else None."""
     den = q.denominator

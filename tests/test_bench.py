@@ -65,3 +65,22 @@ def test_bench_never_touches_audit(monkeypatch):
     monkeypatch.setattr(audit_mod.AuditWriter, "append", counting_append)
     bench(_env(1), _workload(), 500)
     assert calls["n"] == 0
+
+
+def test_perfbench_trace_hooks_install():
+    """The traced benchmark run patches axgate callables by name; every
+    name it patches must still exist."""
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parent.parent
+    script = (
+        "import sys\n"
+        f"sys.path[:0] = [{str(root / 'perfbench')!r}, {str(root / 'src')!r}]\n"
+        "from tracing import Tracer, install_gateway_spans\n"
+        "install_gateway_spans(Tracer())\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -101,38 +101,49 @@ def test_bench_cli(policy_file, tmp_path, capsys):
     assert "p50" in out and "decision under benchmarked bindings: Proven" in out
 
 
-def test_audit_cli_verify_show_explain(policy_file, tmp_path, capsys):
-    # produce a real audit log + trace archive through the gateway
+def _refuse_through_gateway(policy_path, facts, params, request_id, workdir):
+    """Send one refused /v1/execute through a real gateway; return the audit
+    log path and the notice lines of the 403 response."""
+    import http.client
+
     from axgate.gateway import Gateway, GatewayConfig
 
-    state = tmp_path / "state.json"
-    state.write_text(json.dumps({"facts": {"max_order_size": 100}}))
-    log = tmp_path / "audit.log"
-    env_file = tmp_path / "env.bin"
-    assert main(["compile", str(policy_file), "--out", str(env_file)]) == 0
-
+    workdir.mkdir(exist_ok=True)
+    state = workdir / "state.json"
+    state.write_text(json.dumps({"facts": facts}))
+    log = workdir / "audit.log"
     config = GatewayConfig(
         listen_address="127.0.0.1:0",
         upstream_url="http://127.0.0.1:9/none",
         mode="enforce",
-        policy_path=str(policy_file),
+        policy_path=str(policy_path),
         state_path=str(state),
         state_refresh_secs=0,
         audit_log_path=str(log),
         audit_fsync=False,
     )
-    import http.client
-
     with Gateway(config) as gw:
         host, port = gw.address
         conn = http.client.HTTPConnection(host, port, timeout=10)
-        body = json.dumps({"request_id": "blocked-1", "tool": "execute_trade",
-                           "params": {"volume": 99999}}).encode()
+        body = json.dumps({"request_id": request_id, "tool": "execute_trade",
+                           "params": params}).encode()
         conn.request("POST", "/v1/execute", body=body,
                      headers={"Content-Type": "application/json"})
-        assert conn.getresponse().status == 403
+        resp = conn.getresponse()
+        assert resp.status == 403
+        lines = json.loads(resp.read())["notice"]["lines"]
         conn.close()
         gw.pump.drain()
+    return log, lines
+
+
+def test_audit_cli_verify_show_explain(policy_file, tmp_path, capsys):
+    # produce a real audit log + trace archive through the gateway
+    env_file = tmp_path / "env.bin"
+    assert main(["compile", str(policy_file), "--out", str(env_file)]) == 0
+    log, lines = _refuse_through_gateway(
+        policy_file, {"max_order_size": 100}, {"volume": 99999}, "blocked-1",
+        tmp_path / "quantity")
 
     assert main(["audit", "verify", str(log)]) == 0
     out = capsys.readouterr().out
@@ -147,9 +158,46 @@ def test_audit_cli_verify_show_explain(policy_file, tmp_path, capsys):
                  "--env", str(env_file)]) == 0
     out = capsys.readouterr().out
     assert "Order volume 99999 exceeds the maximum order size 100." in out
+    assert out.splitlines() == lines
 
     assert main(["audit", "show", str(log), "--seq", "99"]) == 1
     capsys.readouterr()
+
+    # an environment whose concepts have other kinds cannot decode the
+    # archived values: they render as unavailable instead of failing
+    other = tmp_path / "other.pol"
+    other.write_text(
+        'concept volume : money "USD" from request "Order volume (shares)"\n'
+        'concept max_order_size : money "USD" from state '
+        '"Maximum order size (shares)"\n'
+        "axiom max_order forbid execute_trade when volume > max_order_size\n"
+        '  explain "Order volume {volume} exceeds the maximum order size '
+        '{max_order_size}."\n', encoding="utf-8")
+    other_env = tmp_path / "other.env"
+    assert main(["compile", str(other), "--out", str(other_env)]) == 0
+    assert main(["audit", "explain", str(log), "--request-id", "blocked-1",
+                 "--env", str(other_env)]) == 0
+    captured = capsys.readouterr()
+    assert "archived environment version differs" in captured.err
+    assert captured.out.splitlines() == [
+        "Order volume <Order volume (shares): unavailable> exceeds the "
+        "maximum order size <Maximum order size (shares): unavailable>."]
+
+    # capital_threshold cites two money bindings, one of them derived
+    shipped = "src/axgate/policies/sec15c3_5.pol"
+    env_file = tmp_path / "sec15c3_5.env"
+    assert main(["compile", shipped, "--out", str(env_file)]) == 0
+    log, lines = _refuse_through_gateway(
+        shipped,
+        {"share_price": {"minor": 20000, "ccy": "USD"},
+         "daily_capital": {"minor": 5_000_000_000, "ccy": "USD"},
+         "max_order_size": 100000},
+        {"volume": 50000}, "blocked-2", tmp_path / "money")
+    assert lines == ["Trade value 10000000 USD exceeds 10% of the available "
+                     "daily capital 50000000 USD."]
+    assert main(["audit", "explain", str(log), "--request-id", "blocked-2",
+                 "--env", str(env_file)]) == 0
+    assert capsys.readouterr().out.splitlines() == lines
 
 
 def test_version_flag(capsys):

@@ -461,3 +461,36 @@ def test_replayability_from_audit_records(workspace):
         assert records[rid].trace_digest == result.trace_digest
         assert records[rid].decision == result.decision
         assert records[rid].env_version == env.version_digest
+
+
+def test_client_reset_before_response_gets_one_record(workspace):
+    """A client that resets the connection right after sending is still
+    audited exactly once: the lost response is not a second decision."""
+    import socket
+    import struct
+
+    config = make_config(workspace, "http://127.0.0.1:9/none")
+    with Gateway(config) as gw:
+        host, port = gw.address
+        for i in range(20):
+            payload = json.dumps(tool_call(f"reset-{i}", 99999)).encode()
+            sock = socket.create_connection((host, port), timeout=10)
+            sock.sendall(
+                b"POST /v1/execute HTTP/1.1\r\nHost: x\r\n"
+                b"Content-Type: application/json\r\n"
+                + f"Content-Length: {len(payload)}\r\n\r\n".encode() + payload
+            )
+            # linger on, timeout 0: close() sends RST instead of FIN
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                            struct.pack("ii", 1, 0))
+            sock.close()
+        # a normal request afterwards proves the gateway still serves
+        status, _, _ = post(gw, "/v1/execute", tool_call("after-reset", 99999))
+        assert status == 403
+        gw.pump.drain()
+        received = gw.requests_received
+    records = list(iter_records(config.audit_log_path))
+    assert received == 21
+    assert len(records) == received
+    assert all(r.note is None for r in records)
+    assert verify_chain(config.audit_log_path).ok

@@ -3,14 +3,11 @@ from fractions import Fraction
 
 from axgate import (
     ActionRequest,
-    Conjecture,
-    FormulationFailure,
     Money,
     SystemState,
     compile_source,
     decide,
     eval_condition,
-    formulate_conjecture,
     oracle_verify,
     verify,
 )
@@ -44,27 +41,30 @@ def trade_state(capital_minor=5_000_000_000, price_minor=20000,
 
 def test_formulate_closed_conjecture_with_derived_value():
     env = shipped_env()
-    conjecture = formulate_conjecture(trade_request(), trade_state(), env)
-    assert isinstance(conjecture, Conjecture)
-    assert conjecture.in_scope_axioms == (
+    result = verify(trade_request(), trade_state(), env)
+    trace = result.trace
+    assert tuple(e.axiom_id for e in trace.entries) == (
         "capital_threshold", "max_order", "ordinary_order"
     )
+    # every in-scope axiom closed over its bindings
+    assert all(e.value is not None and not e.missing for e in trace.entries)
     # derived trade_value = volume * share_price, computed once, exactly
-    assert conjecture.bindings["trade_value"] == Money(
+    assert trace.bindings["trade_value"] == Money(
         Fraction(50000) * Fraction(20000), "USD"
     )
+    assert trace.provenance["trade_value"] == "derived"
     # extra request params never bind: they are not registered
-    assert "symbol" not in conjecture.bindings
-    assert "type" not in conjecture.bindings
+    assert "symbol" not in trace.bindings
+    assert "type" not in trace.bindings
 
 
 def test_formulate_scope_mismatch_yields_zero_axioms():
     env = shipped_env()
     request = ActionRequest("r2", "transfer", {"volume": Fraction(10)})
-    conjecture = formulate_conjecture(request, trade_state(), env)
-    assert isinstance(conjecture, Conjecture)
-    assert conjecture.in_scope_axioms == ()
-    assert conjecture.bindings == {}
+    result = verify(request, trade_state(), env)
+    assert result.trace.entries == ()
+    assert result.trace.bindings == {}
+    assert result.decision == "Refuted"
 
 
 def test_formulate_missing_state_fact_fails():
@@ -73,18 +73,22 @@ def test_formulate_missing_state_fact_fails():
         "share_price": Money(Fraction(20000), "USD"),
         "max_order_size": Fraction(100000),
     })
-    failure = formulate_conjecture(trade_request(), state, env)
-    assert isinstance(failure, FormulationFailure)
-    assert ("daily_capital", "missing") in failure.failures
+    result = verify(trade_request(), state, env)
+    assert result.decision == "Refuted"
+    assert any(("daily_capital", "missing") in e.missing
+               for e in result.trace.entries)
+    assert "daily_capital" not in result.trace.bindings
 
 
 def test_formulate_kind_mismatch():
     env = shipped_env()
     state = trade_state()
     request = ActionRequest("r3", "execute_trade", {"volume": "not a number"})
-    failure = formulate_conjecture(request, state, env)
-    assert isinstance(failure, FormulationFailure)
-    assert ("volume", "kind-mismatch") in failure.failures
+    result = verify(request, state, env)
+    assert result.decision == "Refuted"
+    assert any(("volume", "kind-mismatch") in e.missing
+               for e in result.trace.entries)
+    assert "volume" not in result.trace.bindings
 
 
 def test_request_param_cannot_shadow_state_fact():
@@ -403,3 +407,58 @@ def test_oracle_edge_semantics():
     request = ActionRequest("b", "t", {"go": True})
     assert oracle_verify(request, SystemState({}), both) == "Refuted"
     assert verify(request, SystemState({}), both).decision == "Refuted"
+
+
+# Golden bytes ------------------------------------------------------------------
+
+# Pinned from the kernel before its evaluators were merged: any change to
+# these values is a trace/record format change and must be declared as one.
+GOLDEN_RANDGEN_SHA256 = \
+    "76067cd9178a1d5fdef10c56ef6f6b42d3b9d0df3b0a45c992492d026477dfbe"
+GOLDEN_ENV_VERSION = \
+    "67152e10f7126c52248c5c8e2609b3c53e49f20c570603832889e2d61b1f7f18"
+GOLDEN_TRADE_TRACE_DIGEST = \
+    "ee9e0f3f65e30100a95fa83ee9b1f1ffe924557a437752c2be433fe4e2c346fe"
+GOLDEN_RECORD_LINE = (
+    b'{"decision":"Refuted","enforced":true,"env_version":"'
+    + GOLDEN_ENV_VERSION.encode()
+    + b'","prev_digest":"' + b"ab" * 32
+    + b'","record_digest":'
+    b'"afe443c7a5c7f76eab212a10fb044065383d9216a2d42d8db77b51bc35bb7a33",'
+    b'"refusal_causes":[["forbid-fired","capital_threshold",null]],'
+    b'"request_id":"r1","seq":7,"tool":"execute_trade","trace_digest":"'
+    + GOLDEN_TRADE_TRACE_DIGEST.encode()
+    + b'","ts_ns":1700000000000000000}\n'
+)
+
+
+def test_golden_randgen_decisions_and_trace_digests():
+    import hashlib
+
+    h = hashlib.sha256()
+    for inst in iter_instances(11, 4000, env_reuse=6):
+        r = verify(inst.request, inst.state, inst.env)
+        causes = [[c.reason, c.axiom_id, c.symbol] for c in r.refusal_causes]
+        h.update(repr((r.decision, r.trace_digest, causes)).encode() + b"\n")
+    assert h.hexdigest() == GOLDEN_RANDGEN_SHA256
+
+
+def test_golden_environment_digest_and_audit_record_bytes():
+    import dataclasses
+
+    from axgate import AuditRecord
+
+    env = shipped_env()
+    assert env.version_digest == GOLDEN_ENV_VERSION
+    result = verify(trade_request(), trade_state(), env)
+    assert result.trace_digest == GOLDEN_TRADE_TRACE_DIGEST
+    record = AuditRecord(
+        seq=7, prev_digest="ab" * 32, ts_ns=1_700_000_000_000_000_000,
+        request_id="r1", tool="execute_trade", env_version=env.version_digest,
+        decision=result.decision, trace_digest=result.trace_digest,
+        refusal_causes=tuple((c.reason, c.axiom_id, c.symbol)
+                             for c in result.refusal_causes),
+        enforced=True,
+    )
+    record = dataclasses.replace(record, record_digest=record.compute_digest())
+    assert record.line() == GOLDEN_RECORD_LINE

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -6,9 +7,12 @@ from axgate.canonical import (
     ZERO_DIGEST,
     canonical_bytes,
     digest_of,
+    plain_value,
     rational_token,
     to_plain,
+    value_from_plain,
 )
+from axgate.registry import ConceptDecl
 from axgate.values import (
     Money,
     WireValueError,
@@ -89,3 +93,22 @@ def test_canonical_bytes_sorted_and_stable():
     assert a == b'{"a":["3/1"],"b":"1/2"}'
     assert digest_of({"x": 1}) == digest_of({"x": 1})
     assert ZERO_DIGEST == "0" * 64
+
+
+@pytest.mark.parametrize("value, decl", [
+    (Fraction(-9, 20), ConceptDecl("q", "quantity", "Q")),
+    (Money(Fraction(1_000_000_000), "USD"), ConceptDecl("m", "money", "M",
+                                                         ccy="USD")),
+    (Money(Fraction(1, 10) * 5_000_000_001, "USD"),
+     ConceptDecl("m", "money", "M", ccy="USD")),
+    (True, ConceptDecl("f", "flag", "F")),
+    ("limit", ConceptDecl("e", "enum", "E", atoms=("market", "limit"))),
+    ("AAPL", ConceptDecl("t", "text", "T")),
+])
+def test_value_from_plain_inverts_plain_value(value, decl):
+    plain = plain_value(value)
+    assert to_plain(value) == plain
+    plain = json.loads(json.dumps(plain))  # as read back from an archive
+    decoded = value_from_plain(plain, decl)
+    assert decoded == value
+    assert type(decoded) is type(value)
