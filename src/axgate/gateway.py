@@ -31,7 +31,7 @@ from typing import Mapping
 from urllib.parse import urlsplit
 
 from .audit import AuditStorageError, AuditWriter
-from .canonical import ZERO_DIGEST, canonical_bytes
+from .canonical import ZERO_DIGEST
 from .compiler import PolicyEnvironment, compile_file
 from .diagnostics import Diagnostic
 from .kernel import REFUTED, ActionRequest, SystemState, verify
@@ -66,7 +66,6 @@ class GatewayConfig:
     allow_state_override: bool = False
     audit_fsync: bool = True
     upstream_timeout_secs: float = 5.0
-    duplicate_window: int = 4096
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
@@ -77,14 +76,17 @@ class GatewayConfig:
             self.trace_archive_path = self.audit_log_path + ".traces"
 
 
-_BOOL_KEYS = {"allow_state_override", "audit_fsync"}
-_INT_KEYS = {"max_in_flight", "max_body_bytes", "duplicate_window"}
-_FLOAT_KEYS = {"state_refresh_secs", "upstream_timeout_secs"}
+# GatewayConfig's annotations are strings (see the __future__ import). A bool
+# takes only these spellings, so a typo cannot silently turn audit_fsync off.
+_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
+             "0": False, "false": False, "no": False, "off": False}
+_CONVERTERS = {"str": str, "int": int, "float": float,
+               "bool": lambda raw: _BOOLEANS[raw.strip().lower()]}
 
 
 def load_config(path: str, env: Mapping[str, str] | None = None) -> GatewayConfig:
     """Flat `key = value` config file; AXGATE_<KEY> env vars override."""
-    values: dict[str, object] = {}
+    values: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
@@ -104,16 +106,15 @@ def load_config(path: str, env: Mapping[str, str] | None = None) -> GatewayConfi
 
     kwargs: dict[str, object] = {}
     for key, raw in values.items():
-        if key not in GatewayConfig.__dataclass_fields__:
+        field_ = GatewayConfig.__dataclass_fields__.get(key)
+        if field_ is None:
             raise GatewayStartupError(f"unknown config key: {key!r}")
-        if key in _BOOL_KEYS:
-            kwargs[key] = str(raw).strip().lower() in ("1", "true", "yes", "on")
-        elif key in _INT_KEYS:
-            kwargs[key] = int(str(raw))
-        elif key in _FLOAT_KEYS:
-            kwargs[key] = float(str(raw))
-        else:
-            kwargs[key] = str(raw)
+        try:
+            kwargs[key] = _CONVERTERS[field_.type](raw)
+        except (KeyError, ValueError):
+            raise GatewayStartupError(
+                f"config key {key!r}: not a valid {field_.type}: {raw!r}"
+            ) from None
     return GatewayConfig(**kwargs)
 
 
@@ -166,6 +167,9 @@ def load_state_file(path: str, env: PolicyEnvironment) -> SystemState:
 
 
 _SENTINEL = object()
+_QUEUE_SIZE = 1024
+_DUPLICATE_WINDOW = 4096  # request ids remembered for duplicate_of
+_ARCHIVE_WINDOW = 65536  # trace digests remembered as already archived
 
 
 @dataclass
@@ -178,7 +182,7 @@ class AuditEvent:
     refusal_causes: tuple
     enforced: bool
     note: str | None = None
-    trace_plain: dict | None = field(default=None, repr=False)
+    trace_bytes: bytes | None = field(default=None, repr=False)
 
 
 class AuditPump:
@@ -190,15 +194,13 @@ class AuditPump:
     """
 
     def __init__(self, path: str, trace_archive_path: str | None, *,
-                 fsync: bool = True, maxsize: int = 1024,
-                 duplicate_window: int = 4096) -> None:
-        self._queue: queue.Queue = queue.Queue(maxsize=maxsize)
+                 fsync: bool = True) -> None:
+        self._queue: queue.Queue = queue.Queue(maxsize=_QUEUE_SIZE)
         self._writer = AuditWriter(path, fsync=fsync)
         self._trace_fh = open(trace_archive_path, "ab") \
             if trace_archive_path else None
         self._archived: OrderedDict[str, None] = OrderedDict()
         self._seen: OrderedDict[str, int] = OrderedDict()
-        self._duplicate_window = duplicate_window
         self.degraded = False
         self.records_written = 0
         self._thread = threading.Thread(
@@ -235,7 +237,7 @@ class AuditPump:
             duplicate_of = self._seen.get(event.request_id)
             if duplicate_of is None:
                 self._seen[event.request_id] = self._writer.next_seq
-                if len(self._seen) > self._duplicate_window:
+                if len(self._seen) > _DUPLICATE_WINDOW:
                     self._seen.popitem(last=False)
         try:
             self._writer.append(
@@ -257,17 +259,18 @@ class AuditPump:
             self.degraded = True
 
     def _archive_trace(self, event: AuditEvent) -> None:
-        if self._trace_fh is None or event.trace_plain is None:
+        if self._trace_fh is None or event.trace_bytes is None:
             return
         if event.trace_digest in self._archived:
             return
         self._archived[event.trace_digest] = None
-        if len(self._archived) > 65536:
+        if len(self._archived) > _ARCHIVE_WINDOW:
             self._archived.popitem(last=False)
-        line = canonical_bytes(
-            {"trace_digest": event.trace_digest, "trace": event.trace_plain}
-        )
-        self._trace_fh.write(line + b"\n")
+        # The kernel's canonical trace bytes, spliced in as they are: sorted
+        # keys put "trace" before "trace_digest", so this line equals
+        # canonical_bytes({"trace_digest": d, "trace": trace.to_plain()}).
+        self._trace_fh.write(b'{"trace":%s,"trace_digest":"%s"}\n' % (
+            event.trace_bytes, event.trace_digest.encode("ascii")))
         self._trace_fh.flush()
 
 
@@ -283,37 +286,6 @@ def load_archived_trace(path: str, trace_digest: str) -> dict | None:
     except (OSError, ValueError):
         return None
     return None
-
-
-# Response document -------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GatewayResponse:
-    request_id: str
-    decision: str
-    enforced: bool
-    env_version: str
-    latency_ns: int
-    upstream_status: int | None = None
-    notice: dict | None = None
-    audit_degraded: bool = False
-
-    def to_plain(self) -> dict:
-        doc = {
-            "request_id": self.request_id,
-            "decision": self.decision,
-            "enforced": self.enforced,
-            "env_version": self.env_version,
-            "latency_ns": self.latency_ns,
-        }
-        if self.upstream_status is not None:
-            doc["upstream_status"] = self.upstream_status
-        if self.notice is not None:
-            doc["notice"] = self.notice
-        if self.audit_degraded:
-            doc["audit_degraded"] = True
-        return doc
 
 
 # HTTP plumbing ------------------------------------------------------------------
@@ -452,7 +424,6 @@ class Gateway:
             config.audit_log_path,
             config.trace_archive_path,
             fsync=config.audit_fsync,
-            duplicate_window=config.duplicate_window,
         )
         self._inflight = threading.BoundedSemaphore(config.max_in_flight)
         self.requests_received = 0
@@ -560,30 +531,24 @@ class Gateway:
 
     # Request handling ---------------------------------------------------------
 
-    def _audit(self, *, request_id: str, tool: str, env_version: str,
-               decision: str, trace_digest: str, causes: tuple,
-               enforced: bool, note: str | None = None,
-               trace_plain: dict | None = None) -> None:
-        self.pump.submit(AuditEvent(
-            request_id=request_id, tool=tool, env_version=env_version,
-            decision=decision, trace_digest=trace_digest,
-            refusal_causes=causes, enforced=enforced, note=note,
-            trace_plain=trace_plain,
-        ))
-
     def handle_tool_call(self, handler: _Handler, *, forward: bool) -> None:
+        """Decide one tool call, submit its one audit record, then send its
+        one reply."""
         with self._count_lock:
             self.requests_received += 1
         snapshot = self.snapshot
-        env_version = snapshot.env.version_digest
-        enforced = self.config.mode == "enforce" and forward
+        env = snapshot.env
+        enforce = self.config.mode == "enforce"
 
         def refuse(status: int, error: str, note: str, request_id: str = "",
                    tool: str = "", reason: str = "binding-failure") -> None:
-            self._audit(request_id=request_id, tool=tool,
-                        env_version=env_version, decision=REFUTED,
-                        trace_digest=ZERO_DIGEST, causes=((reason, None, None),),
-                        enforced=enforced, note=note)
+            self.pump.submit(AuditEvent(
+                request_id=request_id, tool=tool,
+                env_version=env.version_digest, decision=REFUTED,
+                trace_digest=ZERO_DIGEST,
+                refusal_causes=((reason, None, None),),
+                enforced=enforce and forward, note=note,
+            ))
             handler._send_json(status, {"error": error})
 
         raw = _read_body(handler, self.config.max_body_bytes)
@@ -600,109 +565,72 @@ class Gateway:
         if not self._inflight.acquire(blocking=False):
             refuse(429, "too-many-requests", "backpressure", request_id, tool)
             return
+        # Only deciding and recording is guarded: once the record is
+        # submitted, a failure cannot lead to a second one.
         try:
-            self._process_tool_call(
-                handler, snapshot, raw, request_id, tool, raw_params,
-                state_override, forward=forward,
-            )
+            state = snapshot.state
+            if state_override is not None and self.config.allow_state_override:
+                merged = dict(state.facts or {})
+                merged.update(coerce_facts(state_override, env, "state"))
+                state = SystemState(merged, as_of=state.as_of)
+            request = ActionRequest(request_id, tool,
+                                    coerce_facts(raw_params, env, "request"),
+                                    received_at=time.time_ns())
+            t0 = time.perf_counter_ns()
+            result = verify(request, state, env)
+            latency_ns = time.perf_counter_ns() - t0
+
+            # /v1/verify never forwards and never enforces. /v1/execute in
+            # enforce mode blocks a Refuted call without contacting the
+            # upstream; otherwise it forwards the original body bytes.
+            enforced = enforce and forward and result.decision == REFUTED
+            upstream = self._forward(raw, handler.headers.get("Content-Type")) \
+                if forward and not enforced else None
+            unreachable = forward and not enforced and upstream is None
+            if upstream is None:
+                status = 502 if unreachable else 403 if enforced else 200
+                doc = {"error": "upstream-unreachable"} if unreachable else {}
+                doc.update(request_id=request_id, decision=result.decision,
+                           enforced=enforced, env_version=env.version_digest,
+                           latency_ns=latency_ns)
+                if result.decision == REFUTED:
+                    doc["notice"] = notice_to_plain(
+                        render_notice(result, env, request_id))
+
+            self.pump.submit(AuditEvent(
+                request_id=request_id, tool=tool,
+                env_version=env.version_digest, decision=result.decision,
+                trace_digest=result.trace_digest,
+                refusal_causes=tuple((c.reason, c.axiom_id, c.symbol)
+                                     for c in result.refusal_causes),
+                enforced=enforced,
+                note="upstream-unreachable" if unreachable else None,
+                trace_bytes=result.trace_bytes,
+            ))
         except Exception:
             logger.exception("internal error handling %s", request_id)
             refuse(500, "internal-error", "internal-error", request_id, tool,
                    "evaluation-failure")
+        else:
+            degraded = self.pump.degraded
+            if upstream is None:
+                if degraded:
+                    doc["audit_degraded"] = True
+                handler._send_json(status, doc)
+                return
+            status, body, content_type = upstream
+            headers = {
+                "X-Axgate-Request-Id": request_id,
+                "X-Axgate-Decision": result.decision,
+                "X-Axgate-Enforced": "false",
+                "X-Axgate-Env-Version": env.version_digest,
+                "X-Axgate-Latency-Ns": str(latency_ns),
+            }
+            if degraded:
+                headers["X-Axgate-Audit-Degraded"] = "true"
+            handler._send_raw(status, body, content_type, headers)
         finally:
             self._inflight.release()
-
-    def _process_tool_call(self, handler, snapshot: Snapshot, raw: bytes,
-                           request_id: str, tool: str, raw_params: dict,
-                           state_override: dict | None, *, forward: bool) -> None:
-        env = snapshot.env
-        enforce = self.config.mode == "enforce"
-
-        state = snapshot.state
-        if state_override is not None and self.config.allow_state_override:
-            merged = dict(state.facts or {})
-            merged.update(coerce_facts(state_override, env, "state"))
-            state = SystemState(merged, as_of=state.as_of)
-
-        params = coerce_facts(raw_params, env, "request")
-        request = ActionRequest(request_id, tool, params,
-                                received_at=time.time_ns())
-
-        t0 = time.perf_counter_ns()
-        result = verify(request, state, env)
-        latency_ns = time.perf_counter_ns() - t0
-
-        notice_doc = None
-        if result.decision == REFUTED:
-            notice_doc = notice_to_plain(
-                render_notice(result, env, request_id)
-            )
-
-        causes = tuple(
-            (c.reason, c.axiom_id, c.symbol) for c in result.refusal_causes
-        )
-        audited_enforced = enforce and forward and result.decision == REFUTED
-
-        if not forward:
-            # /v1/verify: decision only, never forwards, never enforces.
-            self._audit(request_id=request_id, tool=tool,
-                        env_version=env.version_digest,
-                        decision=result.decision,
-                        trace_digest=result.trace_digest, causes=causes,
-                        enforced=False, trace_plain=result.trace.to_plain())
-            response = GatewayResponse(
-                request_id=request_id, decision=result.decision,
-                enforced=False, env_version=env.version_digest,
-                latency_ns=latency_ns, notice=notice_doc,
-                audit_degraded=self.pump.degraded,
-            )
-            handler._send_json(200, response.to_plain())
-            return
-
-        if enforce and result.decision == REFUTED:
-            # State B: definitively blocked; the upstream is never contacted.
-            self._audit(request_id=request_id, tool=tool,
-                        env_version=env.version_digest, decision=REFUTED,
-                        trace_digest=result.trace_digest, causes=causes,
-                        enforced=True, trace_plain=result.trace.to_plain())
-            response = GatewayResponse(
-                request_id=request_id, decision=REFUTED, enforced=True,
-                env_version=env.version_digest, latency_ns=latency_ns,
-                notice=notice_doc, audit_degraded=self.pump.degraded,
-            )
-            handler._send_json(403, response.to_plain())
-            return
-
-        # Proven in enforce mode, or any decision in shadow mode: forward the
-        # original body bytes untouched.
-        upstream = self._forward(raw, handler.headers.get("Content-Type"))
-        self._audit(request_id=request_id, tool=tool,
-                    env_version=env.version_digest, decision=result.decision,
-                    trace_digest=result.trace_digest, causes=causes,
-                    enforced=audited_enforced,
-                    note=None if upstream is not None else "upstream-unreachable",
-                    trace_plain=result.trace.to_plain())
-        if upstream is None:
-            response = GatewayResponse(
-                request_id=request_id, decision=result.decision,
-                enforced=audited_enforced, env_version=env.version_digest,
-                latency_ns=latency_ns, notice=notice_doc,
-                audit_degraded=self.pump.degraded,
-            )
-            handler._send_json(502, {"error": "upstream-unreachable",
-                                     **response.to_plain()})
-            return
-        status, body, content_type = upstream
-        headers = {
-            "X-Axgate-Request-Id": request_id,
-            "X-Axgate-Decision": result.decision,
-            "X-Axgate-Enforced": "true" if audited_enforced else "false",
-            "X-Axgate-Env-Version": env.version_digest,
-            "X-Axgate-Latency-Ns": str(latency_ns),
-        }
-        if self.pump.degraded:
-            headers["X-Axgate-Audit-Degraded"] = "true"
-        handler._send_raw(status, body, content_type, headers)
 
     def _forward(self, body: bytes, content_type: str | None):
         parts = urlsplit(self.config.upstream_url)
@@ -723,7 +651,9 @@ class Gateway:
             resp = conn.getresponse()
             data = resp.read()
             return resp.status, data, resp.headers.get("Content-Type", "")
-        except OSError:
+        except (OSError, http.client.HTTPException):
+            # Unreachable, or an answer that is not HTTP (BadStatusLine,
+            # IncompleteRead): either way there is no upstream reply to relay.
             return None
         finally:
             conn.close()

@@ -140,6 +140,7 @@ class VerificationResult:
     trace: ProofTrace
     trace_digest: str
     refusal_causes: tuple[RefusalCause, ...]
+    trace_bytes: bytes  # the trace.canonical() bytes that trace_digest hashes
 
     @property
     def proven(self) -> bool:
@@ -266,7 +267,6 @@ def _cmp(op: str, left, right) -> bool:
         raise _EvalFault(str(exc)) from exc
 
 
-_UNARY_OP_NAMES = {"-": "neg", "not": "not"}
 _BINARY_OP_NAMES = {"+": "add", "-": "sub", "*": "mul", "/": "div"}
 _COMPARE_OP_NAMES = {"<": "lt", "<=": "le", ">": "gt", ">=": "ge",
                      "==": "eq", "!=": "ne"}
@@ -399,9 +399,11 @@ def verify(
         provenance=provenance,
     )
     decision, causes = decide(trace)
+    trace_bytes = trace.canonical()
     return VerificationResult(
         decision=decision,
         trace=trace,
-        trace_digest=sha256_hex(trace.canonical()),
+        trace_digest=sha256_hex(trace_bytes),
         refusal_causes=causes,
+        trace_bytes=trace_bytes,
     )

@@ -50,30 +50,16 @@ class AdverseActionNotice:
         return "\n".join(self.lines)
 
 
-def _tree_values(node) -> list:
-    """Every value recorded anywhere in a valuation tree."""
-    out = [node.value]
+def _walk(node):
+    """Every node of a valuation tree, in pre-order."""
+    yield node
     for kid in node.kids:
-        out.extend(_tree_values(kid))
-    return out
-
-
-def _literal_values(node) -> list:
-    out = []
-    if node.op == "lit":
-        out.append(node.value)
-    for kid in node.kids:
-        out.extend(_literal_values(kid))
-    return out
+        yield from _walk(kid)
 
 
 def _display(env: PolicyEnvironment, symbol: str) -> str:
     decl = env.registry.get(symbol)
     return decl.display if decl is not None else symbol
-
-
-def _default_line(axiom, env: PolicyEnvironment) -> str:
-    return f"Action blocked by policy rule '{axiom.id}'."
 
 
 def _interpolate(template: str, bindings, env: PolicyEnvironment) -> str:
@@ -120,13 +106,12 @@ def render_notice_from_parts(
     for cause in causes:
         if cause.reason == REASON_FORBID:
             axiom = axioms_by_id.get(cause.axiom_id)
-            if axiom is None:
-                lines.append(f"Action blocked by policy rule '{cause.axiom_id}'.")
-                continue
-            if axiom.explain:
+            if axiom is not None and axiom.explain:
                 lines.append(_interpolate(axiom.explain, bindings, env))
             else:
-                lines.append(_default_line(axiom, env))
+                lines.append(f"Action blocked by policy rule '{cause.axiom_id}'.")
+            if axiom is None:
+                continue
             entry = entries_by_id.get(axiom.id)
             concepts = []
             thresholds: tuple[str, ...] = ()
@@ -140,7 +125,8 @@ def render_notice_from_parts(
                     for s in symbols
                 ]
                 thresholds = tuple(
-                    render_value(v) for v in _literal_values(entry.tree)
+                    render_value(n.value) for n in _walk(entry.tree)
+                    if n.op == "lit"
                 )
             cited.append(CitedAxiom(axiom.id, tuple(concepts), thresholds))
         elif cause.reason == REASON_BINDING:
@@ -166,12 +152,6 @@ def render_notice_from_parts(
     return AdverseActionNotice(
         request_id=request_id, lines=tuple(lines), cited_axioms=tuple(cited)
     )
-
-
-def _walk(node):
-    yield node
-    for kid in node.kids:
-        yield from _walk(kid)
 
 
 def notice_to_plain(notice: AdverseActionNotice) -> dict:
@@ -202,7 +182,7 @@ def trace_values(trace) -> list:
     out = list(trace.bindings.values())
     for entry in trace.entries:
         if entry.tree is not None:
-            out.extend(_tree_values(entry.tree))
+            out.extend(n.value for n in _walk(entry.tree))
     return out
 
 

@@ -290,9 +290,8 @@ def test_criterion_6_interception_completeness(tmp_path):
                 assert status == 200
             gw.pump.drain()
             records = list(iter_records(config.audit_log_path))
-            chain = verify_chain_lines(
-                open(config.audit_log_path, "rb").readlines()
-            )
+            with open(config.audit_log_path, "rb") as fh:
+                chain = verify_chain_lines(fh.readlines())
         assert upstream.bodies == bodies  # exactly, byte-identical, in order
     assert len(records) == 1000
     assert chain.ok and chain.records == 1000

@@ -494,3 +494,225 @@ def test_client_reset_before_response_gets_one_record(workspace):
     assert len(records) == received
     assert all(r.note is None for r in records)
     assert verify_chain(config.audit_log_path).ok
+
+
+# Golden replies, records and archive bytes ----------------------------------
+
+GOLDEN_KINDS = ("proven", "refuted", "binding", "malformed")
+UNREACHABLE = "http://127.0.0.1:1/unreachable"
+
+# (mode, upstream reachable, path) -> status per GOLDEN_KINDS entry
+GOLDEN_STATUSES = {
+    ("enforce", True, "/v1/execute"): [200, 403, 403, 400],
+    ("enforce", False, "/v1/execute"): [502, 403, 403, 400],
+    ("shadow", True, "/v1/execute"): [200, 200, 200, 400],
+    ("shadow", False, "/v1/execute"): [502, 502, 502, 400],
+    **{(mode, reachable, "/v1/verify"): [200, 200, 200, 400]
+       for mode in ("enforce", "shadow") for reachable in (True, False)},
+}
+
+# SHA-256 over every reply (status, content type, body without latency_ns
+# in its key order, X-Axgate-* headers without the latency one), every audit
+# record without ts_ns and its chain digests, the chain verdict, the bodies
+# the upstream received and the exact trace-archive bytes of the matrix.
+GOLDEN_GATEWAY_SHA256 = \
+    "08129ac417dfd82b2f617fed49ef9747406f48fd87dadadc2494286826942f27"
+
+
+def _golden_call(kind, request_id):
+    if kind == "proven":
+        return tool_call(request_id, 10)
+    if kind == "refuted":
+        return tool_call(request_id, 99999)
+    if kind == "binding":
+        return {"request_id": request_id, "tool": "execute_trade",
+                "params": {}}
+    return {"tool": "execute_trade", "params": {"volume": 10}}
+
+
+def _golden_run(workspace, mode, upstream_url):
+    from collections import OrderedDict
+
+    name = f"{mode}-{'up' if upstream_url != UNREACHABLE else 'down'}"
+    config = make_config(workspace, upstream_url, mode=mode,
+                         audit_log_path=str(workspace / f"{name}.log"))
+    replies = []
+    with Gateway(config) as gw:
+        for path in ("/v1/execute", "/v1/verify"):
+            for kind in GOLDEN_KINDS:
+                doc = _golden_call(kind, f"{name}{path}/{kind}")
+                status, data, headers = post(gw, path, doc)
+                body = json.loads(data, object_pairs_hook=OrderedDict)
+                body.pop("latency_ns", None)
+                replies.append({
+                    "path": path, "kind": kind, "status": status,
+                    "content_type": headers.get("Content-Type"),
+                    "body": json.dumps(body),
+                    "headers": [[k, v] for k, v in headers.items()
+                                if k.startswith("X-Axgate-")
+                                and k != "X-Axgate-Latency-Ns"],
+                })
+        gw.pump.drain()
+    records = []
+    with open(config.audit_log_path, "rb") as fh:
+        for line in fh:
+            record = json.loads(line)
+            for key in ("ts_ns", "prev_digest", "record_digest"):
+                del record[key]
+            records.append(record)
+    with open(config.trace_archive_path, "rb") as fh:
+        archive = fh.read().decode("utf-8")
+    return {"replies": replies, "records": records, "archive": archive,
+            "chain_ok": verify_chain(config.audit_log_path).ok}
+
+
+def test_golden_gateway_replies_records_and_archive(workspace):
+    import hashlib
+
+    outcomes = []
+    for mode in ("enforce", "shadow"):
+        for reachable in (True, False):
+            if reachable:
+                with StubUpstream() as upstream:
+                    outcome = _golden_run(workspace, mode, upstream.url)
+                outcome["upstream_bodies"] = [
+                    json.loads(b) for b in upstream.bodies]
+            else:
+                outcome = _golden_run(workspace, mode, UNREACHABLE)
+            for path in ("/v1/execute", "/v1/verify"):
+                statuses = [r["status"] for r in outcome["replies"]
+                            if r["path"] == path]
+                assert statuses == GOLDEN_STATUSES[(mode, reachable, path)], \
+                    (mode, reachable, path)
+            assert outcome["chain_ok"]
+            assert len(outcome["records"]) == 2 * len(GOLDEN_KINDS)
+            outcomes.append([mode, reachable, outcome])
+    blob = json.dumps(outcomes, sort_keys=False).encode("utf-8")
+    assert hashlib.sha256(blob).hexdigest() == GOLDEN_GATEWAY_SHA256
+
+
+def test_malformed_upstream_reply_is_502_with_the_real_decision(workspace):
+    """An upstream that took the body but answered with something that is
+    not HTTP is handled like an unreachable one: the call was decided
+    Proven and forwarded, so the record must say so."""
+    import socket
+
+    from axgate.canonical import ZERO_DIGEST
+
+    listener = socket.create_server(("127.0.0.1", 0))
+    received = []
+
+    def garbage_upstream():
+        conn, _ = listener.accept()
+        with conn:
+            data = b""
+            while b"\r\n\r\n" not in data:
+                data += conn.recv(65536)
+            head, _, body = data.partition(b"\r\n\r\n")
+            length = int([line.split(b":", 1)[1] for line in head.split(b"\r\n")
+                          if line.lower().startswith(b"content-length:")][0])
+            while len(body) < length:
+                body += conn.recv(65536)
+            received.append(body)
+            conn.sendall(b"GARBAGE NOT HTTP\r\n\r\n")
+
+    thread = threading.Thread(target=garbage_upstream)
+    thread.start()
+    host, port = listener.getsockname()
+    config = make_config(workspace, f"http://{host}:{port}/execute")
+    try:
+        with Gateway(config) as gw:
+            body = json.dumps(tool_call("garbled", 10)).encode()
+            status, data, _ = post(gw, "/v1/execute", body=body)
+            gw.pump.drain()
+            records = list(iter_records(config.audit_log_path))
+    finally:
+        thread.join(10)
+        listener.close()
+    assert received == [body]
+    assert status == 502
+    doc = json.loads(data)
+    assert doc["error"] == "upstream-unreachable"
+    assert doc["decision"] == "Proven"
+    assert len(records) == 1
+    assert records[0].decision == "Proven"
+    assert records[0].note == "upstream-unreachable"
+    assert records[0].refusal_causes == ()
+    assert records[0].trace_digest != ZERO_DIGEST
+
+
+@pytest.mark.parametrize("key, raw", [
+    ("audit_fsync", "ture"),
+    ("allow_state_override", "maybe"),
+    ("max_in_flight", "lots"),
+    ("upstream_timeout_secs", "soon"),
+])
+def test_load_config_rejects_unreadable_values(tmp_path, key, raw):
+    cfg = tmp_path / "gateway.conf"
+    cfg.write_text(f"policy_path = p.pol\n{key} = {raw}\n", encoding="utf-8")
+    with pytest.raises(GatewayStartupError, match=key):
+        load_config(str(cfg), env={})
+
+    cfg.write_text("policy_path = p.pol\n", encoding="utf-8")
+    with pytest.raises(GatewayStartupError, match=key):
+        load_config(str(cfg), env={"AXGATE_" + key.upper(): raw})
+
+
+def test_load_config_boolean_spellings(tmp_path):
+    cfg = tmp_path / "gateway.conf"
+    cfg.write_text("policy_path = p.pol\n", encoding="utf-8")
+    for raw, expected in (("1", True), ("TRUE", True), ("yes", True),
+                          ("on", True), ("0", False), ("False", False),
+                          ("no", False), ("off", False)):
+        config = load_config(str(cfg), env={"AXGATE_AUDIT_FSYNC": raw})
+        assert config.audit_fsync is expected, raw
+
+
+def test_trace_archive_lines_are_canonical_documents(tmp_path):
+    """The archive splices the kernel's trace bytes into its line; that must
+    equal the canonical document built from the trace's plain form."""
+    from axgate.canonical import canonical_bytes
+    from axgate.gateway import AuditEvent, AuditPump
+    from axgate.kernel import verify
+    from axgate.randgen import iter_instances
+
+    archive = tmp_path / "audit.log.traces"
+    pump = AuditPump(str(tmp_path / "audit.log"), str(archive), fsync=False)
+    expected = {}
+    try:
+        for i, inst in enumerate(iter_instances(11, 3000, env_reuse=6)):
+            result = verify(inst.request, inst.state, inst.env)
+            expected.setdefault(result.trace_digest, canonical_bytes({
+                "trace_digest": result.trace_digest,
+                "trace": result.trace.to_plain(),
+            }) + b"\n")
+            pump.submit(AuditEvent(
+                request_id=f"a{i}", tool=inst.request.tool,
+                env_version=inst.env.version_digest, decision=result.decision,
+                trace_digest=result.trace_digest, refusal_causes=(),
+                enforced=False, trace_bytes=result.trace_bytes,
+            ))
+        pump.drain()
+    finally:
+        pump.close()
+    assert len(expected) > 1000
+    assert archive.read_bytes().splitlines(keepends=True) == \
+        list(expected.values())
+
+
+def test_reply_failure_after_the_record_does_not_audit_twice(workspace):
+    """A request id that cannot go into a latin-1 response header fails the
+    relayed reply after the call was decided, forwarded and recorded; the
+    fallback must not add a second, contradicting record."""
+    with StubUpstream() as upstream:
+        config = make_config(workspace, upstream.url)
+        with Gateway(config) as gw:
+            with pytest.raises((http.client.HTTPException, OSError)):
+                post(gw, "/v1/execute", tool_call("日", 10))
+            status, _, _ = post(gw, "/v1/execute", tool_call("after", 10))
+            assert status == 200
+            gw.pump.drain()
+            records = list(iter_records(config.audit_log_path))
+        assert len(upstream.bodies) == 2
+    assert [(r.request_id, r.decision, r.note) for r in records] == \
+        [("日", "Proven", None), ("after", "Proven", None)]

@@ -125,7 +125,8 @@ def test_notice_totality_on_fuzzed_causes():
     empty_trace = ProofTrace(env.version_digest, "approve_loan", (), {}, {})
     for combo in itertools.product(reasons, axiom_ids, symbols):
         causes = (RefusalCause(*combo),)
-        result = VerificationResult("Refuted", empty_trace, "0" * 64, causes)
+        result = VerificationResult("Refuted", empty_trace, "0" * 64, causes,
+                                    empty_trace.canonical())
         notice = render_notice(result, env, "rx")
         assert notice.lines
 
