@@ -88,6 +88,18 @@ class AuditRecord:
         )
 
 
+def _digest_slot(data: bytes) -> int:
+    """Offset of the "refusal_causes" key in a record's canonical bytes.
+
+    Sorted keys put "record_digest" directly between "prev_digest" and the
+    always-present "refusal_causes", so a record's line is its payload bytes
+    with '"record_digest":"<d>",' spliced in at this offset, and the payload
+    is the line with that segment cut out. Neither key's byte run can occur
+    inside a JSON string value, whose quotes are escaped, and only the
+    top-level object has keys, so the first match is the key."""
+    return data.index(b'"refusal_causes":')
+
+
 class AuditStorageError(OSError):
     """Appending could not be completed durably."""
 
@@ -127,9 +139,13 @@ class AuditWriter:
 
     def append(self, **fields) -> AuditRecord:
         record = AuditRecord(seq=self._seq, prev_digest=self._prev, **fields)
-        record = dataclasses.replace(record, record_digest=record.compute_digest())
+        payload = canonical_bytes(record.payload())
+        record = dataclasses.replace(record, record_digest=sha256_hex(payload))
+        at = _digest_slot(payload)
+        line = b'%s"record_digest":"%s",%s\n' % (
+            payload[:at], record.record_digest.encode("ascii"), payload[at:])
         try:
-            self._fh.write(record.line())
+            self._fh.write(line)
             self._fh.flush()
             if self._fsync:
                 os.fsync(self._fh.fileno())
@@ -199,7 +215,11 @@ def verify_chain_lines(
             return ChainReport(False, index, index, CAUSE_PARSE)
         if record.line() != line:
             return ChainReport(False, index, index, CAUSE_DIGEST)
-        if record.compute_digest() != record.record_digest:
+        # The line is canonical, so the payload is the line without its
+        # "record_digest" segment: hash that instead of serialising again.
+        at = _digest_slot(line)
+        start = line.index(b'"record_digest":')
+        if sha256_hex(line[:start] + line[at:-1]) != record.record_digest:
             return ChainReport(False, index, index, CAUSE_DIGEST)
         if record.prev_digest != expected_prev:
             return ChainReport(False, index, index, CAUSE_LINK)

@@ -24,7 +24,7 @@ import os
 import queue
 import threading
 import time
-from collections import OrderedDict
+from collections import deque
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Mapping
@@ -199,8 +199,13 @@ class AuditPump:
         self._writer = AuditWriter(path, fsync=fsync)
         self._trace_fh = open(trace_archive_path, "ab") \
             if trace_archive_path else None
-        self._archived: OrderedDict[str, None] = OrderedDict()
-        self._seen: OrderedDict[str, int] = OrderedDict()
+        # Two FIFO windows: insert on a miss, evict the oldest entry past the
+        # cap, never refresh on a hit. Each keeps its keys in a deque for the
+        # eviction order; archived digests are held as their 32 raw bytes.
+        self._seen: dict[str, int] = {}
+        self._seen_order: deque[str] = deque()
+        self._archived: set[bytes] = set()
+        self._archived_order: deque[bytes] = deque()
         self.degraded = False
         self.records_written = 0
         self._thread = threading.Thread(
@@ -237,8 +242,9 @@ class AuditPump:
             duplicate_of = self._seen.get(event.request_id)
             if duplicate_of is None:
                 self._seen[event.request_id] = self._writer.next_seq
-                if len(self._seen) > _DUPLICATE_WINDOW:
-                    self._seen.popitem(last=False)
+                self._seen_order.append(event.request_id)
+                if len(self._seen_order) > _DUPLICATE_WINDOW:
+                    del self._seen[self._seen_order.popleft()]
         try:
             self._writer.append(
                 ts_ns=time.time_ns(),
@@ -261,11 +267,13 @@ class AuditPump:
     def _archive_trace(self, event: AuditEvent) -> None:
         if self._trace_fh is None or event.trace_bytes is None:
             return
-        if event.trace_digest in self._archived:
+        key = bytes.fromhex(event.trace_digest)
+        if key in self._archived:
             return
-        self._archived[event.trace_digest] = None
-        if len(self._archived) > _ARCHIVE_WINDOW:
-            self._archived.popitem(last=False)
+        self._archived.add(key)
+        self._archived_order.append(key)
+        if len(self._archived_order) > _ARCHIVE_WINDOW:
+            self._archived.remove(self._archived_order.popleft())
         # The kernel's canonical trace bytes, spliced in as they are: sorted
         # keys put "trace" before "trace_digest", so this line equals
         # canonical_bytes({"trace_digest": d, "trace": trace.to_plain()}).
@@ -294,6 +302,10 @@ def load_archived_trace(path: str, trace_digest: str) -> dict | None:
 class _Handler(BaseHTTPRequestHandler):
     server_version = "axgate"
     protocol_version = "HTTP/1.1"
+    # TCP_NODELAY on each accepted socket. The headers and the body go out
+    # as two writes; with Nagle on, the body of every keep-alive reply waits
+    # for the client's delayed ACK of the headers (about 40 ms on Linux).
+    disable_nagle_algorithm = True
 
     @property
     def gateway(self) -> "Gateway":
@@ -673,6 +685,11 @@ def _parse_tool_call(raw: bytes):
     override = doc.get("state_override")
     if not isinstance(request_id, str) or not request_id:
         return "missing-request-id"
+    # The id is echoed in the X-Axgate-Request-Id reply header: only
+    # printable ASCII (U+0020-U+007E), so CR/LF cannot inject header lines
+    # and the reply can always be encoded.
+    if not (request_id.isascii() and request_id.isprintable()):
+        return "malformed-request-id"
     if not isinstance(tool, str) or not tool:
         return "missing-tool"
     if not isinstance(params, dict):

@@ -133,3 +133,33 @@ def test_duplicate_of_field_participates_in_digest(tmp_path):
     assert report.ok
     records = list(iter_records(str(log)))
     assert records[1].duplicate_of == 0
+
+
+def test_record_with_key_like_strings_round_trips(tmp_path):
+    """Writing splices "record_digest" into the payload bytes and verifying
+    cuts it back out; strings that spell those keys must not confuse either,
+    and every single-byte flip of such a record is still caught."""
+    log = tmp_path / "audit.log"
+    tricky = 'x","record_digest":"' + "0" * 64 + '",\\"refusal_causes":[]'
+    note = ',"refusal_causes":[["日",null,null]],"record_digest":"'
+    with AuditWriter(str(log), fsync=False) as writer:
+        written = writer.append(
+            ts_ns=1, request_id=tricky, tool="execute_trade",
+            env_version="e" * 64, decision="Refuted", trace_digest="t" * 64,
+            refusal_causes=(("forbid-fired", "cap", '"refusal_causes":'),),
+            enforced=True, duplicate_of=0, note=note,
+        )
+    line = log.read_bytes()
+    assert line == written.line()
+    assert written.record_digest == written.compute_digest()
+    assert verify_chain(str(log)).ok
+    found = find_record(str(log), request_id=tricky)
+    assert found == written
+    assert found.note == note
+
+    for i in range(len(line)):
+        flipped = bytearray(line)
+        flipped[i] ^= 0x01
+        report = verify_chain_lines([bytes(flipped)])
+        assert not report.ok, i
+        assert report.cause in ("digest-mismatch", "parse-error"), i

@@ -700,19 +700,131 @@ def test_trace_archive_lines_are_canonical_documents(tmp_path):
         list(expected.values())
 
 
-def test_reply_failure_after_the_record_does_not_audit_twice(workspace):
-    """A request id that cannot go into a latin-1 response header fails the
-    relayed reply after the call was decided, forwarded and recorded; the
-    fallback must not add a second, contradicting record."""
+def test_reply_failure_after_the_record_does_not_audit_twice(workspace,
+                                                             monkeypatch):
+    """A relayed reply that fails after the call was decided, forwarded and
+    recorded must not make the fallback add a second, contradicting
+    record."""
+    from axgate.gateway import _Handler
+
+    send_raw = _Handler._send_raw
+    failed = []
+
+    def send_raw_failing_once(self, *args):
+        if not failed:
+            failed.append(True)
+            raise RuntimeError("reply failed")
+        return send_raw(self, *args)
+
+    monkeypatch.setattr(_Handler, "_send_raw", send_raw_failing_once)
     with StubUpstream() as upstream:
         config = make_config(workspace, upstream.url)
         with Gateway(config) as gw:
             with pytest.raises((http.client.HTTPException, OSError)):
-                post(gw, "/v1/execute", tool_call("日", 10))
+                post(gw, "/v1/execute", tool_call("fails", 10))
             status, _, _ = post(gw, "/v1/execute", tool_call("after", 10))
             assert status == 200
             gw.pump.drain()
             records = list(iter_records(config.audit_log_path))
         assert len(upstream.bodies) == 2
+    assert failed
     assert [(r.request_id, r.decision, r.note) for r in records] == \
-        [("日", "Proven", None), ("after", "Proven", None)]
+        [("fails", "Proven", None), ("after", "Proven", None)]
+
+
+@pytest.mark.parametrize("request_id", ["r1\r\nX-Injected: yes", "日"])
+def test_request_id_outside_printable_ascii_is_400(workspace, request_id):
+    """The request id is echoed in a response header: CR/LF there would
+    inject header lines, and a non-latin-1 character cannot be encoded
+    after the call was already forwarded. Such ids are refused up front."""
+    with StubUpstream() as upstream:
+        config = make_config(workspace, upstream.url)
+        with Gateway(config) as gw:
+            status, data, headers = post(gw, "/v1/execute",
+                                         tool_call(request_id, 10))
+            gw.pump.drain()
+            records = list(iter_records(config.audit_log_path))
+        assert upstream.bodies == []
+    assert status == 400
+    assert json.loads(data) == {"error": "malformed-request-id"}
+    assert "X-Injected" not in headers
+    assert [(r.decision, r.note) for r in records] == \
+        [("Refuted", "malformed-request-id")]
+
+
+def test_audit_pump_windows_are_fifo(tmp_path, monkeypatch):
+    """Both dedup windows insert on a miss, evict the oldest entry past the
+    cap and never refresh on a hit."""
+    import axgate.gateway as gateway_module
+    from axgate.gateway import AuditEvent, AuditPump
+
+    monkeypatch.setattr(gateway_module, "_DUPLICATE_WINDOW", 3)
+    monkeypatch.setattr(gateway_module, "_ARCHIVE_WINDOW", 3)
+    archive = tmp_path / "audit.log.traces"
+    pump = AuditPump(str(tmp_path / "audit.log"), str(archive), fsync=False)
+    ids = ["a", "b", "a", "c", "d", "a", "d"]
+    traces = ["1", "2", "1", "3", "4", "1", "3"]
+    try:
+        for request_id, trace in zip(ids, traces):
+            pump.submit(AuditEvent(
+                request_id=request_id, tool="t", env_version="e" * 64,
+                decision="Proven", trace_digest=trace * 64,
+                refusal_causes=(), enforced=False, trace_bytes=b"{}",
+            ))
+        pump.drain()
+    finally:
+        pump.close()
+    records = list(iter_records(str(tmp_path / "audit.log")))
+    # "a" at seq 5 comes after three newer distinct ids: evicted, not a hit.
+    assert [r.duplicate_of for r in records] == \
+        [None, None, 0, None, None, None, 4]
+    # "1" left the archive window once "2", "3" and "4" were archived.
+    archived = [json.loads(line)["trace_digest"][0]
+                for line in archive.read_bytes().splitlines()]
+    assert archived == ["1", "2", "3", "4", "1"]
+
+
+def test_keep_alive_round_trips_are_off_the_delayed_ack_floor(workspace):
+    """Headers and body go out as two writes; with Nagle on, each keep-alive
+    reply waited about 40 ms for the client's delayed ACK."""
+    import statistics
+    import time
+
+    with StubUpstream() as upstream:
+        config = make_config(workspace, upstream.url)
+        with Gateway(config) as gw:
+            conn = http.client.HTTPConnection(*gw.address, timeout=10)
+            try:
+                medians = {}
+                for path in ("/v1/verify", "/v1/execute"):
+                    times = []
+                    for i in range(40):
+                        body = json.dumps(tool_call(f"{path}-{i}", 10))
+                        t0 = time.perf_counter()
+                        conn.request("POST", path, body=body.encode(),
+                                     headers={"Content-Type":
+                                              "application/json"})
+                        resp = conn.getresponse()
+                        resp.read()
+                        times.append(time.perf_counter() - t0)
+                        assert resp.status == 200
+                    medians[path] = statistics.median(times)
+            finally:
+                conn.close()
+    assert all(m < 0.020 for m in medians.values()), medians
+
+
+def test_readme_gateway_config_example_loads(tmp_path):
+    import pathlib
+    import re
+
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    section = readme.split("## Gateway", 1)[1]
+    block = re.search(r"```\n(.*?)```", section, re.S).group(1)
+    cfg = tmp_path / "gateway.conf"
+    cfg.write_text(block, encoding="utf-8")
+    config = load_config(str(cfg), env={})
+    assert config.mode == "enforce"
+    assert config.state_path == "state.json"
+    assert config.max_in_flight == 64
