@@ -117,21 +117,36 @@ class AuditWriter:
         self._fh: IO[bytes] = open(path, "ab")
 
     def _recover_tail(self) -> None:
-        """Resume the chain from an existing log (append-only restarts)."""
-        if not os.path.exists(self.path):
+        """Resume the chain from the last record of an existing log.
+
+        Only the final line is read, so a restart costs the same however
+        long the log is. That line must be a whole record that checks as in
+        `verify_chain_lines`: new records are never chained onto a torn
+        write or onto a record that lost its newline."""
+        try:
+            fh = open(self.path, "rb")
+        except FileNotFoundError:
             return
-        last: dict | None = None
-        count = 0
-        with open(self.path, "rb") as fh:
-            for line in fh:
-                if line.strip():
-                    last = json.loads(line)
-                    count += 1
-        if last is not None:
-            self._seq = last["seq"] + 1
-            self._prev = last["record_digest"]
-        else:
-            self._seq = count
+        with fh:
+            end = fh.seek(0, os.SEEK_END)
+            if end == 0:
+                return
+            # Read back in blocks until a newline before the final byte
+            # marks where the last line starts, or the file runs out.
+            start, tail = end, b""
+            while start > 0 and b"\n" not in tail[:-1]:
+                step = min(start, 1 << 16)
+                start -= step
+                fh.seek(start)
+                tail = fh.read(step) + tail
+        line = tail[tail.rfind(b"\n", 0, len(tail) - 1) + 1:]
+        record = _checked_record(line)
+        if isinstance(record, str):
+            raise AuditStorageError(
+                f"{self.path}: the last line, at byte {end - len(line)}, is "
+                f"not a whole audit record ({record}); refusing to append")
+        self._seq = record.seq + 1
+        self._prev = record.record_digest
 
     @property
     def next_seq(self) -> int:
@@ -186,6 +201,28 @@ class ChainReport:
         return f"bad record at index {self.bad_index}: {self.cause}"
 
 
+def _checked_record(line: bytes) -> AuditRecord | str:
+    """The record one raw log line holds, or the cause it fails with: a
+    line without its newline or that does not parse is a parse-error; one
+    that is not the exact canonical bytes of its record, or whose stored
+    digest does not recompute, is a digest-mismatch."""
+    if not line.endswith(b"\n") or line == b"\n":
+        return CAUSE_PARSE
+    try:
+        record = AuditRecord.from_doc(json.loads(line))
+    except (ValueError, KeyError, TypeError):
+        return CAUSE_PARSE
+    if record.line() != line:
+        return CAUSE_DIGEST
+    # The line is canonical, so the payload is the line without its
+    # "record_digest" segment: hash that instead of serialising again.
+    at = _digest_slot(line)
+    start = line.index(b'"record_digest":')
+    if sha256_hex(line[:start] + line[at:-1]) != record.record_digest:
+        return CAUSE_DIGEST
+    return record
+
+
 def verify_chain_lines(
     lines: Iterable[bytes], *, expected_head: str | None = None
 ) -> ChainReport:
@@ -206,21 +243,9 @@ def verify_chain_lines(
     expected_prev = ZERO_DIGEST
     index = 0
     for line in lines:
-        if not line.endswith(b"\n") or line == b"\n":
-            return ChainReport(False, index, index, CAUSE_PARSE)
-        try:
-            doc = json.loads(line)
-            record = AuditRecord.from_doc(doc)
-        except (ValueError, KeyError, TypeError):
-            return ChainReport(False, index, index, CAUSE_PARSE)
-        if record.line() != line:
-            return ChainReport(False, index, index, CAUSE_DIGEST)
-        # The line is canonical, so the payload is the line without its
-        # "record_digest" segment: hash that instead of serialising again.
-        at = _digest_slot(line)
-        start = line.index(b'"record_digest":')
-        if sha256_hex(line[:start] + line[at:-1]) != record.record_digest:
-            return ChainReport(False, index, index, CAUSE_DIGEST)
+        record = _checked_record(line)
+        if isinstance(record, str):
+            return ChainReport(False, index, index, record)
         if record.prev_digest != expected_prev:
             return ChainReport(False, index, index, CAUSE_LINK)
         if record.seq != index:

@@ -12,7 +12,8 @@ environment + typed state) published by atomic reference swap; policy
 reloads and state refreshes build a fresh snapshot off the hot path and
 swap it in, so no request ever sees a half-updated policy. All audit
 records flow through one bounded queue with a single consumer thread that
-owns the log file; producers block when the queue is full.
+owns the log file; producers block when the queue is full. Forwards share
+a LIFO of idle keep-alive connections to the upstream.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ import json
 import logging
 import os
 import queue
+import socket
+import sys
 import threading
 import time
 from collections import deque
@@ -41,6 +44,15 @@ from .values import WireValueError, value_from_wire
 logger = logging.getLogger("axgate.gateway")
 
 MODES = ("shadow", "enforce")
+
+# Seconds a client socket may sit idle in one read or write (request line,
+# headers, body, reply) before the gateway gives up on it. Without it, a
+# client that declares a Content-Length and stalls holds a thread forever.
+_CLIENT_TIMEOUT_SECS = 30.0
+
+# Linux only. Where it is missing, forwards use a fresh upstream connection
+# each: a reused one would wait on the upstream's delayed ACKs.
+_QUICKACK = getattr(socket, "TCP_QUICKACK", None)
 
 
 class GatewayStartupError(RuntimeError):
@@ -307,6 +319,10 @@ class _Handler(BaseHTTPRequestHandler):
     # for the client's delayed ACK of the headers (about 40 ms on Linux).
     disable_nagle_algorithm = True
 
+    def setup(self) -> None:
+        self.timeout = _CLIENT_TIMEOUT_SECS
+        super().setup()
+
     @property
     def gateway(self) -> "Gateway":
         return self.server.gateway  # type: ignore[attr-defined]
@@ -403,6 +419,17 @@ class _Server(ThreadingHTTPServer):
         super().__init__(address, _Handler)
         self.gateway = gateway
 
+    def handle_error(self, request, client_address) -> None:
+        # Called with the exception that escaped the handler, typically from
+        # reading the request line or headers. A client that resets, hangs
+        # up or stalls there is routine; anything else is a fault.
+        exc = sys.exc_info()[1]
+        if isinstance(exc, (ConnectionResetError, BrokenPipeError,
+                            TimeoutError)):
+            logger.info("client %s dropped: %r", client_address[0], exc)
+        else:
+            logger.exception("error serving client %s", client_address[0])
+
 
 # The gateway -------------------------------------------------------------------
 
@@ -432,11 +459,19 @@ class Gateway:
         # bind cannot leak the pump thread.
         host, _, port = config.listen_address.rpartition(":")
         self._server = _Server((host or "127.0.0.1", int(port or 0)), self)
-        self.pump = AuditPump(
-            config.audit_log_path,
-            config.trace_archive_path,
-            fsync=config.audit_fsync,
-        )
+        try:
+            self.pump = AuditPump(
+                config.audit_log_path,
+                config.trace_archive_path,
+                fsync=config.audit_fsync,
+            )
+        except BaseException:
+            self._server.server_close()
+            raise
+        # Idle keep-alive connections to the upstream, most recently used
+        # last. It never holds more than the peak of concurrent forwards.
+        self._upstream_idle: list[http.client.HTTPConnection] = []
+        self._upstream_lock = threading.Lock()
         self._inflight = threading.BoundedSemaphore(config.max_in_flight)
         self.requests_received = 0
         self._count_lock = threading.Lock()
@@ -471,7 +506,8 @@ class Gateway:
         return self
 
     def stop(self) -> None:
-        """Graceful: stop accepting, drain in-flight, flush the audit queue."""
+        """Graceful: stop accepting, drain in-flight, close the idle
+        upstream connections, flush the audit queue."""
         self._poll_stop.set()
         self._server.shutdown()
         self._server.server_close()
@@ -479,6 +515,10 @@ class Gateway:
             self._serve_thread.join()
         if self._poll_thread is not None:
             self._poll_thread.join()
+        with self._upstream_lock:
+            idle, self._upstream_idle = self._upstream_idle, []
+        for conn in idle:
+            conn.close()
         self.pump.drain()
         self.pump.close()
 
@@ -563,7 +603,12 @@ class Gateway:
             ))
             handler._send_json(status, {"error": error})
 
-        raw = _read_body(handler, self.config.max_body_bytes)
+        try:
+            raw = _read_body(handler, self.config.max_body_bytes)
+        except TimeoutError:
+            handler.close_connection = True  # the rest of the body may come
+            refuse(408, "read-timeout", "read-timeout")
+            return
         if raw is None:
             refuse(413, "oversize-body", "oversize-body")
             return
@@ -651,24 +696,70 @@ class Gateway:
         path = parts.path or "/"
         if parts.query:
             path += "?" + parts.query
-        conn = http.client.HTTPConnection(
+        conn = self._idle_upstream() or http.client.HTTPConnection(
             parts.hostname, parts.port or 80,
             timeout=self.config.upstream_timeout_secs,
         )
         try:
+            if conn.sock is None:
+                conn.connect()
+            # Quick ACK lapses after a few segments, so re-arm it for each
+            # exchange. A Nagle-on upstream holds its reply body until the
+            # headers are ACKed; a delayed ACK would cost about 40 ms.
+            _quickack(conn.sock)
             conn.request("POST", path, body=body, headers={
                 "Content-Type": content_type or "application/json",
                 "Content-Length": str(len(body)),
             })
+            _quickack(conn.sock)
             resp = conn.getresponse()
             data = resp.read()
-            return resp.status, data, resp.headers.get("Content-Type", "")
         except (OSError, http.client.HTTPException):
-            # Unreachable, or an answer that is not HTTP (BadStatusLine,
-            # IncompleteRead): either way there is no upstream reply to relay.
-            return None
-        finally:
+            # Unreachable, reset, or an answer that is not HTTP (BadStatusLine,
+            # IncompleteRead): there is no upstream reply to relay. The body
+            # may have gone out and /v1/execute is not idempotent, so it is
+            # never sent again.
             conn.close()
+            return None
+        if _QUICKACK is None or resp.will_close:
+            conn.close()
+        else:
+            with self._upstream_lock:
+                self._upstream_idle.append(conn)
+        return resp.status, data, resp.headers.get("Content-Type", "")
+
+    def _idle_upstream(self) -> http.client.HTTPConnection | None:
+        """The most recently used idle upstream connection that the peer
+        has not closed, or None."""
+        while True:
+            with self._upstream_lock:
+                if not self._upstream_idle:
+                    return None
+                conn = self._upstream_idle.pop()
+            if _still_idle(conn.sock):
+                return conn
+            conn.close()
+
+
+def _quickack(sock: socket.socket) -> None:
+    if _QUICKACK is not None:
+        sock.setsockopt(socket.IPPROTO_TCP, _QUICKACK, 1)
+
+
+def _still_idle(sock: socket.socket) -> bool:
+    """True when nothing is waiting to be read: no FIN, no reset and no
+    unsolicited bytes from the peer."""
+    timeout = sock.gettimeout()
+    sock.settimeout(0)  # with a timeout set, recv would wait for data first
+    try:
+        sock.recv(1, socket.MSG_PEEK)
+    except BlockingIOError:
+        return True
+    except OSError:
+        return False
+    finally:
+        sock.settimeout(timeout)
+    return False
 
 
 def _parse_tool_call(raw: bytes):

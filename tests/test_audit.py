@@ -1,6 +1,10 @@
+import json
 import time
 
+import pytest
+
 from axgate.audit import (
+    AuditStorageError,
     AuditWriter,
     find_record,
     iter_records,
@@ -106,6 +110,63 @@ def test_writer_resumes_existing_chain(tmp_path):
     report = verify_chain(str(log))
     assert report.ok
     assert report.records == 10
+
+
+def _resume_by_full_scan(path):
+    """The writer's resume point as it was found by parsing every line."""
+    last = None
+    with open(path, "rb") as fh:
+        for line in fh:
+            if line.strip():
+                last = json.loads(line)
+    return (0, ZERO_DIGEST) if last is None else \
+        (last["seq"] + 1, last["record_digest"])
+
+
+def test_writer_resumes_where_a_full_scan_would(tmp_path):
+    """Only the last line is read on restart; for every log that verifies,
+    the resumed (seq, prev_digest) is the one a full scan gives, including
+    a last record longer than one read-back block."""
+    log = tmp_path / "audit.log"
+    log.touch()
+    for extra in (0, 1, 2, 40):
+        _append_n(log, extra)
+        assert verify_chain(str(log)).ok
+        with AuditWriter(str(log), fsync=False) as writer:
+            assert (writer.next_seq, writer._prev) == _resume_by_full_scan(log)
+    with AuditWriter(str(log), fsync=False) as writer:
+        writer.append(ts_ns=1, request_id="r" * 150_000, tool="t",
+                      env_version="e" * 64, decision="Proven",
+                      trace_digest="t" * 64, refusal_causes=(),
+                      enforced=False)
+    assert verify_chain(str(log)).ok
+    with AuditWriter(str(log), fsync=False) as writer:
+        assert (writer.next_seq, writer._prev) == _resume_by_full_scan(log)
+        assert writer.next_seq == 44
+    with AuditWriter(str(tmp_path / "new.log"), fsync=False) as writer:
+        assert (writer.next_seq, writer._prev) == (0, ZERO_DIGEST)
+
+
+@pytest.mark.parametrize("damage", ["torn", "unterminated", "rewritten"])
+def test_damaged_tail_refuses_to_resume(tmp_path, damage):
+    """A writer never chains onto a last line that is not a whole, checked
+    record: it stops with the path and the line's byte offset."""
+    log = tmp_path / "audit.log"
+    _append_n(log, 3)
+    data = log.read_bytes()
+    last_at = data.rindex(b"\n", 0, len(data) - 1) + 1
+    if damage == "torn":  # a write cut short
+        log.write_bytes(data + data[last_at:last_at + 40])
+        last_at = len(data)
+    elif damage == "unterminated":  # a whole record without its newline
+        log.write_bytes(data[:-1])
+    else:  # edited in place, digest left stale
+        log.write_bytes(data.replace(b'"request_id":"r2"',
+                                     b'"request_id":"r9"'))
+    with pytest.raises(AuditStorageError) as info:
+        AuditWriter(str(log), fsync=False)
+    assert str(log) in str(info.value)
+    assert f"byte {last_at}" in str(info.value)
 
 
 def test_find_record(tmp_path):

@@ -67,20 +67,55 @@ def test_bench_never_touches_audit(monkeypatch):
     assert calls["n"] == 0
 
 
-def test_perfbench_trace_hooks_install():
+TRACE_HOOKS_SCRIPT = """\
+import http.client, json, socket, sys
+root, workdir = sys.argv[1:]
+sys.path[:0] = [root + "/perfbench", root + "/src"]
+from tracing import SpanSet, Tracer, install_gateway_spans
+tracer = Tracer()
+install_gateway_spans(tracer)
+from axgate.gateway import Gateway, GatewayConfig
+from axgate.scenario import StubUpstream
+with open(workdir + "/policy.pol", "w") as fh:
+    fh.write('concept volume : quantity from request "Volume"\\n'
+             "axiom ordinary permit execute_trade when volume > 0\\n")
+with StubUpstream() as stub:
+    config = GatewayConfig(policy_path=workdir + "/policy.pol",
+                           upstream_url=stub.url, audit_fsync=False,
+                           audit_log_path=workdir + "/audit.log")
+    with Gateway(config) as gw:
+        # A raw client, so that its own connect records no span.
+        with socket.create_connection(gw.address) as client:
+            for i in range(3):
+                body = json.dumps({"request_id": f"h{i}", "tool":
+                                   "execute_trade", "params": {"volume": 5}})
+                client.sendall(b"POST /v1/execute HTTP/1.1\\r\\n"
+                               b"Content-Length: %d\\r\\n\\r\\n%s"
+                               % (len(body), body.encode()))
+                resp = http.client.HTTPResponse(client)
+                resp.begin()
+                assert resp.status == 200, resp.status
+                resp.read()
+spans = SpanSet(tracer.spans)
+assert len(spans.named("Gateway._forward")) == 3
+connects = spans.named("HTTPConnection.connect")
+assert connects
+assert {spans.parent_name(s) for s in connects} == {"Gateway._forward"}, \\
+    [spans.parent_name(s) for s in connects]
+"""
+
+
+def test_perfbench_trace_hooks_install(tmp_path):
     """The traced benchmark run patches axgate callables by name; every
-    name it patches must still exist."""
+    name it patches must still exist. Every upstream connect it records
+    must sit under `Gateway._forward`, or `upstream.connects_per_forward`
+    would miss connects made elsewhere (say, a pool warmed at startup)."""
     import subprocess
     import sys
     from pathlib import Path
 
     root = Path(__file__).resolve().parent.parent
-    script = (
-        "import sys\n"
-        f"sys.path[:0] = [{str(root / 'perfbench')!r}, {str(root / 'src')!r}]\n"
-        "from tracing import Tracer, install_gateway_spans\n"
-        "install_gateway_spans(Tracer())\n"
-    )
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                          text=True, timeout=120)
+    proc = subprocess.run(
+        [sys.executable, "-c", TRACE_HOOKS_SCRIPT, str(root), str(tmp_path)],
+        capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -828,3 +828,314 @@ def test_readme_gateway_config_example_loads(tmp_path):
     assert config.mode == "enforce"
     assert config.state_path == "state.json"
     assert config.max_in_flight == 64
+
+
+# Upstream connection reuse ---------------------------------------------------
+
+UPSTREAM_OK = (b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+               b"Content-Length: 12\r\n\r\n{\"ok\": true}")
+
+
+class _RawUpstream:
+    """A raw-socket upstream. It counts the connections it accepts, records
+    every body it reads, and answers each request with `reply(conn, n)`,
+    where n counts requests over all connections; a false return closes
+    the connection. `closed` is released after each connection closes."""
+
+    def __init__(self, reply):
+        import socket
+
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self._listener.settimeout(0.05)
+        self._reply = reply
+        self._stop = threading.Event()
+        self.accepted = 0
+        self.bodies = []
+        self.closed = threading.Semaphore(0)
+        self._threads = [threading.Thread(target=self._accept)]
+        self._threads[0].start()
+
+    @property
+    def url(self):
+        host, port = self._listener.getsockname()
+        return f"http://{host}:{port}/execute"
+
+    def _accept(self):
+        while not self._stop.is_set():
+            try:
+                conn, _ = self._listener.accept()
+            except TimeoutError:
+                continue
+            self.accepted += 1
+            thread = threading.Thread(target=self._serve, args=(conn,))
+            self._threads.append(thread)
+            thread.start()
+
+    def _serve(self, conn):
+        with conn:
+            conn.settimeout(10)
+            rest = b""
+            while True:
+                request = self._read_request(conn, rest)
+                if request is None:
+                    break
+                body, rest = request
+                self.bodies.append(body)
+                if not self._reply(conn, len(self.bodies)):
+                    break
+        self.closed.release()
+
+    @staticmethod
+    def _read_request(conn, data):
+        """(body, bytes after it), or None when the peer closes first."""
+        length = None
+        while length is None or len(data) < length:
+            if length is None and b"\r\n\r\n" in data:
+                head, _, data = data.partition(b"\r\n\r\n")
+                length = int([
+                    line.split(b":", 1)[1] for line in head.split(b"\r\n")
+                    if line.lower().startswith(b"content-length:")][0])
+                continue
+            chunk = conn.recv(65536)
+            if not chunk:
+                return None
+            data += chunk
+        return data[:length], data[length:]
+
+    def close(self):
+        self._stop.set()
+        for thread in self._threads:  # the acceptor first: no more appends
+            thread.join(10)
+            assert not thread.is_alive()
+        self._listener.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+
+def _keep_alive(conn, n):
+    conn.sendall(UPSTREAM_OK)
+    return True
+
+
+def test_sequential_forwards_reuse_the_upstream_connection(workspace):
+    with _RawUpstream(_keep_alive) as upstream:
+        with Gateway(make_config(workspace, upstream.url)) as gw:
+            sent = [json.dumps(tool_call(f"seq-{i}", 10)).encode()
+                    for i in range(50)]
+            statuses = [post(gw, "/v1/execute", body=body)[0]
+                        for body in sent]
+        assert statuses == [200] * 50
+        assert upstream.bodies == sent
+        assert upstream.accepted <= 2
+
+
+def test_upstream_that_closes_after_each_reply_gets_no_resend(workspace):
+    """The upstream closes after every reply without saying so. The closed
+    connection is found before reuse, so no call fails or is sent twice."""
+    def reply_then_close(conn, n):
+        conn.sendall(UPSTREAM_OK)
+        return False
+
+    with _RawUpstream(reply_then_close) as upstream:
+        config = make_config(workspace, upstream.url)
+        with Gateway(config) as gw:
+            sent, statuses = [], []
+            for i in range(10):
+                sent.append(json.dumps(tool_call(f"close-{i}", 10)).encode())
+                statuses.append(post(gw, "/v1/execute", body=sent[-1])[0])
+                assert upstream.closed.acquire(timeout=10)
+            gw.pump.drain()
+            records = list(iter_records(config.audit_log_path))
+        assert statuses == [200] * 10
+        assert upstream.bodies == sent
+        assert upstream.accepted == 10
+    assert all(r.note is None for r in records)
+
+
+def test_connection_close_reply_is_not_reused(workspace):
+    """`Connection: close` is honoured even while the upstream still keeps
+    the socket open and would read another request on it."""
+    reply = UPSTREAM_OK.replace(b"\r\n\r\n", b"\r\nConnection: close\r\n\r\n")
+
+    def reply_close_but_keep_reading(conn, n):
+        conn.sendall(reply)
+        return True
+
+    with _RawUpstream(reply_close_but_keep_reading) as upstream:
+        with Gateway(make_config(workspace, upstream.url)) as gw:
+            statuses = [post(gw, "/v1/execute", tool_call(f"cc-{i}", 10))[0]
+                        for i in range(5)]
+        assert statuses == [200] * 5
+        assert len(upstream.bodies) == 5
+        assert upstream.accepted == 5
+
+
+def test_reset_after_the_body_arrived_is_502_and_never_resent(workspace):
+    """A pooled connection reset after the upstream read the body: the
+    call may have executed, so it is answered 502 with its real decision
+    and not sent again; the next call opens a new connection."""
+    import socket
+    import struct
+
+    def reset_the_second(conn, n):
+        if n == 2:
+            conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                            struct.pack("ii", 1, 0))
+            return False
+        conn.sendall(UPSTREAM_OK)
+        return True
+
+    with _RawUpstream(reset_the_second) as upstream:
+        config = make_config(workspace, upstream.url)
+        with Gateway(config) as gw:
+            sent = [json.dumps(tool_call(f"rst-{i}", 10)).encode()
+                    for i in range(3)]
+            replies = [post(gw, "/v1/execute", body=body) for body in sent]
+            gw.pump.drain()
+            records = list(iter_records(config.audit_log_path))
+        assert upstream.bodies == sent
+        assert upstream.accepted == 2
+    assert [status for status, _, _ in replies] == [200, 502, 200]
+    doc = json.loads(replies[1][1])
+    assert doc["error"] == "upstream-unreachable"
+    assert doc["decision"] == "Proven"
+    assert [(r.decision, r.note) for r in records] == [
+        ("Proven", None), ("Proven", "upstream-unreachable"), ("Proven", None)]
+
+
+def test_pooled_forwards_are_off_the_delayed_ack_floor(workspace, monkeypatch):
+    """The Nagle-on stub holds each reply body until its headers are
+    ACKed; a reused connection without quick ACK waits about 40 ms on
+    every forward."""
+    import statistics
+    import time
+
+    connect = http.client.HTTPConnection.connect
+    upstream_connects = []
+
+    with StubUpstream() as upstream:
+        upstream_port = int(upstream.url.split(":")[2].split("/")[0])
+
+        def counting_connect(self):
+            if self.port == upstream_port:
+                upstream_connects.append(self)
+            return connect(self)
+
+        monkeypatch.setattr(http.client.HTTPConnection, "connect",
+                            counting_connect)
+        with Gateway(make_config(workspace, upstream.url)) as gw:
+            conn = http.client.HTTPConnection(*gw.address, timeout=10)
+            try:
+                times = []
+                for i in range(40):
+                    body = json.dumps(tool_call(f"ack-{i}", 10)).encode()
+                    t0 = time.perf_counter()
+                    conn.request("POST", "/v1/execute", body=body,
+                                 headers={"Content-Type": "application/json"})
+                    resp = conn.getresponse()
+                    resp.read()
+                    times.append(time.perf_counter() - t0)
+                    assert resp.status == 200
+            finally:
+                conn.close()
+        assert len(upstream.bodies) == 40
+    assert len(upstream_connects) <= 2
+    assert statistics.median(times) < 0.020, statistics.median(times)
+
+
+def test_without_quick_ack_each_forward_gets_a_fresh_connection(
+        workspace, monkeypatch):
+    import axgate.gateway as gateway_module
+
+    monkeypatch.setattr(gateway_module, "_QUICKACK", None)
+    with _RawUpstream(_keep_alive) as upstream:
+        with Gateway(make_config(workspace, upstream.url)) as gw:
+            statuses = [post(gw, "/v1/execute", tool_call(f"nq-{i}", 10))[0]
+                        for i in range(5)]
+        assert statuses == [200] * 5
+        assert upstream.accepted == 5
+
+
+# Slow and vanishing clients --------------------------------------------------
+
+
+def test_stalled_body_times_out_with_one_record(workspace, monkeypatch):
+    """A client that declares a Content-Length and stops sending gets one
+    `read-timeout` record and loses its connection; the slot is free for
+    the next client."""
+    import socket
+    import time
+
+    import axgate.gateway as gateway_module
+    from axgate.canonical import ZERO_DIGEST
+
+    monkeypatch.setattr(gateway_module, "_CLIENT_TIMEOUT_SECS", 0.5)
+    config = make_config(workspace, "http://127.0.0.1:9/none")
+    with Gateway(config) as gw:
+        stalled = socket.create_connection(gw.address, timeout=10)
+        try:
+            stalled.sendall(b"POST /v1/execute HTTP/1.1\r\nHost: x\r\n"
+                            b"Content-Length: 100\r\n\r\n0123456789")
+            deadline = time.monotonic() + 5
+            while gw.pump.records_written < 1 and time.monotonic() < deadline:
+                time.sleep(0.05)
+        finally:
+            stalled.close()
+        status, _, _ = post(gw, "/v1/execute", tool_call("next", 99999))
+        gw.pump.drain()
+        records = list(iter_records(config.audit_log_path))
+    assert status == 403
+    assert [(r.decision, r.trace_digest, r.note) for r in records] == [
+        ("Refuted", ZERO_DIGEST, "read-timeout"),
+        ("Refuted", records[1].trace_digest, None)]
+    assert verify_chain(config.audit_log_path).ok
+
+
+def test_reset_before_the_request_line_is_logged_not_printed(workspace,
+                                                              capfd, caplog):
+    """A reset while the request line is read used to reach socketserver's
+    default handler, which prints a traceback to stderr."""
+    import logging
+    import socket
+    import struct
+    import time
+
+    caplog.set_level(logging.INFO, logger="axgate.gateway")
+    config = make_config(workspace, "http://127.0.0.1:9/none")
+    with Gateway(config) as gw:
+        for _ in range(3):
+            sock = socket.create_connection(gw.address, timeout=10)
+            time.sleep(0.05)  # let the handler thread block in its read
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                            struct.pack("ii", 1, 0))
+            sock.close()
+        status, _, _ = post(gw, "/v1/execute", tool_call("after", 99999))
+    assert status == 403
+    assert "Traceback" not in capfd.readouterr().err
+    assert any("ConnectionResetError" in r.getMessage()
+               for r in caplog.records if r.levelno == logging.INFO)
+
+
+def test_startup_on_a_torn_audit_log_fails_and_closes_the_listener(
+        workspace, monkeypatch):
+    import axgate.gateway as gateway_module
+    from axgate.audit import AuditStorageError
+
+    servers = []
+
+    class RecordingServer(gateway_module._Server):
+        def __init__(self, *args):
+            super().__init__(*args)
+            servers.append(self)
+
+    monkeypatch.setattr(gateway_module, "_Server", RecordingServer)
+    config = make_config(workspace, "http://127.0.0.1:9/none")
+    with open(config.audit_log_path, "wb") as fh:
+        fh.write(b'{"seq":0,"prev')
+    with pytest.raises(AuditStorageError, match="byte 0"):
+        Gateway(config)
+    assert [server.socket.fileno() for server in servers] == [-1]
