@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring
 
 from .values import KIND_MONEY, KIND_QUANTITY, Money
 
@@ -51,6 +52,37 @@ def plain_value(value: object) -> object:
             else f"{minor.numerator}/{minor.denominator}",
         }
     return value  # None, bool, int, str pass through
+
+
+# JSON text of one string exactly as canonical_bytes writes it: the
+# encoder json.dumps uses with ensure_ascii=False.
+json_string = encode_basestring
+
+
+def _money_json(value: Money) -> str:
+    minor = value.minor
+    minor_text = str(minor.numerator) if minor.denominator == 1 \
+        else f'"{minor.numerator}/{minor.denominator}"'
+    return f'{{"ccy":{encode_basestring(value.ccy)},"minor":{minor_text}}}'
+
+
+_VALUE_JSON = {
+    Money: _money_json,
+    bool: lambda b: "true" if b else "false",
+    str: encode_basestring,
+    type(None): lambda _: "null",
+}
+
+
+def value_json(value: object) -> str:
+    """Canonical JSON text of plain_value(value), written without building
+    the plain form: the bytes canonical_bytes_plain gives for it."""
+    if type(value) is Fraction:
+        return f'"{value.numerator}/{value.denominator}"'
+    encode = _VALUE_JSON.get(type(value))
+    if encode is None:
+        return canonical_bytes_plain(plain_value(value)).decode("utf-8")
+    return encode(value)
 
 
 def value_from_plain(plain: object, decl) -> object:

@@ -25,7 +25,7 @@ from .bench import bench
 from .canonical import value_from_plain
 from .compiler import compile_file, load_environment, save_environment
 from .gateway import load_archived_trace, load_config, serve
-from .kernel import ActionRequest, ProofTrace, RefusalCause, SystemState, verify
+from .kernel import ActionRequest, RefusalCause, SystemState, verify
 from .notices import render_notice_from_parts
 from .oracle import oracle_verify
 from .randgen import iter_instances
@@ -117,9 +117,8 @@ def _cmd_audit_explain(args) -> int:
             bindings[symbol] = value_from_plain(plain, decl)
         except (KeyError, TypeError, ValueError):
             continue  # another environment's kind: rendered as unavailable
-    trace = ProofTrace(record.env_version, record.tool, (), bindings, {})
     causes = tuple(RefusalCause(*c) for c in record.refusal_causes)
-    notice = render_notice_from_parts(causes, trace, env, record.request_id)
+    notice = render_notice_from_parts(causes, bindings, env, record.request_id)
     print(notice.render())
     return 0
 

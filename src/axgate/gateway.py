@@ -354,7 +354,8 @@ class _Handler(BaseHTTPRequestHandler):
 
     def do_GET(self) -> None:
         if self.path == "/v1/healthz":
-            self._send_json(200, self.gateway.health_doc())
+            doc = self.gateway.health_doc()
+            self._send_json(200 if doc["status"] == "ok" else 503, doc)
         elif self.path == "/v1/policy":
             self._send_json(200, self.gateway.policy_doc())
         else:
@@ -540,10 +541,20 @@ class Gateway:
         return load_state_file(self.config.state_path, env)
 
     def refresh_state(self) -> None:
-        """Re-read the fact source and publish a fresh snapshot now."""
+        """Re-read the fact source and publish a fresh snapshot now. Warns
+        once when a readable source becomes unreadable."""
         with self._snapshot_lock:
             env = self._snapshot.env
+            was_readable = self._snapshot.state.facts is not None
             self._snapshot = Snapshot(env, self._load_state(env))
+            readable = self._snapshot.state.facts is not None
+        if was_readable and not readable:
+            logger.warning("state source unreadable: %s; calls that need "
+                           "state facts are refused until it is readable",
+                           self.config.state_path)
+        elif readable and not was_readable:
+            logger.info("state source readable again: %s",
+                        self.config.state_path)
 
     def _poll_state(self) -> None:
         while not self._poll_stop.wait(self.config.state_refresh_secs):
@@ -566,10 +577,19 @@ class Gateway:
     # Documents ---------------------------------------------------------------
 
     def health_doc(self) -> dict:
+        """Status "ok", or "degraded" with the reasons enforcement cannot
+        be trusted right now."""
+        snapshot = self.snapshot
+        reasons = []
+        if snapshot.state.facts is None:
+            reasons.append("state-unreadable")
+        if self.pump.degraded:
+            reasons.append("audit-degraded")
         return {
-            "status": "ok",
+            "status": "degraded" if reasons else "ok",
+            "reasons": reasons,
             "mode": self.config.mode,
-            "env_version": self.snapshot.env.version_digest,
+            "env_version": snapshot.env.version_digest,
             "audit_degraded": self.pump.degraded,
         }
 

@@ -15,11 +15,18 @@ shared environment.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Iterator, Mapping
 
-from .canonical import canonical_bytes_plain, plain_value, sha256_hex
+from .canonical import (
+    canonical_bytes_plain,
+    json_string,
+    plain_value,
+    sha256_hex,
+    value_json,
+)
 from .compiler import PolicyEnvironment
 from .syntax import (
     Atom,
@@ -29,9 +36,11 @@ from .syntax import (
     Compare,
     Expr,
     Lit,
+    Name,
     StrLit,
     Sym,
     Unary,
+    children,
 )
 from .values import Money
 
@@ -134,13 +143,38 @@ class RefusalCause:
         return {"reason": self.reason, "axiom": self.axiom_id, "symbol": self.symbol}
 
 
-@dataclass(frozen=True, slots=True)
 class VerificationResult:
-    decision: str
-    trace: ProofTrace
-    trace_digest: str
-    refusal_causes: tuple[RefusalCause, ...]
-    trace_bytes: bytes  # the trace.canonical() bytes that trace_digest hashes
+    """The decision on one action, its causes, and its canonical trace.
+
+    `trace` is given as a ProofTrace, or by verify() as the walk it made;
+    then the ProofTrace, valuation trees included, is built on first read
+    from the condition ASTs and the values the walk recorded.
+    """
+
+    __slots__ = ("decision", "_trace", "trace_digest", "refusal_causes",
+                 "trace_bytes")
+
+    def __init__(self, decision: str, trace, trace_digest: str,
+                 refusal_causes: tuple[RefusalCause, ...],
+                 trace_bytes: bytes) -> None:
+        self.decision = decision
+        self._trace = trace
+        self.trace_digest = trace_digest
+        self.refusal_causes = refusal_causes
+        # the trace.canonical() bytes that trace_digest hashes
+        self.trace_bytes = trace_bytes
+
+    @property
+    def trace(self) -> ProofTrace:
+        trace = self._trace
+        if type(trace) is _Walk:
+            trace = self._trace = trace.materialise()
+        return trace
+
+    @property
+    def bindings(self) -> Mapping[str, object]:
+        """The closed bindings, without materialising the trace."""
+        return self._trace.bindings
 
     @property
     def proven(self) -> bool:
@@ -168,61 +202,85 @@ def _kind_matches(value: object, decl) -> bool:
     return False
 
 
-def _bind(request: ActionRequest, state: SystemState, env: PolicyEnvironment, plan):
+def _sym_leaf(symbol: str, value_text: str) -> str:
+    return '{"op":"sym","ref":%s,"value":%s}' % (json_string(symbol),
+                                                 value_text)
+
+
+def _bind(request: ActionRequest, state: SystemState, env: PolicyEnvironment,
+          plan):
     """Resolve every needed symbol from its declared origin only.
 
     Unregistered request params and state facts are never consulted: the
     plan's symbol lists come from the registry, so injected context simply
     does not exist as far as the kernel is concerned.
+
+    Each bound value is encoded once: `encoded` maps a symbol to its
+    canonical JSON value, `leaves` to its whole `sym` trace node.
     """
     bindings: dict[str, object] = {}
     provenance: dict[str, str] = {}
+    encoded: dict[str, str] = {}
+    leaves: dict[str, str] = {}
     failures: list[tuple[str, str]] = []
+    registry = env.registry
+
+    def bind(symbol: str, value: object, origin: str) -> None:
+        bindings[symbol] = value
+        provenance[symbol] = origin
+        text = encoded[symbol] = value_json(value)
+        leaves[symbol] = _sym_leaf(symbol, text)
 
     params = request.params
     for symbol in plan.request_symbols:
         if symbol not in params:
             failures.append((symbol, DETAIL_MISSING))
-            continue
-        value = params[symbol]
-        if not _kind_matches(value, env.registry.get(symbol)):
+        elif not _kind_matches(params[symbol], registry.get(symbol)):
             failures.append((symbol, DETAIL_KIND))
-            continue
-        bindings[symbol] = value
-        provenance[symbol] = "request"
+        else:
+            bind(symbol, params[symbol], "request")
 
     facts = state.facts
     for symbol in plan.state_symbols:
         if facts is None or symbol not in facts:
             failures.append((symbol, DETAIL_MISSING))
-            continue
-        value = facts[symbol]
-        if not _kind_matches(value, env.registry.get(symbol)):
+        elif not _kind_matches(facts[symbol], registry.get(symbol)):
             failures.append((symbol, DETAIL_KIND))
-            continue
-        bindings[symbol] = value
-        provenance[symbol] = "state"
+        else:
+            bind(symbol, facts[symbol], "state")
 
     for symbol in plan.derived_symbols:  # dependency order
         try:
-            bindings[symbol] = _eval_tree(env.registry.get(symbol).derived,
-                                          bindings).value
-            provenance[symbol] = "derived"
+            # only the value: the node values and texts are dropped
+            value = _walk(registry.get(symbol).derived, bindings, leaves,
+                          [])[0]
         except KeyError:
             continue  # an input did not bind; its failure is already recorded
         except _EvalFault:
             failures.append((symbol, DETAIL_EVAL))
+            continue
+        bind(symbol, value, "derived")
 
-    return bindings, provenance, tuple(failures)
+    return bindings, provenance, encoded, leaves, tuple(failures)
 
 
 # Evaluation ------------------------------------------------------------------
+#
+# One walk per condition gives each node's exact value together with the
+# node's canonical JSON text, so the trace bytes are joined from the texts
+# and no valuation tree is built on the decision path. The walk appends
+# every node's value to `values` in post-order; `_tree` rebuilds the
+# ValNode tree from the AST and those values when a trace is read.
+#
+# Node texts have their keys in canonical (sorted) order: kids, op, ref,
+# value. Boolean connectives do not short-circuit: the trace carries the
+# value of both sides, and totality is guaranteed by the compile-time rules.
 
 
 def _arith(op: str, left, right):
     try:
-        if isinstance(left, Money):
-            if isinstance(right, Money):
+        if type(left) is Money:
+            if type(right) is Money:
                 if op == "+":
                     return Money(left.minor + right.minor, left.ccy)
                 if op == "-":
@@ -233,104 +291,187 @@ def _arith(op: str, left, right):
             if op == "/":
                 return Money(left.minor / right, left.ccy)
             raise _EvalFault(f"money {op} rational")
-        if isinstance(right, Money):
+        if type(right) is Money:
             if op == "*":
                 return Money(left * right.minor, right.ccy)
             raise _EvalFault(f"rational {op} money")
-        if op == "+":
-            return left + right
-        if op == "-":
-            return left - right
-        if op == "*":
-            return left * right
-        return left / right
+        return _ARITH[op](left, right)
     except (TypeError, ZeroDivisionError) as exc:
         raise _EvalFault(str(exc)) from exc
 
 
-def _cmp(op: str, left, right) -> bool:
-    if isinstance(left, Money) and isinstance(right, Money):
-        left, right = left.minor, right.minor
-    try:
-        if op == "<":
-            return left < right
-        if op == "<=":
-            return left <= right
-        if op == ">":
-            return left > right
-        if op == ">=":
-            return left >= right
-        if op == "==":
-            return left == right
-        return left != right
-    except TypeError as exc:
-        raise _EvalFault(str(exc)) from exc
-
-
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+          "/": operator.truediv}
 _BINARY_OP_NAMES = {"+": "add", "-": "sub", "*": "mul", "/": "div"}
+_COMPARE_FNS = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
+                ">=": operator.ge, "==": operator.eq, "!=": operator.ne}
 _COMPARE_OP_NAMES = {"<": "lt", "<=": "le", ">": "gt", ">=": "ge",
                      "==": "eq", "!=": "ne"}
 
 
-def _eval_tree(expr: Expr, bindings: Mapping[str, object]) -> ValNode:
-    """Exact evaluation that records every sub-expression's value.
+def _pair_text(name: str) -> str:
+    """Format of a two-kid node: left text, right text, value text."""
+    return '{"kids":[%%s,%%s],"op":"%s","value":%%s}' % name
 
-    Boolean connectives do not short-circuit: the trace must carry the value
-    of both sides, and totality is guaranteed by the compile-time rules.
-    """
-    if isinstance(expr, Lit):
-        return ValNode("lit", expr.value)
-    if isinstance(expr, Sym):
-        return ValNode("sym", bindings[expr.symbol], ref=expr.symbol)
-    if isinstance(expr, Compare):
-        left = _eval_tree(expr.left, bindings)
-        right = _eval_tree(expr.right, bindings)
-        return ValNode(_COMPARE_OP_NAMES[expr.op],
-                       _cmp(expr.op, left.value, right.value), (left, right))
-    if isinstance(expr, Binary):
-        left = _eval_tree(expr.left, bindings)
-        right = _eval_tree(expr.right, bindings)
-        return ValNode(_BINARY_OP_NAMES[expr.op],
-                       _arith(expr.op, left.value, right.value), (left, right))
-    if isinstance(expr, BoolOp):
-        left = _eval_tree(expr.left, bindings)
-        right = _eval_tree(expr.right, bindings)
-        value = (left.value and right.value) if expr.op == "and" \
-            else (left.value or right.value)
-        return ValNode(expr.op, value, (left, right))
-    if isinstance(expr, Unary):
-        kid = _eval_tree(expr.operand, bindings)
-        if expr.op == "not":
-            return ValNode("not", not kid.value, (kid,))
-        value = Money(-kid.value.minor, kid.value.ccy) \
-            if isinstance(kid.value, Money) else -kid.value
-        return ValNode("neg", value, (kid,))
-    if isinstance(expr, BoolLit):
-        return ValNode("bool", expr.value)
-    if isinstance(expr, StrLit):
-        return ValNode("str", expr.value)
-    if isinstance(expr, Atom):
-        return ValNode("atom", expr.atom, ref=expr.atom)
+
+_BINARY_TEXT = {op: _pair_text(name) for op, name in _BINARY_OP_NAMES.items()}
+_COMPARE = {op: (fn, _pair_text(_COMPARE_OP_NAMES[op]))
+            for op, fn in _COMPARE_FNS.items()}
+_BOOLOP_TEXT = {op: _pair_text(op) for op in ("and", "or")}
+
+
+def _walk(expr: Expr, bindings, leaves, values) -> tuple[object, str]:
+    """(value, canonical JSON text) of one expression node."""
+    return _WALK[type(expr)](expr, bindings, leaves, values)
+
+
+def _walk_lit(expr: Lit, bindings, leaves, values):
+    value = expr.value
+    values.append(value)
+    return value, '{"op":"lit","value":%s}' % value_json(value)
+
+
+def _walk_sym(expr: Sym, bindings, leaves, values):
+    value = bindings[expr.symbol]  # KeyError: the symbol did not bind
+    values.append(value)
+    return value, leaves[expr.symbol]
+
+
+def _walk_compare(expr: Compare, bindings, leaves, values):
+    left, right = expr.left, expr.right
+    left_value, left_text = _WALK[type(left)](left, bindings, leaves, values)
+    right_value, right_text = _WALK[type(right)](right, bindings, leaves,
+                                                 values)
+    compare, text = _COMPARE[expr.op]
+    try:
+        if type(left_value) is Money and type(right_value) is Money:
+            value = compare(left_value.minor, right_value.minor)
+        else:
+            value = compare(left_value, right_value)
+    except TypeError as exc:
+        raise _EvalFault(str(exc)) from exc
+    values.append(value)
+    return value, text % (left_text, right_text,
+                          "true" if value else "false")
+
+
+def _walk_binary(expr: Binary, bindings, leaves, values):
+    left, right = expr.left, expr.right
+    left_value, left_text = _WALK[type(left)](left, bindings, leaves, values)
+    right_value, right_text = _WALK[type(right)](right, bindings, leaves,
+                                                 values)
+    value = _arith(expr.op, left_value, right_value)
+    values.append(value)
+    return value, _BINARY_TEXT[expr.op] % (left_text, right_text,
+                                           value_json(value))
+
+
+def _walk_boolop(expr: BoolOp, bindings, leaves, values):
+    left, right = expr.left, expr.right
+    left_value, left_text = _WALK[type(left)](left, bindings, leaves, values)
+    right_value, right_text = _WALK[type(right)](right, bindings, leaves,
+                                                 values)
+    value = (left_value and right_value) if expr.op == "and" \
+        else (left_value or right_value)
+    values.append(value)
+    return value, _BOOLOP_TEXT[expr.op] % (left_text, right_text,
+                                           value_json(value))
+
+
+def _walk_unary(expr: Unary, bindings, leaves, values):
+    kid = expr.operand
+    kid_value, kid_text = _WALK[type(kid)](kid, bindings, leaves, values)
+    if expr.op == "not":
+        value = not kid_value
+        text = '{"kids":[%s],"op":"not","value":%s}' % (
+            kid_text, "true" if value else "false")
+    else:
+        value = Money(-kid_value.minor, kid_value.ccy) \
+            if type(kid_value) is Money else -kid_value
+        text = '{"kids":[%s],"op":"neg","value":%s}' % (kid_text,
+                                                       value_json(value))
+    values.append(value)
+    return value, text
+
+
+def _walk_boollit(expr: BoolLit, bindings, leaves, values):
+    values.append(expr.value)
+    return expr.value, '{"op":"bool","value":%s}' % (
+        "true" if expr.value else "false")
+
+
+def _walk_strlit(expr: StrLit, bindings, leaves, values):
+    values.append(expr.value)
+    return expr.value, '{"op":"str","value":%s}' % json_string(expr.value)
+
+
+def _walk_atom(expr: Atom, bindings, leaves, values):
+    text = json_string(expr.atom)
+    values.append(expr.atom)
+    return expr.atom, '{"op":"atom","ref":%s,"value":%s}' % (text, text)
+
+
+def _walk_unresolved(expr: Expr, bindings, leaves, values):
     raise _EvalFault(f"unevaluable node {expr!r}")
+
+
+_WALK = {
+    Lit: _walk_lit,
+    Sym: _walk_sym,
+    Compare: _walk_compare,
+    Binary: _walk_binary,
+    BoolOp: _walk_boolop,
+    Unary: _walk_unary,
+    BoolLit: _walk_boollit,
+    StrLit: _walk_strlit,
+    Atom: _walk_atom,
+    Name: _walk_unresolved,
+}
+
+
+def _tree(expr: Expr, values: Iterator) -> ValNode:
+    """The valuation tree of `expr`, from its walk's post-order values."""
+    kids = tuple(_tree(kid, values) for kid in children(expr))
+    t = type(expr)
+    ref = None
+    if t is Sym:
+        op, ref = "sym", expr.symbol
+    elif t is Atom:
+        op, ref = "atom", expr.atom
+    elif t is Compare:
+        op = _COMPARE_OP_NAMES[expr.op]
+    elif t is Binary:
+        op = _BINARY_OP_NAMES[expr.op]
+    elif t is Unary:
+        op = "not" if expr.op == "not" else "neg"
+    elif t is BoolOp:
+        op = expr.op
+    else:
+        op = {Lit: "lit", BoolLit: "bool", StrLit: "str"}[t]
+    return ValNode(op, next(values), kids, ref)
 
 
 def eval_condition(
     condition: Expr, bindings: Mapping[str, object]
 ) -> tuple[bool, ValNode]:
-    """Evaluate a typechecked condition under closed bindings."""
-    node = _eval_tree(condition, bindings)
-    return bool(node.value), node
+    """Evaluate a typechecked condition under closed bindings: its truth
+    value and its valuation tree, by the walk verify() makes."""
+    leaves = {s: _sym_leaf(s, value_json(v)) for s, v in bindings.items()}
+    values: list = []
+    value = _walk(condition, bindings, leaves, values)[0]
+    return bool(value), _tree(condition, iter(values))
 
 
 # Decision --------------------------------------------------------------------
 
 
-def decide(trace: ProofTrace) -> tuple[str, tuple[RefusalCause, ...]]:
+def decide(trace) -> tuple[str, tuple[RefusalCause, ...]]:
     """Deny-overrides, permit-required combination of a complete trace.
 
-    Order of axioms never matters: any satisfied forbid refutes, any
-    unevaluated axiom refutes, and otherwise at least one satisfied permit
-    is required. An empty trace is therefore refuted.
+    `trace` is a ProofTrace, or anything whose entries carry axiom_id,
+    effect, value and missing. Order of axioms never matters: any satisfied
+    forbid refutes, any unevaluated axiom refutes, and otherwise at least
+    one satisfied permit is required. An empty trace is therefore refuted.
     """
     causes: list[RefusalCause] = []
     permit_satisfied = False
@@ -364,46 +505,113 @@ def decide(trace: ProofTrace) -> tuple[str, tuple[RefusalCause, ...]]:
 # Verification ----------------------------------------------------------------
 
 
+class _Outcome:
+    """One axiom's result, as decide() reads a trace entry."""
+
+    __slots__ = ("axiom_id", "effect", "value", "missing")
+
+    def __init__(self, axiom_id: str, effect: str, value: bool | None,
+                 missing: tuple[tuple[str, str], ...]) -> None:
+        self.axiom_id = axiom_id
+        self.effect = effect
+        self.value = value
+        self.missing = missing
+
+
+_EVAL_MISSING = (("", DETAIL_EVAL),)
+_EVAL_MISSING_TEXT = '[["",%s]]' % json_string(DETAIL_EVAL)
+
+
+class _Walk:
+    """What verify() recorded: enough to decide, and to build the ProofTrace
+    (valuation trees included) only when someone reads it."""
+
+    __slots__ = ("env_version", "tool", "entries", "bindings", "provenance",
+                 "axioms", "values")
+
+    def __init__(self, env_version, tool, entries, bindings, provenance,
+                 axioms, values) -> None:
+        self.env_version = env_version
+        self.tool = tool
+        self.entries = entries
+        self.bindings = bindings
+        self.provenance = provenance
+        self.axioms = axioms  # the plan's axioms, one per entry
+        self.values = values  # post-order node values of evaluated entries
+
+    def materialise(self) -> ProofTrace:
+        values = iter(self.values)
+        entries = tuple(
+            TraceEntry(o.axiom_id, o.effect, o.value,
+                       None if o.value is None
+                       else _tree(axiom.condition, values),
+                       o.missing)
+            for axiom, o in zip(self.axioms, self.entries))
+        return ProofTrace(self.env_version, self.tool, entries,
+                          self.bindings, self.provenance)
+
+
 def verify(
     request: ActionRequest, state: SystemState, env: PolicyEnvironment
 ) -> VerificationResult:
     """Formulate, evaluate, and decide one action. Never raises: every
-    failure mode collapses to a Refuted result with explicit causes."""
+    failure mode collapses to a Refuted result with explicit causes.
+
+    The trace bytes are written while the conditions are evaluated; they
+    equal `result.trace.canonical()`."""
     plan = env.plan_for(request.tool)
-    bindings, provenance, failures = _bind(request, state, env, plan)
-    failed = {symbol for symbol, _ in failures}
+    bindings, provenance, encoded, leaves, failures = \
+        _bind(request, state, env, plan)
     failure_detail = dict(failures)
 
-    entries: list[TraceEntry] = []
+    outcomes: list[_Outcome] = []
+    texts: list[str] = []
+    values: list = []
     for axiom in plan.axioms:
+        head = '{"axiom":%s,"effect":%s,"missing":' % (
+            json_string(axiom.id), json_string(axiom.effect))
         # axiom_symbols covers base symbols and derived names, so this also
         # catches derived-evaluation faults recorded under the derived symbol.
-        blocked = plan.axiom_symbols[axiom.id] & failed
+        blocked = failures and plan.axiom_symbols[axiom.id] & \
+            failure_detail.keys()
         if blocked:
             missing = tuple(sorted((s, failure_detail[s]) for s in blocked))
-            entries.append(TraceEntry(axiom.id, axiom.effect, None, None, missing))
+            outcomes.append(_Outcome(axiom.id, axiom.effect, None, missing))
+            texts.append('%s[%s],"tree":null,"value":null}' % (head, ",".join(
+                "[%s,%s]" % (json_string(s), json_string(d))
+                for s, d in missing)))
             continue
+        mark = len(values)
+        condition = axiom.condition
         try:
-            value, tree = eval_condition(axiom.condition, bindings)
+            value, tree_text = _WALK[type(condition)](condition, bindings,
+                                                      leaves, values)
         except _EvalFault:
-            entries.append(TraceEntry(axiom.id, axiom.effect, None, None,
-                                      (("", DETAIL_EVAL),)))
+            del values[mark:]
+            outcomes.append(_Outcome(axiom.id, axiom.effect, None,
+                                     _EVAL_MISSING))
+            texts.append('%s%s,"tree":null,"value":null}' % (
+                head, _EVAL_MISSING_TEXT))
             continue
-        entries.append(TraceEntry(axiom.id, axiom.effect, value, tree))
+        value = bool(value)
+        outcomes.append(_Outcome(axiom.id, axiom.effect, value, ()))
+        texts.append('%s[],"tree":%s,"value":%s}' % (
+            head, tree_text, "true" if value else "false"))
 
-    trace = ProofTrace(
-        env_version=env.version_digest,
-        tool=request.tool,
-        entries=tuple(entries),
-        bindings=bindings,
-        provenance=provenance,
-    )
-    decision, causes = decide(trace)
-    trace_bytes = trace.canonical()
-    return VerificationResult(
-        decision=decision,
-        trace=trace,
-        trace_digest=sha256_hex(trace_bytes),
-        refusal_causes=causes,
-        trace_bytes=trace_bytes,
-    )
+    walk = _Walk(env.version_digest, request.tool, outcomes, bindings,
+                 provenance, plan.axioms, values)
+    decision, causes = decide(walk)
+    symbols = sorted(bindings)
+    names = [json_string(s) for s in symbols]
+    trace_bytes = (
+        '{"bindings":{%s},"entries":[%s],"env":%s,"provenance":{%s},'
+        '"tool":%s}' % (
+            ",".join([n + ":" + encoded[s] for n, s in zip(names, symbols)]),
+            ",".join(texts),
+            json_string(env.version_digest),
+            ",".join([n + ':"' + provenance[s] + '"'
+                      for n, s in zip(names, symbols)]),
+            json_string(request.tool),
+        )).encode("utf-8")
+    return VerificationResult(decision, walk, sha256_hex(trace_bytes), causes,
+                              trace_bytes)

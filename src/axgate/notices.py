@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Mapping
 
 from .canonical import to_plain
 from .compiler import PolicyEnvironment
@@ -22,6 +23,7 @@ from .kernel import (
     VerificationResult,
 )
 from .registry import template_slots
+from .syntax import Lit, Sym, subexpressions
 from .values import Money, render_value
 
 
@@ -83,21 +85,26 @@ def render_notice(
 
     Total over anything the kernel can produce: unknown axiom ids and
     unevaluated entries degrade to fixed sentences, never to an exception.
+    Reads only the result's bindings, so the trace is never materialised.
     """
     return render_notice_from_parts(
-        result.refusal_causes, result.trace, env, request_id
+        result.refusal_causes, result.bindings, env, request_id
     )
 
 
 def render_notice_from_parts(
     causes: tuple[RefusalCause, ...],
-    trace,
+    bindings: Mapping[str, object],
     env: PolicyEnvironment,
     request_id: str = "",
 ) -> AdverseActionNotice:
+    """The notice for `causes` under the closed `bindings`.
+
+    A fired axiom cites the symbols and the literal thresholds of its
+    condition: the same sets as the `sym` and `lit` nodes of its valuation
+    tree, which mirrors the condition node for node.
+    """
     axioms_by_id = {a.id: a for a in env.axioms}
-    entries_by_id = {e.axiom_id: e for e in trace.entries} if trace is not None else {}
-    bindings = dict(trace.bindings) if trace is not None else {}
 
     lines: list[str] = []
     cited: list[CitedAxiom] = []
@@ -112,23 +119,16 @@ def render_notice_from_parts(
                 lines.append(f"Action blocked by policy rule '{cause.axiom_id}'.")
             if axiom is None:
                 continue
-            entry = entries_by_id.get(axiom.id)
-            concepts = []
-            thresholds: tuple[str, ...] = ()
-            if entry is not None and entry.tree is not None:
-                symbols = sorted(
-                    {n.ref for n in _walk(entry.tree) if n.op == "sym"}
-                )
-                concepts = [
-                    CitedValue(s, _display(env, s), bindings.get(s),
-                               render_value(bindings[s]) if s in bindings else "?")
-                    for s in symbols
-                ]
-                thresholds = tuple(
-                    render_value(n.value) for n in _walk(entry.tree)
-                    if n.op == "lit"
-                )
-            cited.append(CitedAxiom(axiom.id, tuple(concepts), thresholds))
+            nodes = list(subexpressions(axiom.condition))
+            symbols = sorted({n.symbol for n in nodes if type(n) is Sym})
+            concepts = tuple(
+                CitedValue(s, _display(env, s), bindings.get(s),
+                           render_value(bindings[s]) if s in bindings else "?")
+                for s in symbols
+            )
+            thresholds = tuple(render_value(n.value) for n in nodes
+                               if type(n) is Lit)
+            cited.append(CitedAxiom(axiom.id, concepts, thresholds))
         elif cause.reason == REASON_BINDING:
             if cause.symbol in seen_binding_symbols:
                 continue

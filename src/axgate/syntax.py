@@ -249,6 +249,22 @@ def print_policy(ast: PolicyAst) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+def children(expr: Expr) -> tuple[Expr, ...]:
+    """The direct sub-expressions of a node, left to right."""
+    if isinstance(expr, Unary):
+        return (expr.operand,)
+    if isinstance(expr, (Binary, Compare, BoolOp)):
+        return (expr.left, expr.right)
+    return ()
+
+
+def subexpressions(expr: Expr):
+    """Every node of an expression tree, in pre-order, left to right."""
+    yield expr
+    for kid in children(expr):
+        yield from subexpressions(kid)
+
+
 def walk_names(expr: Expr):
     """Yield every Name/Sym reference in an expression tree."""
     stack = [expr]
@@ -256,8 +272,5 @@ def walk_names(expr: Expr):
         node = stack.pop()
         if isinstance(node, (Name, Sym)):
             yield node
-        elif isinstance(node, Unary):
-            stack.append(node.operand)
-        elif isinstance(node, (Binary, Compare, BoolOp)):
-            stack.append(node.left)
-            stack.append(node.right)
+        else:
+            stack.extend(children(node))

@@ -229,6 +229,49 @@ def test_policy_and_health_endpoints(workspace):
         assert health["audit_degraded"] is False
 
 
+def test_health_is_degraded_while_state_or_audit_is_untrustworthy(
+        workspace, caplog):
+    """/v1/healthz says "ok" only while enforcement can be trusted. An
+    unreadable state source or a failed audit append makes it 503
+    "degraded" with the reasons; the unreadable source is logged once."""
+    import logging
+
+    from axgate.audit import AuditStorageError
+
+    caplog.set_level(logging.INFO, logger="axgate.gateway")
+    config = make_config(workspace, "http://127.0.0.1:9/none")
+    state = workspace / "state.json"
+    readable = state.read_text()
+    with Gateway(config) as gw:
+        state.write_text("{not json")
+        gw.refresh_state()
+        gw.refresh_state()
+        status, health = get(gw, "/v1/healthz")
+        assert status == 503
+        assert health["status"] == "degraded"
+        assert health["reasons"] == ["state-unreadable"]
+        warnings = [r.getMessage() for r in caplog.records
+                    if r.levelno == logging.WARNING]
+        assert len(warnings) == 1 and config.state_path in warnings[0]
+
+        state.write_text(readable)
+        gw.refresh_state()
+        status, health = get(gw, "/v1/healthz")
+        assert (status, health["status"], health["reasons"]) == (200, "ok", [])
+
+        def failing_append(**fields):
+            raise AuditStorageError("disk full")
+
+        gw.pump._writer.append = failing_append
+        status, _, _ = post(gw, "/v1/verify", tool_call("h1", 10))
+        assert status == 200
+        gw.pump.drain()
+        status, health = get(gw, "/v1/healthz")
+        assert status == 503
+        assert health["reasons"] == ["audit-degraded"]
+        assert health["audit_degraded"] is True
+
+
 def test_reload_policy_success_and_failure(workspace):
     config = make_config(workspace, "http://127.0.0.1:9/none")
     with Gateway(config) as gw:

@@ -462,3 +462,104 @@ def test_golden_environment_digest_and_audit_record_bytes():
     )
     record = dataclasses.replace(record, record_digest=record.compute_digest())
     assert record.line() == GOLDEN_RECORD_LINE
+
+
+# Trace bytes written during evaluation ----------------------------------------
+
+CORPUS_POLICY = """\
+concept note : text from request "Note"
+concept side : enum { buy, sell, café } from request "Side"
+concept amount : money "USD" from request "Amount"
+concept rate : quantity from request "Rate"
+concept größe : quantity from state "Größe \u2028 \\"quoted\\""
+concept share : money "USD" from derived = amount / 3 "Share"
+concept scaled : quantity from derived = rate * 2 "Scaled"
+axiom note_check forbid * when note == "a\\"b\\\\c\\nd \u2028 é"
+axiom side_check permit execute_trade when side == café or side == buy
+axiom share_cap forbid execute_trade when share > amount * 0.5
+axiom negative permit execute_trade when -rate < größe - 1.5
+axiom scaled_cap forbid execute_trade when scaled / 3 > 100
+axiom anywhere permit * when not (rate == 0) and note != "x"
+"""
+
+
+def _zero_division_env():
+    """A condition and a derived definition dividing by zero: the compiler
+    refuses `/ 0`, so the environment is assembled by hand."""
+    import dataclasses
+
+    from axgate.compiler import Axiom, PolicyEnvironment
+    from axgate.registry import ConceptRegistry
+    from axgate.syntax import Binary
+
+    env = compile_source(
+        'concept rate : quantity from request "Rate"\n'
+        'concept half : quantity from derived = rate / 2 "Half"\n'
+        "axiom ok permit t when rate > 0\n"
+    ).environment
+    by_zero = Binary("/", Sym("rate"), Lit(Fraction(0)))
+    decls = {d.symbol: d for d in env.registry}
+    decls["half"] = dataclasses.replace(decls["half"], derived=by_zero)
+    axioms = env.axioms + (
+        Axiom("div_zero", "forbid", "t", Compare(">", by_zero, Lit(Fraction(1)))),
+        Axiom("uses_half", "forbid", "t", Compare(">", Sym("half"), Lit(Fraction(1)))),
+    )
+    return PolicyEnvironment(ConceptRegistry(decls), axioms, "by-hand")
+
+
+def _corpus():
+    """Hand-made (request, state, env) cases for the trace encoder."""
+    env = compile_source(CORPUS_POLICY).environment
+    assert env is not None
+    params = {"note": 'a"b\\c\nd \u2028 é', "side": "café",
+              "amount": Money(Fraction(1001), "USD"), "rate": Fraction(-7, 3)}
+    facts = {"größe": Fraction(-5, 2)}
+    cases = []
+    for tool in ("execute_trade", "*", "other_tool"):
+        for p in (params, {**params, "note": "x", "side": "buy"},
+                  {k: v for k, v in params.items() if k != "amount"},
+                  {**params, "rate": "wrong kind"}):
+            for state in (SystemState(facts), SystemState(None)):
+                cases.append((ActionRequest("c", tool, p), state, env))
+    by_zero = _zero_division_env()
+    for tool in ("t", "unknown"):
+        for rate in (Fraction(5), Fraction(-1, 3)):
+            cases.append((ActionRequest("z", tool, {"rate": rate}),
+                          SystemState(None), by_zero))
+    return cases
+
+
+def _assert_trace_bytes_identical(result):
+    from axgate.canonical import canonical_bytes_plain
+
+    assert result.trace_bytes == \
+        canonical_bytes_plain(result.trace.to_plain())
+    assert result.trace.canonical() == result.trace_bytes
+
+
+def test_trace_bytes_equal_the_materialised_trace_on_a_hand_made_corpus():
+    seen = set()
+    for request, state, env in _corpus():
+        result = verify(request, state, env)
+        _assert_trace_bytes_identical(result)
+        for entry in result.trace.entries:
+            seen.add((entry.value is None, entry.missing[:1]))
+    # evaluated entries, binding failures and evaluation failures all occur
+    assert (False, ()) in seen
+    assert (True, (("", "evaluation-failure"),)) in seen
+    assert any(unevaluated and missing and missing[0][0]
+               for unevaluated, missing in seen)
+    result = verify(ActionRequest("u", "unknown", {"rate": Fraction(1)}),
+                    SystemState(None), _zero_division_env())
+    assert result.trace.entries == ()
+
+
+def test_trace_bytes_equal_the_materialised_trace_on_random_instances():
+    checked = 0
+    for seed, count, env_reuse in ((11, 3000, 1), (23, 3000, 6),
+                                   (37, 2500, 13), (41, 2000, 25)):
+        for inst in iter_instances(seed, count, env_reuse=env_reuse):
+            _assert_trace_bytes_identical(
+                verify(inst.request, inst.state, inst.env))
+            checked += 1
+    assert checked >= 10_000

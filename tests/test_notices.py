@@ -144,3 +144,34 @@ def test_trace_values_include_bindings_and_literals():
     # Non-terminating decimals render with the approximation marker.
     rendered = rendered_trace_values(result.trace)
     assert any(v.startswith("≈") for v in rendered)
+
+
+def test_notice_cites_what_the_valuation_tree_holds_without_reading_it(
+        monkeypatch):
+    """A notice takes its cited symbols and thresholds from the fired
+    axiom's condition, so rendering it never materialises the trace; they
+    are the sets the valuation tree records."""
+    from axgate import kernel
+    from axgate.notices import _walk
+    from axgate.values import render_value
+
+    materialise = kernel._Walk.materialise
+    cited = 0
+    for inst in iter_instances(53, 600, env_reuse=25):
+        result = verify(inst.request, inst.state, inst.env)
+        if result.decision != "Refuted":
+            continue
+        monkeypatch.setattr(kernel._Walk, "materialise", None)
+        notice = render_notice(result, inst.env, inst.request.request_id)
+        monkeypatch.setattr(kernel._Walk, "materialise", materialise)
+        trees = {e.axiom_id: e.tree for e in result.trace.entries}
+        for axiom in notice.cited_axioms:
+            nodes = list(_walk(trees[axiom.axiom_id]))
+            assert [c.symbol for c in axiom.concepts] == \
+                sorted({n.ref for n in nodes if n.op == "sym"})
+            assert [c.value for c in axiom.concepts] == \
+                [result.trace.bindings[c.symbol] for c in axiom.concepts]
+            assert list(axiom.thresholds) == \
+                [render_value(n.value) for n in nodes if n.op == "lit"]
+            cited += 1
+    assert cited > 50
