@@ -65,9 +65,7 @@ class AuditRecord:
         return sha256_hex(canonical_bytes(self.payload()))
 
     def line(self) -> bytes:
-        doc = self.payload()
-        doc["record_digest"] = self.record_digest
-        return canonical_bytes(doc) + b"\n"
+        return _line(canonical_bytes(self.payload()), self.record_digest)
 
     @classmethod
     def from_doc(cls, doc: dict) -> "AuditRecord":
@@ -88,16 +86,19 @@ class AuditRecord:
         )
 
 
-def _digest_slot(data: bytes) -> int:
-    """Offset of the "refusal_causes" key in a record's canonical bytes.
+def _line(payload: bytes, record_digest: str) -> bytes:
+    """A record's log line: its canonical payload bytes with
+    '"record_digest":"<d>",' spliced in, and a newline.
 
     Sorted keys put "record_digest" directly between "prev_digest" and the
-    always-present "refusal_causes", so a record's line is its payload bytes
-    with '"record_digest":"<d>",' spliced in at this offset, and the payload
-    is the line with that segment cut out. Neither key's byte run can occur
-    inside a JSON string value, whose quotes are escaped, and only the
-    top-level object has keys, so the first match is the key."""
-    return data.index(b'"refusal_causes":')
+    always-present "refusal_causes", so the splice goes before the first
+    '"refusal_causes":' run. That run cannot occur inside a JSON string
+    value, whose quotes are escaped, and only the top-level object has
+    keys, so the first match is the key. The result is the canonical bytes
+    of the payload with the digest added."""
+    at = payload.index(b'"refusal_causes":')
+    return b'%s"record_digest":"%s",%s\n' % (
+        payload[:at], record_digest.encode("ascii"), payload[at:])
 
 
 class AuditStorageError(OSError):
@@ -156,9 +157,7 @@ class AuditWriter:
         record = AuditRecord(seq=self._seq, prev_digest=self._prev, **fields)
         payload = canonical_bytes(record.payload())
         record = dataclasses.replace(record, record_digest=sha256_hex(payload))
-        at = _digest_slot(payload)
-        line = b'%s"record_digest":"%s",%s\n' % (
-            payload[:at], record.record_digest.encode("ascii"), payload[at:])
+        line = _line(payload, record.record_digest)
         try:
             self._fh.write(line)
             self._fh.flush()
@@ -212,13 +211,10 @@ def _checked_record(line: bytes) -> AuditRecord | str:
         record = AuditRecord.from_doc(json.loads(line))
     except (ValueError, KeyError, TypeError):
         return CAUSE_PARSE
-    if record.line() != line:
-        return CAUSE_DIGEST
-    # The line is canonical, so the payload is the line without its
-    # "record_digest" segment: hash that instead of serialising again.
-    at = _digest_slot(line)
-    start = line.index(b'"record_digest":')
-    if sha256_hex(line[:start] + line[at:-1]) != record.record_digest:
+    payload = canonical_bytes(record.payload())
+    # The digest is checked first, so the splice only ever sees a hex one.
+    if sha256_hex(payload) != record.record_digest \
+            or _line(payload, record.record_digest) != line:
         return CAUSE_DIGEST
     return record
 

@@ -9,7 +9,6 @@ off the sorted samples.
 from __future__ import annotations
 
 import platform
-import threading
 import time
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -33,7 +32,6 @@ class LatencyReport:
     max_ns: int
     axiom_count: int
     warmup_discarded: int
-    threads: int
     hardware_note: str
 
     @property
@@ -45,8 +43,8 @@ class LatencyReport:
             return f"{ns / 1000:.2f} us"
 
         lines = [
-            f"samples: {self.samples} (warmup discarded: {self.warmup_discarded},"
-            f" threads: {self.threads})",
+            f"samples: {self.samples}"
+            f" (warmup discarded: {self.warmup_discarded})",
             f"axioms in environment: {self.axiom_count}",
             f"p50: {us(self.p50_ns)}   p90: {us(self.p90_ns)}   "
             f"p99: {us(self.p99_ns)}   max: {us(self.max_ns)}",
@@ -74,38 +72,25 @@ def bench(
     workload: Workload,
     samples: int,
     *,
-    threads: int = 1,
     warmup: int | None = None,
 ) -> LatencyReport:
     """Time `samples` verifications of workload-generated (request, state)
     pairs against one shared environment."""
     if samples < 1:
         raise InsufficientSamplesError(f"samples must be >= 1, got {samples}")
-    if threads < 1:
-        raise InsufficientSamplesError(f"threads must be >= 1, got {threads}")
     warmup = min(1000, max(16, samples // 10)) if warmup is None else warmup
 
     for i in range(warmup):
         request, state = workload(i)
         verify(request, state, env)
 
-    if threads == 1:
-        timings = _timed_run(env, workload, 0, samples)
-    else:
-        per_thread = samples // threads
-        counts = [per_thread] * threads
-        counts[0] += samples - per_thread * threads
-        buckets: list[list[int]] = [[] for _ in range(threads)]
-        workers = []
-        for t, count in enumerate(counts):
-            def run(t=t, count=count):
-                buckets[t] = _timed_run(env, workload, t * count, count)
-            workers.append(threading.Thread(target=run))
-        for w in workers:
-            w.start()
-        for w in workers:
-            w.join()
-        timings = [ns for bucket in buckets for ns in bucket]
+    timings = []
+    clock = time.perf_counter_ns
+    for i in range(samples):
+        request, state = workload(i)
+        t0 = clock()
+        verify(request, state, env)
+        timings.append(clock() - t0)
 
     timings.sort()
     return LatencyReport(
@@ -116,20 +101,8 @@ def bench(
         max_ns=timings[-1],
         axiom_count=len(env.axioms),
         warmup_discarded=warmup,
-        threads=threads,
         hardware_note=_hardware_note(),
     )
-
-
-def _timed_run(env, workload, offset: int, count: int) -> list[int]:
-    timings = []
-    clock = time.perf_counter_ns
-    for i in range(count):
-        request, state = workload(offset + i)
-        t0 = clock()
-        verify(request, state, env)
-        timings.append(clock() - t0)
-    return timings
 
 
 def fixed_workload(request: ActionRequest, state: SystemState) -> Workload:

@@ -3,8 +3,10 @@
 Everything that gets hashed (policy environments, proof traces, audit
 records) goes through here: UTF-8, lexicographically sorted keys, no
 insignificant whitespace, rationals as reduced "p/q" with a positive
-denominator, money as {"ccy": code, "minor": integer}. Equal structures
-serialize to byte-identical documents on any platform.
+denominator, money as {"ccy": code, "minor": integer}. Producers hand
+canonical_bytes plain documents, with each typed leaf mapped by
+plain_value, the one leaf codec. Equal structures serialize to
+byte-identical documents on any platform.
 """
 
 from __future__ import annotations
@@ -19,27 +21,10 @@ from .values import KIND_MONEY, KIND_QUANTITY, Money
 ZERO_DIGEST = "0" * 64
 
 
-def rational_token(q: Fraction) -> str:
-    """Reduced p/q form, q > 0 (Fraction normalizes the sign to p)."""
-    return f"{q.numerator}/{q.denominator}"
-
-
-def to_plain(value: object) -> object:
-    """Map a typed value tree onto JSON-compatible canonical structures."""
-    if value is None or isinstance(value, (bool, int, str)):
-        return value
-    if isinstance(value, (Fraction, Money)):
-        return plain_value(value)
-    if isinstance(value, (list, tuple)):
-        return [to_plain(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): to_plain(v) for k, v in value.items()}
-    raise TypeError(f"not canonicalizable: {value!r}")
-
-
 def plain_value(value: object) -> object:
-    """Canonical plain form of one leaf value: rationals as "p/q", money as
-    {"ccy", "minor"} with integral minor units as a JSON integer."""
+    """Canonical plain form of one leaf value: rationals as reduced "p/q"
+    with q > 0 (Fraction normalizes the sign to p), money as {"ccy",
+    "minor"} with integral minor units as a JSON integer."""
     t = type(value)
     if t is Fraction:
         return f"{value.numerator}/{value.denominator}"
@@ -76,12 +61,12 @@ _VALUE_JSON = {
 
 def value_json(value: object) -> str:
     """Canonical JSON text of plain_value(value), written without building
-    the plain form: the bytes canonical_bytes_plain gives for it."""
+    the plain form: the bytes canonical_bytes gives for it."""
     if type(value) is Fraction:
         return f'"{value.numerator}/{value.denominator}"'
     encode = _VALUE_JSON.get(type(value))
     if encode is None:
-        return canonical_bytes_plain(plain_value(value)).decode("utf-8")
+        return canonical_bytes(plain_value(value)).decode("utf-8")
     return encode(value)
 
 
@@ -95,13 +80,9 @@ def value_from_plain(plain: object, decl) -> object:
 
 
 def canonical_bytes(doc: object) -> bytes:
-    return json.dumps(
-        to_plain(doc), sort_keys=True, separators=(",", ":"), ensure_ascii=False
-    ).encode("utf-8")
-
-
-def canonical_bytes_plain(doc: object) -> bytes:
-    """Serialize a document that is already in canonical plain form."""
+    """Serialize a plain document: dicts, lists, str, int, bool and None,
+    with every typed leaf already mapped by plain_value. A typed leaf left
+    in (a Fraction, a Money) raises TypeError."""
     return json.dumps(
         doc, sort_keys=True, separators=(",", ":"), ensure_ascii=False
     ).encode("utf-8")

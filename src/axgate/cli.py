@@ -5,7 +5,7 @@
     axgate audit verify <log>
     axgate audit show <log> --seq N
     axgate audit explain <log> --request-id R --env <env.bin> [--traces <file>]
-    axgate bench --policy <file> --samples N [--threads T] [--state <json>]
+    axgate bench --policy <file> --samples N [--state <json>]
                  [--tool NAME] [--params JSON]
     axgate difftest --seed S --cases N [--env-reuse K]
     axgate replay <scenario.scn> --mode {kernel,gateway}
@@ -152,8 +152,7 @@ def _cmd_bench(args) -> int:
 
     request = ActionRequest("bench", args.tool, params)
     state = SystemState(facts)
-    report = bench(env, lambda _i: (request, state), args.samples,
-                   threads=args.threads)
+    report = bench(env, lambda _i: (request, state), args.samples)
     sample = verify(request, state, env)
     print(report.render())
     print(f"decision under benchmarked bindings: {sample.decision}")
@@ -228,7 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="latency microbenchmark")
     p.add_argument("--policy", required=True)
     p.add_argument("--samples", type=int, required=True)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--tool", default="execute_trade")
     p.add_argument("--params", help="request params JSON")
     p.add_argument("--state", help="state facts JSON file")

@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .canonical import canonical_bytes, digest_of, rational_token, sha256_hex
+from .canonical import canonical_bytes, digest_of, plain_value, sha256_hex
 from .diagnostics import Diagnostic
 from .parser import parse
 from .registry import (
@@ -24,49 +24,40 @@ from .registry import (
     derivation_order,
 )
 from .syntax import (
+    LEAF_NAMES,
+    OPERATOR_NAMES,
     Atom,
-    Binary,
     BoolLit,
-    BoolOp,
-    Compare,
     Expr,
     Lit,
     StrLit,
     Sym,
-    Unary,
+    children,
+    op_name,
     walk_names,
 )
 from .typecheck import TypedPolicy, typecheck
 
 ENV_FORMAT = "axgate-env/1"
 
-_BINARY_OPS = {"+": "add", "-": "sub", "*": "mul", "/": "div"}
-_BINARY_OPS_BACK = {v: k for k, v in _BINARY_OPS.items()}
-_COMPARE_OPS = {"<": "lt", "<=": "le", ">": "gt", ">=": "ge", "==": "eq", "!=": "ne"}
-_COMPARE_OPS_BACK = {v: k for k, v in _COMPARE_OPS.items()}
+# vocabulary name -> node type, or (node type, operator) for operator nodes
+_LEAF_NODES = {name: node_type for node_type, name in LEAF_NAMES.items()}
+_OPERATOR_NODES = {name: (node_type, op)
+                   for node_type, names in OPERATOR_NAMES.items()
+                   for op, name in names.items()}
 
 
 def expr_to_plain(expr: Expr) -> list:
     """Encode a resolved expression as canonical nested lists."""
-    if isinstance(expr, Lit):
-        return ["lit", rational_token(expr.value)]
-    if isinstance(expr, BoolLit):
-        return ["bool", expr.value]
-    if isinstance(expr, StrLit):
-        return ["str", expr.value]
+    kids = children(expr)
+    if kids:
+        return [op_name(expr), *[expr_to_plain(kid) for kid in kids]]
+    if isinstance(expr, (Lit, BoolLit, StrLit)):
+        return [op_name(expr), plain_value(expr.value)]
     if isinstance(expr, Sym):
-        return ["sym", expr.symbol]
+        return [op_name(expr), expr.symbol]
     if isinstance(expr, Atom):
-        return ["atom", expr.atom]
-    if isinstance(expr, Unary):
-        op = "not" if expr.op == "not" else "neg"
-        return [op, expr_to_plain(expr.operand)]
-    if isinstance(expr, Binary):
-        return [_BINARY_OPS[expr.op], expr_to_plain(expr.left), expr_to_plain(expr.right)]
-    if isinstance(expr, Compare):
-        return [_COMPARE_OPS[expr.op], expr_to_plain(expr.left), expr_to_plain(expr.right)]
-    if isinstance(expr, BoolOp):
-        return [expr.op, expr_to_plain(expr.left), expr_to_plain(expr.right)]
+        return [op_name(expr), expr.atom]
     raise TypeError(f"cannot serialize unresolved expression: {expr!r}")
 
 
@@ -74,29 +65,17 @@ def expr_from_plain(plain: object) -> Expr:
     if not isinstance(plain, list) or not plain:
         raise ValueError(f"malformed expression encoding: {plain!r}")
     op = plain[0]
-    if op == "lit":
+    if op in _OPERATOR_NODES:
+        node_type, symbol = _OPERATOR_NODES[op]
+        return node_type(symbol, *[expr_from_plain(kid) for kid in plain[1:]])
+    node_type = _LEAF_NODES.get(op)
+    if node_type is None:
+        raise ValueError(f"unknown expression op: {op!r}")
+    if node_type is Lit:
         return Lit(Fraction(plain[1]))
-    if op == "bool":
+    if node_type is BoolLit:
         return BoolLit(bool(plain[1]))
-    if op == "str":
-        return StrLit(str(plain[1]))
-    if op == "sym":
-        return Sym(str(plain[1]))
-    if op == "atom":
-        return Atom(str(plain[1]))
-    if op == "neg":
-        return Unary("-", expr_from_plain(plain[1]))
-    if op == "not":
-        return Unary("not", expr_from_plain(plain[1]))
-    if op in _BINARY_OPS_BACK:
-        return Binary(_BINARY_OPS_BACK[op], expr_from_plain(plain[1]),
-                      expr_from_plain(plain[2]))
-    if op in _COMPARE_OPS_BACK:
-        return Compare(_COMPARE_OPS_BACK[op], expr_from_plain(plain[1]),
-                       expr_from_plain(plain[2]))
-    if op in ("and", "or"):
-        return BoolOp(op, expr_from_plain(plain[1]), expr_from_plain(plain[2]))
-    raise ValueError(f"unknown expression op: {op!r}")
+    return node_type(str(plain[1]))  # StrLit, Sym, Atom
 
 
 @dataclass(frozen=True, slots=True)

@@ -372,22 +372,50 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_json(404, {"error": "not-found"})
 
     def _handle_reload(self) -> None:
-        raw = _read_body(self, self.gateway.config.max_body_bytes)
-        path = None
-        if raw not in (None, b""):
-            try:
-                doc = json.loads(raw)
-                path = doc.get("path") if isinstance(doc, dict) else None
-            except ValueError:
-                self._send_json(400, {"error": "malformed-body"})
-                return
-        outcome = self.gateway.reload_policy(path)
+        """Reload the policy named by the body, or the configured one. The
+        published snapshot changes only on a 200."""
+        try:
+            raw = _read_body(self, self.gateway.config.max_body_bytes)
+        except TimeoutError:
+            self.close_connection = True  # the rest of the body may come
+            self._send_json(408, {"error": "read-timeout"})
+            return
+        if raw is None:
+            self._send_json(413, {"error": "oversize-body"})
+            return
+        try:
+            path = _parse_reload(raw)
+        except ValueError:
+            self._send_json(400, {"error": "malformed-body"})
+            return
+        try:
+            outcome = self.gateway.reload_policy(path)
+        except OSError as exc:
+            self._send_json(422, {"error": "policy-unreadable",
+                                  "diagnostics": [f"cannot read: {exc}"]})
+            return
         if isinstance(outcome, str):
             self._send_json(200, {"env_version": outcome})
         else:
             self._send_json(
                 422, {"diagnostics": [d.render() for d in outcome]}
             )
+
+
+def _parse_reload(raw: bytes) -> str | None:
+    """The policy path a reload body names; None means the configured one.
+    Raises ValueError unless the body is empty or a JSON object whose
+    "path" is absent, null or a non-empty string without NUL, which no
+    file name holds."""
+    if not raw:
+        return None
+    doc = json.loads(raw)
+    if not isinstance(doc, dict):
+        raise ValueError("reload body is not an object")
+    path = doc.get("path")
+    if path is None or (isinstance(path, str) and path and "\0" not in path):
+        return path
+    raise ValueError("reload path is not a non-empty string")
 
 
 def _read_body(handler: _Handler, limit: int) -> bytes | None:
@@ -561,7 +589,8 @@ class Gateway:
             self.refresh_state()
 
     def reload_policy(self, path: str | None = None) -> str | list[Diagnostic]:
-        """Compile off the hot path; publish atomically only on success."""
+        """Compile off the hot path; publish atomically only on success.
+        Raises OSError when the policy file cannot be read."""
         result = compile_file(path or self.config.policy_path)
         if result.environment is None:
             return result.diagnostics

@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Iterator, Mapping
 
 from .canonical import (
-    canonical_bytes_plain,
+    canonical_bytes,
     json_string,
     plain_value,
     sha256_hex,
@@ -29,6 +29,8 @@ from .canonical import (
 )
 from .compiler import PolicyEnvironment
 from .syntax import (
+    LEAF_NAMES,
+    OPERATOR_NAMES,
     Atom,
     Binary,
     BoolLit,
@@ -41,6 +43,7 @@ from .syntax import (
     Sym,
     Unary,
     children,
+    op_name,
 )
 from .values import Money
 
@@ -130,7 +133,7 @@ class ProofTrace:
         }
 
     def canonical(self) -> bytes:
-        return canonical_bytes_plain(self.to_plain())
+        return canonical_bytes(self.to_plain())
 
 
 @dataclass(frozen=True, slots=True)
@@ -203,8 +206,7 @@ def _kind_matches(value: object, decl) -> bool:
 
 
 def _sym_leaf(symbol: str, value_text: str) -> str:
-    return '{"op":"sym","ref":%s,"value":%s}' % (json_string(symbol),
-                                                 value_text)
+    return _SYM_TEXT % (json_string(symbol), value_text)
 
 
 def _bind(request: ActionRequest, state: SystemState, env: PolicyEnvironment,
@@ -302,11 +304,20 @@ def _arith(op: str, left, right):
 
 _ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul,
           "/": operator.truediv}
-_BINARY_OP_NAMES = {"+": "add", "-": "sub", "*": "mul", "/": "div"}
 _COMPARE_FNS = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
                 ">=": operator.ge, "==": operator.eq, "!=": operator.ne}
-_COMPARE_OP_NAMES = {"<": "lt", "<=": "le", ">": "gt", ">=": "ge",
-                     "==": "eq", "!=": "ne"}
+
+
+# Node text formats, with op names from the syntax vocabulary. A leaf takes
+# its ref text (sym, atom) and its value text; an operator node takes each
+# kid's text, then its value text.
+_LIT_TEXT = '{"op":"%s","value":%%s}' % LEAF_NAMES[Lit]
+_BOOL_TEXT = '{"op":"%s","value":%%s}' % LEAF_NAMES[BoolLit]
+_STR_TEXT = '{"op":"%s","value":%%s}' % LEAF_NAMES[StrLit]
+_SYM_TEXT = '{"op":"%s","ref":%%s,"value":%%s}' % LEAF_NAMES[Sym]
+_ATOM_TEXT = '{"op":"%s","ref":%%s,"value":%%s}' % LEAF_NAMES[Atom]
+_UNARY_TEXT = {op: '{"kids":[%%s],"op":"%s","value":%%s}' % name
+               for op, name in OPERATOR_NAMES[Unary].items()}
 
 
 def _pair_text(name: str) -> str:
@@ -314,10 +325,12 @@ def _pair_text(name: str) -> str:
     return '{"kids":[%%s,%%s],"op":"%s","value":%%s}' % name
 
 
-_BINARY_TEXT = {op: _pair_text(name) for op, name in _BINARY_OP_NAMES.items()}
-_COMPARE = {op: (fn, _pair_text(_COMPARE_OP_NAMES[op]))
+_BINARY_TEXT = {op: _pair_text(name)
+                for op, name in OPERATOR_NAMES[Binary].items()}
+_COMPARE = {op: (fn, _pair_text(OPERATOR_NAMES[Compare][op]))
             for op, fn in _COMPARE_FNS.items()}
-_BOOLOP_TEXT = {op: _pair_text(op) for op in ("and", "or")}
+_BOOLOP_TEXT = {op: _pair_text(name)
+                for op, name in OPERATOR_NAMES[BoolOp].items()}
 
 
 def _walk(expr: Expr, bindings, leaves, values) -> tuple[object, str]:
@@ -328,7 +341,7 @@ def _walk(expr: Expr, bindings, leaves, values) -> tuple[object, str]:
 def _walk_lit(expr: Lit, bindings, leaves, values):
     value = expr.value
     values.append(value)
-    return value, '{"op":"lit","value":%s}' % value_json(value)
+    return value, _LIT_TEXT % value_json(value)
 
 
 def _walk_sym(expr: Sym, bindings, leaves, values):
@@ -383,32 +396,29 @@ def _walk_unary(expr: Unary, bindings, leaves, values):
     kid_value, kid_text = _WALK[type(kid)](kid, bindings, leaves, values)
     if expr.op == "not":
         value = not kid_value
-        text = '{"kids":[%s],"op":"not","value":%s}' % (
-            kid_text, "true" if value else "false")
+        value_text = "true" if value else "false"
     else:
         value = Money(-kid_value.minor, kid_value.ccy) \
             if type(kid_value) is Money else -kid_value
-        text = '{"kids":[%s],"op":"neg","value":%s}' % (kid_text,
-                                                       value_json(value))
+        value_text = value_json(value)
     values.append(value)
-    return value, text
+    return value, _UNARY_TEXT[expr.op] % (kid_text, value_text)
 
 
 def _walk_boollit(expr: BoolLit, bindings, leaves, values):
     values.append(expr.value)
-    return expr.value, '{"op":"bool","value":%s}' % (
-        "true" if expr.value else "false")
+    return expr.value, _BOOL_TEXT % ("true" if expr.value else "false")
 
 
 def _walk_strlit(expr: StrLit, bindings, leaves, values):
     values.append(expr.value)
-    return expr.value, '{"op":"str","value":%s}' % json_string(expr.value)
+    return expr.value, _STR_TEXT % json_string(expr.value)
 
 
 def _walk_atom(expr: Atom, bindings, leaves, values):
     text = json_string(expr.atom)
     values.append(expr.atom)
-    return expr.atom, '{"op":"atom","ref":%s,"value":%s}' % (text, text)
+    return expr.atom, _ATOM_TEXT % (text, text)
 
 
 def _walk_unresolved(expr: Expr, bindings, leaves, values):
@@ -432,23 +442,12 @@ _WALK = {
 def _tree(expr: Expr, values: Iterator) -> ValNode:
     """The valuation tree of `expr`, from its walk's post-order values."""
     kids = tuple(_tree(kid, values) for kid in children(expr))
-    t = type(expr)
     ref = None
-    if t is Sym:
-        op, ref = "sym", expr.symbol
-    elif t is Atom:
-        op, ref = "atom", expr.atom
-    elif t is Compare:
-        op = _COMPARE_OP_NAMES[expr.op]
-    elif t is Binary:
-        op = _BINARY_OP_NAMES[expr.op]
-    elif t is Unary:
-        op = "not" if expr.op == "not" else "neg"
-    elif t is BoolOp:
-        op = expr.op
-    else:
-        op = {Lit: "lit", BoolLit: "bool", StrLit: "str"}[t]
-    return ValNode(op, next(values), kids, ref)
+    if type(expr) is Sym:
+        ref = expr.symbol
+    elif type(expr) is Atom:
+        ref = expr.atom
+    return ValNode(op_name(expr), next(values), kids, ref)
 
 
 def eval_condition(

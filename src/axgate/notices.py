@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .canonical import to_plain
+from .canonical import plain_value
 from .compiler import PolicyEnvironment
 from .kernel import (
     REASON_BINDING,
@@ -64,11 +64,12 @@ def _display(env: PolicyEnvironment, symbol: str) -> str:
     return decl.display if decl is not None else symbol
 
 
-def _interpolate(template: str, bindings, env: PolicyEnvironment) -> str:
+def _interpolate(template: str, bindings, render,
+                 env: PolicyEnvironment) -> str:
     out = template
     for slot in template_slots(template):
         if slot in bindings:
-            out = out.replace("{%s}" % slot, render_value(bindings[slot]))
+            out = out.replace("{%s}" % slot, render(slot))
         else:
             out = out.replace(
                 "{%s}" % slot, f"<{_display(env, slot)}: unavailable>"
@@ -105,6 +106,13 @@ def render_notice_from_parts(
     tree, which mirrors the condition node for node.
     """
     axioms_by_id = {a.id: a for a in env.axioms}
+    rendered: dict[str, str] = {}  # each bound value is rendered once
+
+    def render(symbol: str) -> str:
+        text = rendered.get(symbol)
+        if text is None:
+            text = rendered[symbol] = render_value(bindings[symbol])
+        return text
 
     lines: list[str] = []
     cited: list[CitedAxiom] = []
@@ -114,7 +122,8 @@ def render_notice_from_parts(
         if cause.reason == REASON_FORBID:
             axiom = axioms_by_id.get(cause.axiom_id)
             if axiom is not None and axiom.explain:
-                lines.append(_interpolate(axiom.explain, bindings, env))
+                lines.append(_interpolate(axiom.explain, bindings, render,
+                                          env))
             else:
                 lines.append(f"Action blocked by policy rule '{cause.axiom_id}'.")
             if axiom is None:
@@ -123,7 +132,7 @@ def render_notice_from_parts(
             symbols = sorted({n.symbol for n in nodes if type(n) is Sym})
             concepts = tuple(
                 CitedValue(s, _display(env, s), bindings.get(s),
-                           render_value(bindings[s]) if s in bindings else "?")
+                           render(s) if s in bindings else "?")
                 for s in symbols
             )
             thresholds = tuple(render_value(n.value) for n in nodes
@@ -165,7 +174,7 @@ def notice_to_plain(notice: AdverseActionNotice) -> dict:
                     {
                         "symbol": v.symbol,
                         "display": v.display,
-                        "value": to_plain(v.value),
+                        "value": plain_value(v.value),
                         "rendered": v.rendered,
                     }
                     for v in c.concepts

@@ -387,9 +387,3 @@ def iter_instances(seed: int, count: int, *, env_reuse: int = 1, **kwargs):
         if policy is None or env_reuse <= 1 or i % env_reuse == 0:
             policy = gen.gen_policy()
         yield gen.gen_instance(f"r{seed}-{i}", policy=policy)
-
-
-def instances(
-    seed: int, count: int, *, env_reuse: int = 1, **kwargs
-) -> list[Instance]:
-    return list(iter_instances(seed, count, env_reuse=env_reuse, **kwargs))

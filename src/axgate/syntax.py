@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .diagnostics import Span
-from .values import decimal_digits
+from .values import exact_decimal
 
 _NOSPAN = Span(0, 0, 0, 0)
 
@@ -97,6 +97,26 @@ class BoolOp(Expr):
     span: Span = _span_field()
 
 
+# Node vocabulary: the name of each resolved node in the canonical policy
+# document and in valuation trees. Both digests depend on these names.
+
+LEAF_NAMES = {Lit: "lit", BoolLit: "bool", StrLit: "str", Sym: "sym",
+              Atom: "atom"}
+OPERATOR_NAMES = {
+    Unary: {"-": "neg", "not": "not"},
+    Binary: {"+": "add", "-": "sub", "*": "mul", "/": "div"},
+    Compare: {"<": "lt", "<=": "le", ">": "gt", ">=": "ge", "==": "eq",
+              "!=": "ne"},
+    BoolOp: {"and": "and", "or": "or"},
+}
+
+
+def op_name(expr: Expr) -> str:
+    """The vocabulary name of a resolved node; KeyError for a Name."""
+    names = OPERATOR_NAMES.get(type(expr))
+    return LEAF_NAMES[type(expr)] if names is None else names[expr.op]
+
+
 @dataclass(frozen=True, slots=True)
 class ConceptNode:
     symbol: str
@@ -146,16 +166,8 @@ _PREC_ATOM = 8
 
 
 def _print_number(q: Fraction) -> str:
-    places = decimal_digits(q)
-    if places is None:
-        # Not expressible as a decimal literal; emit the equivalent division.
-        return f"{q.numerator} / {q.denominator}"
-    if places == 0:
-        return str(q.numerator)
-    scaled = q.numerator * 10**places // q.denominator
-    sign = "-" if scaled < 0 else ""
-    digits = str(abs(scaled)).rjust(places + 1, "0")
-    return f"{sign}{digits[:-places]}.{digits[-places:]}"
+    # Not expressible as a decimal literal: emit the equivalent division.
+    return exact_decimal(q) or f"{q.numerator} / {q.denominator}"
 
 
 def escape_string(s: str) -> str:

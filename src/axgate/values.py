@@ -113,6 +113,20 @@ def decimal_digits(q: Fraction) -> int | None:
     return max(twos, fives)
 
 
+def exact_decimal(q: Fraction) -> str | None:
+    """q written as an exact decimal ("0.45", "-1.75", "5") when it
+    terminates, else None."""
+    places = decimal_digits(q)
+    if places is None:
+        return None
+    if places == 0:
+        return str(q.numerator)
+    scaled = q.numerator * 10**places // q.denominator
+    sign = "-" if scaled < 0 else ""
+    digits = str(abs(scaled)).rjust(places + 1, "0")
+    return f"{sign}{digits[:-places]}.{digits[-places:]}"
+
+
 def render_decimal(q: Fraction, *, max_places: int = 6) -> str:
     """Render a rational as a decimal string.
 
@@ -120,18 +134,11 @@ def render_decimal(q: Fraction, *, max_places: int = 6) -> str:
     `max_places` places and prefixed with the approximation marker so a reader
     can never mistake a rounded figure for an exact one.
     """
-    places = decimal_digits(q)
-    if places is not None:
-        if places == 0:
-            return str(q.numerator)
-        scaled = q.numerator * 10**places // q.denominator
-        sign = "-" if scaled < 0 else ""
-        digits = str(abs(scaled)).rjust(places + 1, "0")
-        return f"{sign}{digits[:-places]}.{digits[-places:]}"
-    scaled_fraction = q * 10**max_places
-    rounded = round(scaled_fraction)  # banker's rounding; exactness marked anyway
-    approx = Fraction(rounded, 10**max_places)
-    return "≈" + render_decimal(approx, max_places=max_places)
+    exact = exact_decimal(q)
+    if exact is not None:
+        return exact
+    rounded = round(q * 10**max_places)  # banker's rounding; marked anyway
+    return "≈" + exact_decimal(Fraction(rounded, 10**max_places))
 
 
 MINOR_UNITS_PER_MAJOR = 100  # display convention; comparisons use raw minors

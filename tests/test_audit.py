@@ -224,3 +224,45 @@ def test_record_with_key_like_strings_round_trips(tmp_path):
         report = verify_chain_lines([bytes(flipped)])
         assert not report.ok, i
         assert report.cause in ("digest-mismatch", "parse-error"), i
+
+
+# Pinned from the writer before its line encoder was shared with the
+# verifier: any change to this value is an audit format change.
+GOLDEN_LOG_SHA256 = \
+    "3e641650fa887ba2aebd58effba5108bb31bff5cd8c3d789b7f84e027d6e172d"
+
+
+def _golden_log(path):
+    """200 records with fixed timestamps: both decisions, duplicates, notes,
+    and request ids that spell the keys a line is spliced around."""
+    ids = ("plain", '"record_digest":"' + "f" * 64 + '",',
+           '","refusal_causes":[],"x":"', "日本 \\", "")
+    with AuditWriter(str(path), fsync=False) as writer:
+        for i in range(200):
+            proven = i % 3 == 0
+            writer.append(
+                ts_ns=1_700_000_000_000_000_000 + i * 1_000_003,
+                request_id=f"{ids[i % len(ids)]}{i % 40}",
+                tool="execute_trade" if i % 2 else "transfer",
+                env_version=f"{i % 7:x}" * 64,
+                decision="Proven" if proven else "Refuted",
+                trace_digest=f"{i % 11:x}" * 64,
+                refusal_causes=() if proven else (
+                    ("forbid-fired", f"ax{i % 5}", None),
+                    ("binding-failure", "cap", '"refusal_causes":'))[:1 + i % 2],
+                enforced=not proven and i % 4 != 1,
+                duplicate_of=i - 40 if i >= 40 else None,
+                note=("upstream-unreachable", None, '"record_digest":"',
+                      None)[i % 4],
+            )
+
+
+def test_golden_log_bytes(tmp_path):
+    import hashlib
+
+    log = tmp_path / "audit.log"
+    _golden_log(log)
+    data = log.read_bytes()
+    assert data.count(b"\n") == 200
+    assert verify_chain(str(log)).ok
+    assert hashlib.sha256(data).hexdigest() == GOLDEN_LOG_SHA256

@@ -34,14 +34,6 @@ def test_report_percentiles_ordered():
 def test_zero_samples_rejected():
     with pytest.raises(InsufficientSamplesError):
         bench(_env(1), _workload(), 0)
-    with pytest.raises(InsufficientSamplesError):
-        bench(_env(1), _workload(), 100, threads=0)
-
-
-def test_multithreaded_mode_collects_all_samples():
-    report = bench(_env(1), _workload(), 2001, threads=4)
-    assert report.samples == 2001
-    assert report.threads == 4
 
 
 def test_scaling_with_axiom_count_is_monotone_and_bounded():

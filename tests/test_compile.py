@@ -289,3 +289,29 @@ def test_typecheck_result_has_resolved_names():
     from axgate.syntax import Sym
 
     assert isinstance(condition, Sym)
+
+
+# Pinned from the compiler before the canonical writer took plain documents
+# only: any change to these values is an environment format change.
+GOLDEN_SHIPPED_ENV_SHA256 = \
+    "5a827b6df0d812b8c3992440c5e0b273a71e63d36ceacc1263e6efcec562735a"
+GOLDEN_RANDGEN_ENVS_SHA256 = \
+    "576cf27a63f55834edf6d0be62bf70ef577c5bc3150159559ad6db051d943a3d"
+
+
+def test_golden_saved_environment_bytes(tmp_path):
+    import hashlib
+
+    from axgate.randgen import iter_instances
+
+    path = tmp_path / "env.bin"
+    with open("src/axgate/policies/sec15c3_5.pol", encoding="utf-8") as fh:
+        save_environment(compile_source(fh.read()).environment, str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+        GOLDEN_SHIPPED_ENV_SHA256
+
+    h = hashlib.sha256()
+    for inst in iter_instances(19, 50):
+        save_environment(inst.env, str(path))
+        h.update(path.read_bytes())
+    assert h.hexdigest() == GOLDEN_RANDGEN_ENVS_SHA256

@@ -301,6 +301,79 @@ def test_reload_policy_success_and_failure(workspace):
         assert gw.snapshot.env.version_digest == doc["env_version"]
 
 
+def test_reload_body_naming_the_audit_descriptor_is_refused(workspace):
+    """A JSON integer used to reach open() as a file descriptor: reading
+    the audit log's write-only descriptor failed and the `with` block closed
+    it, so the next record was counted but never reached the log."""
+    config = make_config(workspace, "http://127.0.0.1:9/none")
+    with Gateway(config) as gw:
+        original = gw.snapshot.env.version_digest
+        fd = gw.pump._writer._fh.fileno()
+        status, doc = _post_json(gw, "/v1/policy/reload", {"path": fd})
+        assert (status, doc) == (400, {"error": "malformed-body"})
+        status, _, _ = post(gw, "/v1/execute", tool_call("after", 99999))
+        assert status == 403
+        gw.pump.drain()
+        assert gw.snapshot.env.version_digest == original
+        assert gw.pump.records_written == 1
+    assert [r.request_id for r in iter_records(config.audit_log_path)] == \
+        ["after"]
+    assert verify_chain(config.audit_log_path).ok
+
+
+def test_reload_rejects_bad_bodies_and_unreadable_files(workspace,
+                                                         monkeypatch):
+    import socket
+
+    import axgate.gateway as gateway_module
+
+    monkeypatch.setattr(gateway_module, "_CLIENT_TIMEOUT_SECS", 0.5)
+    (workspace / "other.pol").write_text(
+        POLICY + "\naxiom extra permit transfer when volume >= 0\n",
+        encoding="utf-8")
+    config = make_config(workspace, "http://127.0.0.1:9/none",
+                         max_body_bytes=128)
+    with Gateway(config) as gw:
+        original = gw.snapshot.env.version_digest
+        cases = [
+            (b'{"path": "%s"}' % str(workspace / "other.pol").encode()
+             + b" " * 200, 413, "oversize-body"),
+            (b"[1]", 400, "malformed-body"),
+            (b'{"path": ""}', 400, "malformed-body"),
+            (b'{"path": ["x"]}', 400, "malformed-body"),
+            (b"{", 400, "malformed-body"),
+            (b'{"path": "%s"}' % str(workspace / "missing.pol").encode(),
+             422, "policy-unreadable"),
+            (b'{"path": "%s"}' % str(workspace).encode(), 422,
+             "policy-unreadable"),
+            (b'{"path": "a\\u0000b"}', 400, "malformed-body"),
+        ]
+        for body, status, error in cases:
+            got, data, _ = post(gw, "/v1/policy/reload", body=body)
+            assert (got, json.loads(data)["error"]) == (status, error), body
+            assert gw.snapshot.env.version_digest == original, body
+
+        stalled = socket.create_connection(gw.address, timeout=10)
+        try:
+            stalled.sendall(b"POST /v1/policy/reload HTTP/1.1\r\nHost: x\r\n"
+                            b"Content-Length: 100\r\n\r\n{")
+            stalled.settimeout(5)
+            reply = stalled.recv(4096)
+        finally:
+            stalled.close()
+        assert reply.startswith(b"HTTP/1.1 408 ")
+        assert gw.snapshot.env.version_digest == original
+
+        # an absent or null path reloads the configured file
+        for doc in ({}, {"path": None}):
+            status, reply = _post_json(gw, "/v1/policy/reload", doc)
+            assert (status, reply["env_version"]) == (200, original)
+        status, reply = _post_json(gw, "/v1/policy/reload",
+                                   {"path": str(workspace / "other.pol")})
+        assert status == 200 and reply["env_version"] != original
+        assert gw.snapshot.env.version_digest == reply["env_version"]
+
+
 def _post_json(gateway, path, doc):
     status, data, _ = post(gateway, path, doc)
     return status, json.loads(data)

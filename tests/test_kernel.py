@@ -530,10 +530,9 @@ def _corpus():
 
 
 def _assert_trace_bytes_identical(result):
-    from axgate.canonical import canonical_bytes_plain
+    from axgate.canonical import canonical_bytes
 
-    assert result.trace_bytes == \
-        canonical_bytes_plain(result.trace.to_plain())
+    assert result.trace_bytes == canonical_bytes(result.trace.to_plain())
     assert result.trace.canonical() == result.trace_bytes
 
 

@@ -8,9 +8,8 @@ from axgate.canonical import (
     canonical_bytes,
     digest_of,
     plain_value,
-    rational_token,
-    to_plain,
     value_from_plain,
+    value_json,
 )
 from axgate.registry import ConceptDecl
 from axgate.values import (
@@ -83,13 +82,17 @@ def test_render_value_money():
 
 
 def test_canonical_rational_token_and_money():
-    assert rational_token(Fraction(10, 4)) == "5/2"
-    assert to_plain(Money(Fraction(150), "USD")) == {"ccy": "USD", "minor": 150}
-    assert to_plain(Money(Fraction(1, 3), "USD")) == {"ccy": "USD", "minor": "1/3"}
+    assert plain_value(Fraction(10, 4)) == "5/2"
+    assert plain_value(Fraction(-3, 6)) == "-1/2"
+    assert plain_value(Money(Fraction(150), "USD")) == \
+        {"ccy": "USD", "minor": 150}
+    assert plain_value(Money(Fraction(1, 3), "USD")) == \
+        {"ccy": "USD", "minor": "1/3"}
 
 
 def test_canonical_bytes_sorted_and_stable():
-    a = canonical_bytes({"b": Fraction(1, 2), "a": [Fraction(3)]})
+    a = canonical_bytes({"b": plain_value(Fraction(1, 2)),
+                         "a": [plain_value(Fraction(3))]})
     assert a == b'{"a":["3/1"],"b":"1/2"}'
     assert digest_of({"x": 1}) == digest_of({"x": 1})
     assert ZERO_DIGEST == "0" * 64
@@ -107,8 +110,18 @@ def test_canonical_bytes_sorted_and_stable():
 ])
 def test_value_from_plain_inverts_plain_value(value, decl):
     plain = plain_value(value)
-    assert to_plain(value) == plain
+    assert canonical_bytes(plain) == value_json(value).encode("utf-8")
     plain = json.loads(json.dumps(plain))  # as read back from an archive
     decoded = value_from_plain(plain, decl)
     assert decoded == value
     assert type(decoded) is type(value)
+
+
+@pytest.mark.parametrize("leaf", [Fraction(1, 2),
+                                  Money(Fraction(150), "USD")])
+def test_canonical_bytes_refuses_a_typed_leaf(leaf):
+    """canonical_bytes takes plain documents: a typed leaf is a producer
+    that skipped plain_value, not something to convert on the way."""
+    for doc in (leaf, {"k": leaf}, [1, [leaf]]):
+        with pytest.raises(TypeError):
+            canonical_bytes(doc)
