@@ -44,15 +44,19 @@ def plain_value(value: object) -> object:
 json_string = encode_basestring
 
 
-def _money_json(value: Money) -> str:
-    minor = value.minor
-    minor_text = str(minor.numerator) if minor.denominator == 1 \
-        else f'"{minor.numerator}/{minor.denominator}"'
-    return f'{{"ccy":{encode_basestring(value.ccy)},"minor":{minor_text}}}'
+def pair_json(pair: tuple) -> str:
+    """Canonical JSON text of an exact value held as ints: (n, d) is the
+    rational n/d and (n, d, ccy) is money of n/d minor units, each reduced
+    with d > 0. The one writer of rational and money text."""
+    if len(pair) == 2:
+        return '"%d/%d"' % pair
+    n, d, ccy = pair
+    if d == 1:
+        return '{"ccy":%s,"minor":%d}' % (encode_basestring(ccy), n)
+    return '{"ccy":%s,"minor":"%d/%d"}' % (encode_basestring(ccy), n, d)
 
 
 _VALUE_JSON = {
-    Money: _money_json,
     bool: lambda b: "true" if b else "false",
     str: encode_basestring,
     type(None): lambda _: "null",
@@ -62,9 +66,13 @@ _VALUE_JSON = {
 def value_json(value: object) -> str:
     """Canonical JSON text of plain_value(value), written without building
     the plain form: the bytes canonical_bytes gives for it."""
-    if type(value) is Fraction:
-        return f'"{value.numerator}/{value.denominator}"'
-    encode = _VALUE_JSON.get(type(value))
+    t = type(value)
+    if t is Fraction:
+        return pair_json((value.numerator, value.denominator))
+    if t is Money:
+        minor = value.minor
+        return pair_json((minor.numerator, minor.denominator, value.ccy))
+    encode = _VALUE_JSON.get(t)
     if encode is None:
         return canonical_bytes(plain_value(value)).decode("utf-8")
     return encode(value)

@@ -159,8 +159,10 @@ class BindingPlan:
 class PolicyEnvironment:
     """Immutable compiled policy: registry + ordered axioms + digests.
 
-    Safe for unbounded concurrent readers. The per-tool plan cache is a
-    benign-race memo: entries are pure functions of immutable state.
+    Safe for unbounded concurrent readers. The per-tool plan cache and the
+    kernel's per-axiom trace texts (`trace_texts`, keyed by the axiom's
+    id(), filled on first use) are benign-race memos: entries are pure
+    functions of immutable state.
     """
 
     def __init__(
@@ -175,6 +177,7 @@ class PolicyEnvironment:
         self.version_digest = digest_of(policy_to_plain(registry, self.axioms))
         self.derivation_order = derivation_order(registry)
         self._plans: dict[str, BindingPlan] = {}
+        self.trace_texts: dict[int, str] = {}
 
     def _direct_symbols(self, expr: Expr) -> set[str]:
         return {ref.symbol for ref in walk_names(expr)}

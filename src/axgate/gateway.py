@@ -352,7 +352,15 @@ class _Handler(BaseHTTPRequestHandler):
             logger.info("client %s went away before the %d response",
                         self.client_address[0], status)
 
+    def _close_after_unread_body(self) -> None:
+        # The body of a request that nothing reads stays on the connection;
+        # it must not be parsed as the next request.
+        if "Content-Length" in self.headers \
+                or "Transfer-Encoding" in self.headers:
+            self.close_connection = True
+
     def do_GET(self) -> None:
+        self._close_after_unread_body()
         if self.path == "/v1/healthz":
             doc = self.gateway.health_doc()
             self._send_json(200 if doc["status"] == "ok" else 503, doc)
@@ -369,6 +377,7 @@ class _Handler(BaseHTTPRequestHandler):
         elif self.path == "/v1/policy/reload":
             self._handle_reload()
         else:
+            self._close_after_unread_body()
             self._send_json(404, {"error": "not-found"})
 
     def _handle_reload(self) -> None:
@@ -376,9 +385,9 @@ class _Handler(BaseHTTPRequestHandler):
         published snapshot changes only on a 200."""
         try:
             raw = _read_body(self, self.gateway.config.max_body_bytes)
-        except TimeoutError:
-            self.close_connection = True  # the rest of the body may come
-            self._send_json(408, {"error": "read-timeout"})
+        except _UnreadableBody as exc:
+            self.close_connection = True
+            self._send_json(exc.status, {"error": exc.error})
             return
         if raw is None:
             self._send_json(413, {"error": "oversize-body"})
@@ -418,25 +427,62 @@ def _parse_reload(raw: bytes) -> str | None:
     raise ValueError("reload path is not a non-empty string")
 
 
-def _read_body(handler: _Handler, limit: int) -> bytes | None:
-    """Returns None when the declared or actual size exceeds the limit."""
-    length = handler.headers.get("Content-Length")
+class _UnreadableBody(Exception):
+    """The body cannot be read, or where it ends cannot be trusted. The
+    reply is `status` with `error`, and the connection closes after it: the
+    bytes still on it must never be parsed as a request."""
+
+    def __init__(self, status: int, error: str) -> None:
+        super().__init__(error)
+        self.status = status
+        self.error = error
+
+
+def _content_length(headers) -> int:
+    """The declared body length, 0 when none is declared.
+
+    One framing rule (RFC 9112 §6.3): every Content-Length value must be
+    ASCII digits and all of them equal, and any Transfer-Encoding is
+    refused, since it would decide the framing and no coding is read here.
+    """
+    codings = headers.get_all("Transfer-Encoding")
+    if codings:
+        if any("chunked" in coding.lower() for coding in codings):
+            raise _UnreadableBody(501, "unsupported-transfer-encoding")
+        raise _UnreadableBody(400, "bad-framing")
+    values = {value.strip(" \t")
+              for field in headers.get_all("Content-Length") or ()
+              for value in field.split(",")}
+    if not values:
+        return 0
+    if not all(value.isascii() and value.isdigit() for value in values):
+        raise _UnreadableBody(400, "bad-framing")
     try:
-        n = int(length) if length is not None else 0
-    except ValueError:
-        return b""
-    if n < 0:
-        return b""
-    if n > limit:
-        # Consume and discard so the connection can still carry the error.
-        remaining = n
-        while remaining > 0:
-            chunk = handler.rfile.read(min(65536, remaining))
-            if not chunk:
-                break
-            remaining -= len(chunk)
-        return None
-    return handler.rfile.read(n) if n else b""
+        lengths = {int(value) for value in values}
+    except ValueError:  # more digits than int() reads
+        raise _UnreadableBody(400, "bad-framing") from None
+    if len(lengths) != 1:
+        raise _UnreadableBody(400, "bad-framing")
+    return lengths.pop()
+
+
+def _read_body(handler: _Handler, limit: int) -> bytes | None:
+    """The request body, or None when its declared size exceeds the limit
+    (the body is then read and dropped, so the connection can carry the
+    error). Raises _UnreadableBody for bad framing or a stalled body."""
+    n = _content_length(handler.headers)
+    try:
+        if n > limit:
+            remaining = n
+            while remaining > 0:
+                chunk = handler.rfile.read(min(65536, remaining))
+                if not chunk:
+                    break
+                remaining -= len(chunk)
+            return None
+        return handler.rfile.read(n) if n else b""
+    except TimeoutError:
+        raise _UnreadableBody(408, "read-timeout") from None
 
 
 class _Server(ThreadingHTTPServer):
@@ -654,9 +700,9 @@ class Gateway:
 
         try:
             raw = _read_body(handler, self.config.max_body_bytes)
-        except TimeoutError:
-            handler.close_connection = True  # the rest of the body may come
-            refuse(408, "read-timeout", "read-timeout")
+        except _UnreadableBody as exc:
+            handler.close_connection = True
+            refuse(exc.status, exc.error, exc.error)
             return
         if raw is None:
             refuse(413, "oversize-body", "oversize-body")

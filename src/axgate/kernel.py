@@ -18,19 +18,19 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping
+from math import gcd
+from typing import Mapping
 
 from .canonical import (
     canonical_bytes,
     json_string,
+    pair_json,
     plain_value,
     sha256_hex,
     value_json,
 )
 from .compiler import PolicyEnvironment
 from .syntax import (
-    LEAF_NAMES,
-    OPERATOR_NAMES,
     Atom,
     Binary,
     BoolLit,
@@ -151,7 +151,7 @@ class VerificationResult:
 
     `trace` is given as a ProofTrace, or by verify() as the walk it made;
     then the ProofTrace, valuation trees included, is built on first read
-    from the condition ASTs and the values the walk recorded.
+    by walking the condition ASTs again under the same bound values.
     """
 
     __slots__ = ("decision", "_trace", "trace_digest", "refusal_causes",
@@ -188,6 +188,39 @@ class _EvalFault(Exception):
     """Internal evaluation fault; collapses to a fail-closed refusal."""
 
 
+# Walk values -----------------------------------------------------------------
+#
+# Inside the walk a quantity is a reduced pair of ints (n, d) with d > 0 and
+# money is (n, d, ccy), n/d minor units: the arithmetic and the compares run
+# on ints. Flags and strings are themselves. Everything that leaves the
+# kernel (bindings, the materialised trace) is a Fraction or Money again.
+
+
+def _pair(value):
+    """The walk's form of a value: Fraction -> (n, d), Money -> (n, d, ccy)."""
+    t = type(value)
+    if t is Fraction:
+        return value.as_integer_ratio()
+    if t is Money:
+        minor = value.minor
+        return (minor.numerator, minor.denominator, value.ccy)
+    return value
+
+
+def _obj(value):
+    """Inverse of _pair."""
+    if type(value) is tuple:
+        if len(value) == 2:
+            return Fraction(*value)
+        return Money(Fraction(value[0], value[1]), value[2])
+    return value
+
+
+def _text(value) -> str:
+    """Canonical JSON text of a walk value."""
+    return pair_json(value) if type(value) is tuple else value_json(value)
+
+
 # Binding ---------------------------------------------------------------------
 
 
@@ -205,10 +238,6 @@ def _kind_matches(value: object, decl) -> bool:
     return False
 
 
-def _sym_leaf(symbol: str, value_text: str) -> str:
-    return _SYM_TEXT % (json_string(symbol), value_text)
-
-
 def _bind(request: ActionRequest, state: SystemState, env: PolicyEnvironment,
           plan):
     """Resolve every needed symbol from its declared origin only.
@@ -217,69 +246,103 @@ def _bind(request: ActionRequest, state: SystemState, env: PolicyEnvironment,
     plan's symbol lists come from the registry, so injected context simply
     does not exist as far as the kernel is concerned.
 
-    Each bound value is encoded once: `encoded` maps a symbol to its
-    canonical JSON value, `leaves` to its whole `sym` trace node.
+    Each bound value is converted and encoded once: `bound` maps a symbol
+    to its walk value and that value's canonical JSON text. `bindings`
+    holds the request and state values as given; the derived symbols'
+    Fraction or Money values are made from `bound` when they are read.
     """
     bindings: dict[str, object] = {}
     provenance: dict[str, str] = {}
-    encoded: dict[str, str] = {}
-    leaves: dict[str, str] = {}
+    bound: dict[str, tuple] = {}
     failures: list[tuple[str, str]] = []
     registry = env.registry
 
-    def bind(symbol: str, value: object, origin: str) -> None:
-        bindings[symbol] = value
-        provenance[symbol] = origin
-        text = encoded[symbol] = value_json(value)
-        leaves[symbol] = _sym_leaf(symbol, text)
+    for symbols, source, origin in (
+            (plan.request_symbols, request.params, "request"),
+            (plan.state_symbols, state.facts, "state")):
+        for symbol in symbols:
+            if source is None or symbol not in source:
+                failures.append((symbol, DETAIL_MISSING))
+                continue
+            value = source[symbol]
+            if not _kind_matches(value, registry.get(symbol)):
+                failures.append((symbol, DETAIL_KIND))
+                continue
+            bindings[symbol] = value
+            provenance[symbol] = origin
+            value = _pair(value)
+            bound[symbol] = (value, _text(value))
 
-    params = request.params
-    for symbol in plan.request_symbols:
-        if symbol not in params:
-            failures.append((symbol, DETAIL_MISSING))
-        elif not _kind_matches(params[symbol], registry.get(symbol)):
-            failures.append((symbol, DETAIL_KIND))
-        else:
-            bind(symbol, params[symbol], "request")
-
-    facts = state.facts
-    for symbol in plan.state_symbols:
-        if facts is None or symbol not in facts:
-            failures.append((symbol, DETAIL_MISSING))
-        elif not _kind_matches(facts[symbol], registry.get(symbol)):
-            failures.append((symbol, DETAIL_KIND))
-        else:
-            bind(symbol, facts[symbol], "state")
-
+    derived = []
     for symbol in plan.derived_symbols:  # dependency order
         try:
-            # only the value: the node values and texts are dropped
-            value = _walk(registry.get(symbol).derived, bindings, leaves,
-                          [])[0]
+            # only the value: the hole texts are dropped
+            value = _walk(registry.get(symbol).derived, bound, [])
         except KeyError:
             continue  # an input did not bind; its failure is already recorded
         except _EvalFault:
             failures.append((symbol, DETAIL_EVAL))
             continue
-        bind(symbol, value, "derived")
+        derived.append(symbol)
+        provenance[symbol] = "derived"
+        bound[symbol] = (value, _text(value))
 
-    return bindings, provenance, encoded, leaves, tuple(failures)
+    return bindings, derived, provenance, bound, tuple(failures)
 
 
 # Evaluation ------------------------------------------------------------------
 #
-# One walk per condition gives each node's exact value together with the
-# node's canonical JSON text, so the trace bytes are joined from the texts
-# and no valuation tree is built on the decision path. The walk appends
-# every node's value to `values` in post-order; `_tree` rebuilds the
-# ValNode tree from the AST and those values when a trace is read.
+# One walk per condition gives each node's exact value. The text of a
+# valuation tree is fixed by its condition except for the values of its
+# `sym` and operator nodes, so each axiom has a template with one %s hole
+# per such node, in post-order (_entry_template). The walk appends each hole's
+# value text to `holes`, and the tree text is the template filled with them.
 #
 # Node texts have their keys in canonical (sorted) order: kids, op, ref,
 # value. Boolean connectives do not short-circuit: the trace carries the
 # value of both sides, and totality is guaranteed by the compile-time rules.
 
 
+def _on_ints(op: str, n: int, d: int, m: int, e: int) -> tuple[int, int]:
+    """n/d op m/e with d, e > 0, reduced with a positive denominator."""
+    if op == "+":
+        n, d = n * e + m * d, d * e
+    elif op == "-":
+        n, d = n * e - m * d, d * e
+    elif op == "*":
+        n, d = n * m, d * e
+    elif m == 0:
+        raise _EvalFault("division by zero")
+    else:
+        n, d = (n * e, d * m) if m > 0 else (-n * e, -d * m)
+    g = gcd(n, d)
+    return (n // g, d // g)
+
+
 def _arith(op: str, left, right):
+    """`left op right` on walk values. Rationals, and money by the rules of
+    _arith_objects, run on ints; any other mix of operands is evaluated by
+    _arith_objects itself."""
+    if type(left) is tuple and type(right) is tuple:
+        if len(left) == 2:
+            if len(right) == 2:
+                return _on_ints(op, left[0], left[1], right[0], right[1])
+            if op == "*":
+                return _on_ints(op, left[0], left[1], right[0], right[1]) \
+                    + (right[2],)
+        elif len(right) == 3:
+            if op == "+" or op == "-":
+                return _on_ints(op, left[0], left[1], right[0], right[1]) \
+                    + (left[2],)
+        elif op == "*" or op == "/":
+            return _on_ints(op, left[0], left[1], right[0], right[1]) \
+                + (left[2],)
+    return _pair(_arith_objects(op, _obj(left), _obj(right)))
+
+
+def _arith_objects(op: str, left, right):
+    """`left op right` on Fraction and Money objects: the rules for every
+    mix of operands."""
     try:
         if type(left) is Money:
             if type(right) is Money:
@@ -304,124 +367,92 @@ def _arith(op: str, left, right):
 
 _ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul,
           "/": operator.truediv}
-_COMPARE_FNS = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
-                ">=": operator.ge, "==": operator.eq, "!=": operator.ne}
+_COMPARE = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
+            ">=": operator.ge, "==": operator.eq, "!=": operator.ne}
 
 
-# Node text formats, with op names from the syntax vocabulary. A leaf takes
-# its ref text (sym, atom) and its value text; an operator node takes each
-# kid's text, then its value text.
-_LIT_TEXT = '{"op":"%s","value":%%s}' % LEAF_NAMES[Lit]
-_BOOL_TEXT = '{"op":"%s","value":%%s}' % LEAF_NAMES[BoolLit]
-_STR_TEXT = '{"op":"%s","value":%%s}' % LEAF_NAMES[StrLit]
-_SYM_TEXT = '{"op":"%s","ref":%%s,"value":%%s}' % LEAF_NAMES[Sym]
-_ATOM_TEXT = '{"op":"%s","ref":%%s,"value":%%s}' % LEAF_NAMES[Atom]
-_UNARY_TEXT = {op: '{"kids":[%%s],"op":"%s","value":%%s}' % name
-               for op, name in OPERATOR_NAMES[Unary].items()}
+def _walk(expr: Expr, bound, holes):
+    """The walk value of one expression node; appends its hole texts."""
+    return _WALK[type(expr)](expr, bound, holes)
 
 
-def _pair_text(name: str) -> str:
-    """Format of a two-kid node: left text, right text, value text."""
-    return '{"kids":[%%s,%%s],"op":"%s","value":%%s}' % name
+def _walk_lit(expr: Lit, bound, holes):
+    return expr.value.as_integer_ratio()
 
 
-_BINARY_TEXT = {op: _pair_text(name)
-                for op, name in OPERATOR_NAMES[Binary].items()}
-_COMPARE = {op: (fn, _pair_text(OPERATOR_NAMES[Compare][op]))
-            for op, fn in _COMPARE_FNS.items()}
-_BOOLOP_TEXT = {op: _pair_text(name)
-                for op, name in OPERATOR_NAMES[BoolOp].items()}
+def _walk_sym(expr: Sym, bound, holes):
+    value, text = bound[expr.symbol]  # KeyError: the symbol did not bind
+    holes.append(text)
+    return value
 
 
-def _walk(expr: Expr, bindings, leaves, values) -> tuple[object, str]:
-    """(value, canonical JSON text) of one expression node."""
-    return _WALK[type(expr)](expr, bindings, leaves, values)
-
-
-def _walk_lit(expr: Lit, bindings, leaves, values):
-    value = expr.value
-    values.append(value)
-    return value, _LIT_TEXT % value_json(value)
-
-
-def _walk_sym(expr: Sym, bindings, leaves, values):
-    value = bindings[expr.symbol]  # KeyError: the symbol did not bind
-    values.append(value)
-    return value, leaves[expr.symbol]
-
-
-def _walk_compare(expr: Compare, bindings, leaves, values):
+def _walk_compare(expr: Compare, bound, holes):
     left, right = expr.left, expr.right
-    left_value, left_text = _WALK[type(left)](left, bindings, leaves, values)
-    right_value, right_text = _WALK[type(right)](right, bindings, leaves,
-                                                 values)
-    compare, text = _COMPARE[expr.op]
-    try:
-        if type(left_value) is Money and type(right_value) is Money:
-            value = compare(left_value.minor, right_value.minor)
-        else:
-            value = compare(left_value, right_value)
-    except TypeError as exc:
-        raise _EvalFault(str(exc)) from exc
-    values.append(value)
-    return value, text % (left_text, right_text,
-                          "true" if value else "false")
-
-
-def _walk_binary(expr: Binary, bindings, leaves, values):
-    left, right = expr.left, expr.right
-    left_value, left_text = _WALK[type(left)](left, bindings, leaves, values)
-    right_value, right_text = _WALK[type(right)](right, bindings, leaves,
-                                                 values)
-    value = _arith(expr.op, left_value, right_value)
-    values.append(value)
-    return value, _BINARY_TEXT[expr.op] % (left_text, right_text,
-                                           value_json(value))
-
-
-def _walk_boolop(expr: BoolOp, bindings, leaves, values):
-    left, right = expr.left, expr.right
-    left_value, left_text = _WALK[type(left)](left, bindings, leaves, values)
-    right_value, right_text = _WALK[type(right)](right, bindings, leaves,
-                                                 values)
-    value = (left_value and right_value) if expr.op == "and" \
-        else (left_value or right_value)
-    values.append(value)
-    return value, _BOOLOP_TEXT[expr.op] % (left_text, right_text,
-                                           value_json(value))
-
-
-def _walk_unary(expr: Unary, bindings, leaves, values):
-    kid = expr.operand
-    kid_value, kid_text = _WALK[type(kid)](kid, bindings, leaves, values)
-    if expr.op == "not":
-        value = not kid_value
-        value_text = "true" if value else "false"
+    left_value = _WALK[type(left)](left, bound, holes)
+    right_value = _WALK[type(right)](right, bound, holes)
+    compare = _COMPARE[expr.op]
+    if type(left_value) is tuple and type(right_value) is tuple \
+            and len(left_value) == len(right_value):
+        # rationals, or money by its minor units: d > 0 keeps the order
+        value = compare(left_value[0] * right_value[1],
+                        right_value[0] * left_value[1])
     else:
-        value = Money(-kid_value.minor, kid_value.ccy) \
-            if type(kid_value) is Money else -kid_value
-        value_text = value_json(value)
-    values.append(value)
-    return value, _UNARY_TEXT[expr.op] % (kid_text, value_text)
+        try:
+            value = compare(_obj(left_value), _obj(right_value))
+        except TypeError as exc:
+            raise _EvalFault(str(exc)) from exc
+    holes.append("true" if value else "false")
+    return value
 
 
-def _walk_boollit(expr: BoolLit, bindings, leaves, values):
-    values.append(expr.value)
-    return expr.value, _BOOL_TEXT % ("true" if expr.value else "false")
+def _walk_binary(expr: Binary, bound, holes):
+    left, right = expr.left, expr.right
+    value = _arith(expr.op, _WALK[type(left)](left, bound, holes),
+                   _WALK[type(right)](right, bound, holes))
+    holes.append(_text(value))
+    return value
 
 
-def _walk_strlit(expr: StrLit, bindings, leaves, values):
-    values.append(expr.value)
-    return expr.value, _STR_TEXT % json_string(expr.value)
+def _walk_boolop(expr: BoolOp, bound, holes):
+    left, right = expr.left, expr.right
+    left_value = _WALK[type(left)](left, bound, holes)
+    right_value = _WALK[type(right)](right, bound, holes)
+    if type(left_value) is bool and type(right_value) is bool:
+        value = (left_value and right_value) if expr.op == "and" \
+            else (left_value or right_value)
+        holes.append("true" if value else "false")
+        return value
+    # not typechecked: the truth of the operands as objects
+    left_value, right_value = _obj(left_value), _obj(right_value)
+    value = _pair((left_value and right_value) if expr.op == "and"
+                  else (left_value or right_value))
+    holes.append(_text(value))
+    return value
 
 
-def _walk_atom(expr: Atom, bindings, leaves, values):
-    text = json_string(expr.atom)
-    values.append(expr.atom)
-    return expr.atom, _ATOM_TEXT % (text, text)
+def _walk_unary(expr: Unary, bound, holes):
+    kid = expr.operand
+    kid_value = _WALK[type(kid)](kid, bound, holes)
+    if expr.op == "not":
+        value = not _obj(kid_value)
+        text = "true" if value else "false"
+    else:
+        value = (-kid_value[0],) + kid_value[1:] \
+            if type(kid_value) is tuple else -kid_value
+        text = _text(value)
+    holes.append(text)
+    return value
 
 
-def _walk_unresolved(expr: Expr, bindings, leaves, values):
+def _walk_literal(expr: BoolLit | StrLit, bound, holes):
+    return expr.value
+
+
+def _walk_atom(expr: Atom, bound, holes):
+    return expr.atom
+
+
+def _walk_unresolved(expr: Expr, bound, holes):
     raise _EvalFault(f"unevaluable node {expr!r}")
 
 
@@ -432,22 +463,62 @@ _WALK = {
     Binary: _walk_binary,
     BoolOp: _walk_boolop,
     Unary: _walk_unary,
-    BoolLit: _walk_boollit,
-    StrLit: _walk_strlit,
+    BoolLit: _walk_literal,
+    StrLit: _walk_literal,
     Atom: _walk_atom,
     Name: _walk_unresolved,
 }
 
 
-def _tree(expr: Expr, values: Iterator) -> ValNode:
-    """The valuation tree of `expr`, from its walk's post-order values."""
-    kids = tuple(_tree(kid, values) for kid in children(expr))
+def _literal(text: str) -> str:
+    """`text` as a literal part of a %-template."""
+    return text.replace("%", "%%")
+
+
+def _template(expr: Expr) -> str:
+    """The canonical text of `expr`'s valuation tree, with a %s hole for
+    the value text of each `sym` and operator node, in post-order. KeyError
+    for an unresolved name."""
+    kids = children(expr)
+    if kids:
+        return '{"kids":[%s],"op":"%s","value":%%s}' % (
+            ",".join([_template(kid) for kid in kids]), op_name(expr))
+    if type(expr) is Sym:
+        return '{"op":"%s","ref":%s,"value":%%s}' % (
+            op_name(expr), _literal(json_string(expr.symbol)))
+    if type(expr) is Atom:
+        text = _literal(json_string(expr.atom))
+        return '{"op":"%s","ref":%s,"value":%s}' % (op_name(expr), text, text)
+    return '{"op":"%s","value":%s}' % (op_name(expr),
+                                       _literal(value_json(expr.value)))
+
+
+def _head(axiom) -> str:
+    return '{"axiom":%s,"effect":%s,"missing":' % (
+        json_string(axiom.id), json_string(axiom.effect))
+
+
+def _entry_template(axiom) -> str:
+    """The text of the axiom's evaluated entry with the tree's holes, then
+    one for the entry's value. Empty for a condition with an unresolved
+    name, whose walk always faults."""
+    try:
+        tree = _template(axiom.condition)
+    except KeyError:
+        return ""
+    return '%s[],"tree":%s,"value":%%s}' % (_literal(_head(axiom)), tree)
+
+
+def _tree(expr: Expr, bound) -> ValNode:
+    """The valuation tree of `expr`: each node's value by the walk verify()
+    makes, as a Fraction or Money."""
+    kids = tuple(_tree(kid, bound) for kid in children(expr))
     ref = None
     if type(expr) is Sym:
         ref = expr.symbol
     elif type(expr) is Atom:
         ref = expr.atom
-    return ValNode(op_name(expr), next(values), kids, ref)
+    return ValNode(op_name(expr), _obj(_walk(expr, bound, [])), kids, ref)
 
 
 def eval_condition(
@@ -455,10 +526,9 @@ def eval_condition(
 ) -> tuple[bool, ValNode]:
     """Evaluate a typechecked condition under closed bindings: its truth
     value and its valuation tree, by the walk verify() makes."""
-    leaves = {s: _sym_leaf(s, value_json(v)) for s, v in bindings.items()}
-    values: list = []
-    value = _walk(condition, bindings, leaves, values)[0]
-    return bool(value), _tree(condition, iter(values))
+    bound = {s: (_pair(v), None) for s, v in bindings.items()}
+    value = _walk(condition, bound, [])
+    return bool(_obj(value)), _tree(condition, bound)
 
 
 # Decision --------------------------------------------------------------------
@@ -491,14 +561,14 @@ def decide(trace) -> tuple[str, tuple[RefusalCause, ...]]:
         elif entry.effect == "permit" and entry.value:
             permit_satisfied = True
 
-    fired = [c for c in causes if c.reason == REASON_FORBID]
-    if fired:
-        return REFUTED, tuple(causes)
-    if any_unevaluated:
+    if causes or any_unevaluated:  # a fired forbid, or an unevaluated axiom
         return REFUTED, tuple(causes)
     if permit_satisfied:
         return PROVEN, ()
-    return REFUTED, (RefusalCause(REASON_NO_PERMIT),)
+    return REFUTED, _NO_PERMIT
+
+
+_NO_PERMIT = (RefusalCause(REASON_NO_PERMIT),)
 
 
 # Verification ----------------------------------------------------------------
@@ -525,25 +595,33 @@ class _Walk:
     """What verify() recorded: enough to decide, and to build the ProofTrace
     (valuation trees included) only when someone reads it."""
 
-    __slots__ = ("env_version", "tool", "entries", "bindings", "provenance",
-                 "axioms", "values")
+    __slots__ = ("env_version", "tool", "entries", "_bindings", "derived",
+                 "provenance", "axioms", "bound")
 
-    def __init__(self, env_version, tool, entries, bindings, provenance,
-                 axioms, values) -> None:
+    def __init__(self, env_version, tool, entries, bindings, derived,
+                 provenance, axioms, bound) -> None:
         self.env_version = env_version
         self.tool = tool
         self.entries = entries
-        self.bindings = bindings
+        self._bindings = bindings  # the request and state values
+        self.derived = derived  # symbols not yet in _bindings
         self.provenance = provenance
         self.axioms = axioms  # the plan's axioms, one per entry
-        self.values = values  # post-order node values of evaluated entries
+        self.bound = bound  # the walk values the conditions were walked under
+
+    @property
+    def bindings(self) -> dict[str, object]:
+        if self.derived:  # a benign race: both readers add the same values
+            for symbol in self.derived:
+                self._bindings[symbol] = _obj(self.bound[symbol][0])
+            self.derived = ()
+        return self._bindings
 
     def materialise(self) -> ProofTrace:
-        values = iter(self.values)
         entries = tuple(
             TraceEntry(o.axiom_id, o.effect, o.value,
                        None if o.value is None
-                       else _tree(axiom.condition, values),
+                       else _tree(axiom.condition, self.bound),
                        o.missing)
             for axiom, o in zip(self.axioms, self.entries))
         return ProofTrace(self.env_version, self.tool, entries,
@@ -559,16 +637,17 @@ def verify(
     The trace bytes are written while the conditions are evaluated; they
     equal `result.trace.canonical()`."""
     plan = env.plan_for(request.tool)
-    bindings, provenance, encoded, leaves, failures = \
+    bindings, derived, provenance, bound, failures = \
         _bind(request, state, env, plan)
     failure_detail = dict(failures)
+    memo = env.trace_texts
 
     outcomes: list[_Outcome] = []
     texts: list[str] = []
-    values: list = []
     for axiom in plan.axioms:
-        head = '{"axiom":%s,"effect":%s,"missing":' % (
-            json_string(axiom.id), json_string(axiom.effect))
+        template = memo.get(id(axiom))
+        if template is None:
+            template = memo[id(axiom)] = _entry_template(axiom)
         # axiom_symbols covers base symbols and derived names, so this also
         # catches derived-evaluation faults recorded under the derived symbol.
         blocked = failures and plan.axiom_symbols[axiom.id] & \
@@ -576,40 +655,43 @@ def verify(
         if blocked:
             missing = tuple(sorted((s, failure_detail[s]) for s in blocked))
             outcomes.append(_Outcome(axiom.id, axiom.effect, None, missing))
-            texts.append('%s[%s],"tree":null,"value":null}' % (head, ",".join(
+            texts.append('%s[%s],"tree":null,"value":null}' % (
+                _head(axiom), ",".join(
                 "[%s,%s]" % (json_string(s), json_string(d))
                 for s, d in missing)))
             continue
-        mark = len(values)
         condition = axiom.condition
+        holes: list[str] = []
         try:
-            value, tree_text = _WALK[type(condition)](condition, bindings,
-                                                      leaves, values)
+            value = _WALK[type(condition)](condition, bound, holes)
         except _EvalFault:
-            del values[mark:]
             outcomes.append(_Outcome(axiom.id, axiom.effect, None,
                                      _EVAL_MISSING))
-            texts.append('%s%s,"tree":null,"value":null}' % (
-                head, _EVAL_MISSING_TEXT))
+            texts.append(_head(axiom) + _EVAL_MISSING_TEXT
+                         + ',"tree":null,"value":null}')
             continue
-        value = bool(value)
+        if type(value) is not bool:
+            value = bool(_obj(value))
         outcomes.append(_Outcome(axiom.id, axiom.effect, value, ()))
-        texts.append('%s[],"tree":%s,"value":%s}' % (
-            head, tree_text, "true" if value else "false"))
+        holes.append("true" if value else "false")
+        texts.append(template % tuple(holes))
 
     walk = _Walk(env.version_digest, request.tool, outcomes, bindings,
-                 provenance, plan.axioms, values)
+                 derived, provenance, plan.axioms, bound)
     decision, causes = decide(walk)
-    symbols = sorted(bindings)
-    names = [json_string(s) for s in symbols]
+    bindings_text = []
+    provenance_text = []
+    for symbol in sorted(provenance):  # the bound symbols
+        name = json_string(symbol)
+        bindings_text.append(name + ":" + bound[symbol][1])
+        provenance_text.append(name + ':"' + provenance[symbol] + '"')
     trace_bytes = (
         '{"bindings":{%s},"entries":[%s],"env":%s,"provenance":{%s},'
         '"tool":%s}' % (
-            ",".join([n + ":" + encoded[s] for n, s in zip(names, symbols)]),
+            ",".join(bindings_text),
             ",".join(texts),
             json_string(env.version_digest),
-            ",".join([n + ':"' + provenance[s] + '"'
-                      for n, s in zip(names, symbols)]),
+            ",".join(provenance_text),
             json_string(request.tool),
         )).encode("utf-8")
     return VerificationResult(decision, walk, sha256_hex(trace_bytes), causes,

@@ -1255,3 +1255,144 @@ def test_startup_on_a_torn_audit_log_fails_and_closes_the_listener(
     with pytest.raises(AuditStorageError, match="byte 0"):
         Gateway(config)
     assert [server.socket.fileno() for server in servers] == [-1]
+
+
+# Request framing ----------------------------------------------------------------
+
+
+def _exchange(gateway, data, wait=3.0):
+    """The bytes the gateway sends back for `data` on one connection, up
+    to its close; None when it keeps the connection open past `wait`."""
+    import socket
+
+    sock = socket.create_connection(gateway.address, timeout=wait)
+    try:
+        sock.sendall(data)
+        received = b""
+        while True:
+            try:
+                chunk = sock.recv(65536)
+            except ConnectionResetError:  # closed with bytes left unread
+                return received
+            except socket.timeout:
+                return None
+            if not chunk:
+                return received
+            received += chunk
+    finally:
+        sock.close()
+
+
+def _smuggled(path="/v1/execute", request_id="smuggled"):
+    """A complete request, sent as the body of a badly framed one."""
+    body = json.dumps(tool_call(request_id, 50)).encode()
+    return (b"POST %s HTTP/1.1\r\nHost: x\r\nContent-Type: application/json"
+            b"\r\nContent-Length: %d\r\n\r\n%s" % (path.encode(), len(body),
+                                                   body))
+
+
+# (framing header lines, status, error): each is refused, and the
+# connection closes before its body could be parsed as a request
+_BAD_FRAMING = [
+    (b"Content-Length: abc", 400, "bad-framing"),
+    (b"Content-Length: -1", 400, "bad-framing"),
+    (b"Content-Length: +5", 400, "bad-framing"),
+    (b"Content-Length: 1_0", 400, "bad-framing"),
+    (b"Content-Length: 0x5", 400, "bad-framing"),
+    (b"Content-Length: \xb2", 400, "bad-framing"),
+    (b"Content-Length: ", 400, "bad-framing"),
+    (b"Content-Length: 5\r\nContent-Length: 500", 400, "bad-framing"),
+    (b"Content-Length: 5, 6", 400, "bad-framing"),
+    (b"Transfer-Encoding: chunked", 501, "unsupported-transfer-encoding"),
+    (b"Transfer-Encoding: chunked\r\nContent-Length: 3", 501,
+     "unsupported-transfer-encoding"),
+    (b"Transfer-Encoding: gzip, chunked", 501,
+     "unsupported-transfer-encoding"),
+    (b"Transfer-Encoding: gzip", 400, "bad-framing"),
+]
+
+
+@pytest.mark.parametrize("path", ["/v1/execute", "/v1/verify"])
+def test_bad_framing_is_refused_once_and_the_body_is_never_a_request(
+        workspace, path):
+    """`Content-Length: abc` used to read as an empty body on a connection
+    left open, so a body that was itself a request got decided, audited
+    and forwarded. Each badly framed request now gets one reply and one
+    record, and its connection closes."""
+    from axgate.canonical import ZERO_DIGEST
+
+    with StubUpstream() as upstream:
+        config = make_config(workspace, upstream.url)
+        with Gateway(config) as gw:
+            for framing, status, error in _BAD_FRAMING:
+                reply = _exchange(gw, b"POST %s HTTP/1.1\r\nHost: x\r\n%s"
+                                  b"\r\n\r\n%s" % (path.encode(), framing,
+                                                   _smuggled(path)))
+                assert reply is not None, framing  # the connection closed
+                assert reply.startswith(b"HTTP/1.1 %d " % status), framing
+                assert reply.count(b"HTTP/1.1 ") == 1, framing
+                assert json.loads(reply.split(b"\r\n\r\n", 1)[1]) == \
+                    {"error": error}, framing
+            gw.pump.drain()
+            records = list(iter_records(config.audit_log_path))
+        assert upstream.bodies == []
+    assert [(r.request_id, r.decision, r.trace_digest, r.note)
+            for r in records] == [("", "Refuted", ZERO_DIGEST, error)
+                                  for _, _, error in _BAD_FRAMING]
+    assert verify_chain(config.audit_log_path).ok
+
+
+def test_repeated_equal_content_lengths_frame_the_body(workspace):
+    with StubUpstream() as upstream:
+        with Gateway(make_config(workspace, upstream.url)) as gw:
+            body = json.dumps(tool_call("twice", 50)).encode()
+            for framing in (b"Content-Length: %d\r\nContent-Length: %d",
+                            b"Content-Length: %d, %d"):
+                head = b"POST /v1/execute HTTP/1.1\r\nHost: x\r\n" + \
+                    framing % (len(body), len(body)) + b"\r\n\r\n"
+                reply = _exchange(gw, head + body + _smuggled(
+                    request_id="next") + b"GET /v1/healthz HTTP/1.1\r\n"
+                    b"Host: x\r\nConnection: close\r\n\r\n")
+                assert reply is not None
+                assert reply.count(b"HTTP/1.1 200 ") == 3
+            gw.pump.drain()
+        next_body = json.dumps(tool_call("next", 50)).encode()
+        assert upstream.bodies == [body, next_body] * 2
+
+
+def test_an_unread_body_closes_the_connection(workspace):
+    """A GET or an unknown POST path reads no body; whatever it declared
+    must not be parsed as the next request."""
+    with StubUpstream() as upstream:
+        config = make_config(workspace, upstream.url)
+        with Gateway(config) as gw:
+            inner = _smuggled()
+            for line in (b"GET /v1/healthz", b"POST /v1/nowhere"):
+                reply = _exchange(gw, line + b" HTTP/1.1\r\nHost: x\r\n"
+                                  b"Content-Length: %d\r\n\r\n%s"
+                                  % (len(inner), inner))
+                assert reply is not None and reply.count(b"HTTP/1.1 ") == 1
+            gw.pump.drain()
+            assert gw.pump.records_written == 0
+        assert upstream.bodies == []
+
+
+def test_reload_with_bad_framing_is_400_and_publishes_nothing(workspace):
+    (workspace / "other.pol").write_text(
+        POLICY + "\naxiom extra permit transfer when volume >= 0\n",
+        encoding="utf-8")
+    config = make_config(workspace, "http://127.0.0.1:9/none")
+    with Gateway(config) as gw:
+        original = gw.snapshot.env.version_digest
+        inner_body = json.dumps({"path": str(workspace / "other.pol")})
+        inner = (b"POST /v1/policy/reload HTTP/1.1\r\nHost: x\r\n"
+                 b"Content-Length: %d\r\n\r\n%s"
+                 % (len(inner_body), inner_body.encode()))
+        for framing, status, error in _BAD_FRAMING:
+            reply = _exchange(gw, b"POST /v1/policy/reload HTTP/1.1\r\n"
+                              b"Host: x\r\n%s\r\n\r\n%s" % (framing, inner))
+            assert reply is not None and reply.count(b"HTTP/1.1 ") == 1
+            assert reply.startswith(b"HTTP/1.1 %d " % status), framing
+            assert gw.snapshot.env.version_digest == original, framing
+        gw.pump.drain()
+        assert gw.pump.records_written == 0

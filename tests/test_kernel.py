@@ -562,3 +562,161 @@ def test_trace_bytes_equal_the_materialised_trace_on_random_instances():
                 verify(inst.request, inst.state, inst.env))
             checked += 1
     assert checked >= 10_000
+
+
+# Integer-pair arithmetic -------------------------------------------------------
+
+
+def _walk_value(expr, values):
+    """The kernel's walk of `expr` with each symbol bound to `values[s]`,
+    back as a Fraction or Money; the exception class when it faults."""
+    from axgate import kernel
+
+    bound = {s: (kernel._pair(v), None) for s, v in values.items()}
+    try:
+        return kernel._obj(kernel._walk(expr, bound, []))
+    except kernel._EvalFault:
+        return kernel._EvalFault
+
+
+def _fraction_reference(op, a, b):
+    """`a op b` by Fraction arithmetic and the money rules: money +/- money,
+    money * or / rational, rational * money; anything else faults."""
+    from axgate import kernel
+
+    fns = {"+": lambda x, y: x + y, "-": lambda x, y: x - y,
+           "*": lambda x, y: x * y, "/": lambda x, y: x / y}
+    money_a, money_b = isinstance(a, Money), isinstance(b, Money)
+    try:
+        if money_a and money_b and op in "+-":
+            return Money(fns[op](a.minor, b.minor), a.ccy)
+        if money_a and not money_b and op in "*/":
+            return Money(fns[op](a.minor, b), a.ccy)
+        if money_b and not money_a and op == "*":
+            return Money(a * b.minor, b.ccy)
+        if not money_a and not money_b:
+            return fns[op](a, b)
+    except ZeroDivisionError:
+        pass
+    return kernel._EvalFault
+
+
+def test_pair_arithmetic_and_compares_agree_with_fraction():
+    """`+ - * /` and the six compares on integer pairs give what Fraction
+    gives, over every sign, zero, large operands and the money mixes; a
+    zero divisor is an evaluation failure."""
+    from axgate.kernel import _EvalFault
+    from axgate.syntax import Binary
+
+    rng = random.Random(7)
+    big = 10**40 + 7
+    rationals = [Fraction(0), Fraction(1), Fraction(-1), Fraction(7, 3),
+                 Fraction(-7, 3), Fraction(big, 3), Fraction(-3, big),
+                 Fraction(big * 11, big - 2)]
+    rationals += [Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 999))
+                  for _ in range(25)]
+    monies = [Money(q, "USD") for q in rationals[:8]]
+    left, right = Sym("a"), Sym("b")
+    checked = faults = 0
+    for a in rationals + monies:
+        for b in rationals + monies:
+            values = {"a": a, "b": b}
+            for op in "+-*/":
+                got = _walk_value(Binary(op, left, right), values)
+                want = _fraction_reference(op, a, b)
+                assert got == want and type(got) is type(want), (op, a, b)
+                faults += want is _EvalFault
+                checked += 1
+            if isinstance(a, Money) is not isinstance(b, Money):
+                continue
+            x, y = (a.minor, b.minor) if isinstance(a, Money) else (a, b)
+            for op, want in (("<", x < y), ("<=", x <= y), (">", x > y),
+                             (">=", x >= y), ("==", x == y), ("!=", x != y)):
+                assert _walk_value(Compare(op, left, right), values) is want
+                checked += 1
+    assert checked > 5000 and faults > 0
+    zero = Lit(Fraction(0))
+    for a in (Fraction(5), Money(Fraction(5), "USD")):
+        assert _walk_value(Binary("/", left, zero), {"a": a}) is _EvalFault
+
+
+def test_operand_mixes_the_typechecker_rejects_evaluate_as_on_objects():
+    """A hand-made condition mixing kinds gets the value, or the
+    evaluation failure, that the Fraction and Money objects give."""
+    from axgate.kernel import _EvalFault
+    from axgate.syntax import Binary, BoolOp, Unary
+
+    usd = Money(Fraction(-5, 2), "USD")
+    q = Fraction(3, 4)
+    a, b = Sym("a"), Sym("b")
+    cases = [
+        (Compare("==", a, b), {"a": q, "b": usd}, False),
+        (Compare("!=", a, b), {"a": usd, "b": q}, True),
+        (Compare("<", a, b), {"a": q, "b": usd}, "fault"),
+        (Compare(">=", a, b), {"a": True, "b": Fraction(1)}, True),
+        (Compare("<", a, b), {"a": "x", "b": q}, "fault"),
+        (Binary("+", a, b), {"a": usd, "b": q}, "fault"),
+        (Binary("/", a, b), {"a": q, "b": usd}, "fault"),
+        (Binary("*", a, b), {"a": usd, "b": usd}, "fault"),
+        (Binary("+", a, b), {"a": True, "b": True}, 2),
+        (Binary("*", a, b), {"a": usd, "b": True}, usd),
+        (BoolOp("and", a, b), {"a": Fraction(0), "b": True}, Fraction(0)),
+        (BoolOp("or", a, b), {"a": Fraction(0), "b": usd}, usd),
+        (Unary("not", a), {"a": Fraction(0)}, True),
+        (Unary("not", a), {"a": usd}, False),
+        (Unary("-", a), {"a": usd}, Money(Fraction(5, 2), "USD")),
+        (Unary("-", a), {"a": True}, -1),
+    ]
+    for expr, values, want in cases:
+        got = _walk_value(expr, values)
+        if want == "fault":
+            assert got is _EvalFault, expr
+        else:
+            assert got == want and type(got) is type(want), expr
+
+
+def test_trace_texts_are_held_once_per_axiom_across_tools():
+    env = compile_source(
+        'concept rate : quantity from request "Rate"\n'
+        'concept note : text from request "Note"\n'
+        'axiom small permit * when rate < 10\n'
+        'axiom priced forbid * when rate * 3 > 20 and note != "50% off"\n'
+        'axiom only_one permit tool_0 when rate > 0\n'
+    ).environment
+    tools = [f"tool_{i}" for i in range(50)]
+    for tool in tools:
+        for params in ({"rate": Fraction(7), "note": "50% off"},
+                       {"rate": Fraction(-1, 3)}):
+            _assert_trace_bytes_identical(
+                verify(ActionRequest("m", tool, params), SystemState({}), env))
+    assert len(env.trace_texts) == len(env.axioms) == 3
+    assert len({id(a) for a in env.axioms}) == 3
+
+
+def test_bindings_and_recorded_values_leave_the_kernel_as_fractions():
+    env = shipped_env()
+    result = verify(trade_request(), trade_state(), env)
+    assert result.trace.provenance["trade_value"] == "derived"
+    assert result.bindings["trade_value"] == Money(Fraction(1_000_000_000),
+                                                   "USD")
+    typed = (Fraction, Money, bool, str)
+    assert all(type(v) in typed for v in result.bindings.values())
+
+    def nodes(node):
+        yield node
+        for kid in node.kids:
+            yield from nodes(kid)
+
+    seen = 0
+    for inst in iter_instances(67, 300, env_reuse=10):
+        result = verify(inst.request, inst.state, inst.env)
+        assert all(type(v) in typed for v in result.bindings.values())
+        for entry in result.trace.entries:
+            if entry.tree is not None:
+                for node in nodes(entry.tree):
+                    assert type(node.value) in typed, node
+                    seen += 1
+    assert seen > 1000
+    condition = Compare("<", Sym("x"), Lit(Fraction(1, 3)))
+    _, tree = eval_condition(condition, {"x": Fraction(1, 4)})
+    assert [type(n.value) for n in nodes(tree)] == [bool, Fraction, Fraction]

@@ -125,3 +125,20 @@ def test_canonical_bytes_refuses_a_typed_leaf(leaf):
     for doc in (leaf, {"k": leaf}, [1, [leaf]]):
         with pytest.raises(TypeError):
             canonical_bytes(doc)
+
+
+def test_render_value_money_on_integers_matches_the_fraction_path():
+    """Money renders from divmod on its minor units; the text is what
+    render_decimal gives for minor / 100."""
+    import random
+
+    rng = random.Random(3)
+    minors = [0, 1, -1, 5, -5, 10, -10, 99, -99, 100, -100, 101, 150, -150,
+              1000, 10**30 + 1, -(10**30) - 50]
+    minors += [rng.randint(-10**9, 10**9) for _ in range(2000)]
+    amounts = [Fraction(m) for m in minors]
+    amounts += [Fraction(m, d) for m in minors[:40] for d in (3, 8, 7, 200)]
+    for minor in amounts:
+        money = Money(minor, "USD")
+        want = f"{render_decimal(minor / 100, max_places=4)} USD"
+        assert render_value(money) == want, minor
