@@ -306,15 +306,26 @@ class EnvironmentFormatError(ValueError):
 
 
 def environment_from_plain(doc: dict) -> PolicyEnvironment:
+    """The environment a saved document holds; EnvironmentFormatError for
+    any document that does not decode. The conditions are not typechecked
+    again: one the typechecker would reject refuses when verified."""
+    if not isinstance(doc, dict):
+        raise EnvironmentFormatError("not an environment document")
     if doc.get("format") != ENV_FORMAT:
         raise EnvironmentFormatError(f"unsupported format: {doc.get('format')!r}")
     policy = doc.get("policy")
     if not isinstance(policy, dict):
         raise EnvironmentFormatError("missing policy body")
-    concepts = [concept_from_plain(c) for c in policy.get("concepts", [])]
-    registry = ConceptRegistry({c.symbol: c for c in concepts})
-    axioms = tuple(Axiom.from_plain(a) for a in policy.get("axioms", []))
-    env = PolicyEnvironment(registry, axioms, str(doc.get("source_digest", "")))
+    try:
+        concepts = [concept_from_plain(c) for c in policy.get("concepts", [])]
+        registry = ConceptRegistry({c.symbol: c for c in concepts})
+        axioms = tuple(Axiom.from_plain(a) for a in policy.get("axioms", []))
+        env = PolicyEnvironment(registry, axioms,
+                                str(doc.get("source_digest", "")))
+    except (AttributeError, LookupError, TypeError, ValueError,
+            ArithmeticError) as exc:
+        raise EnvironmentFormatError(
+            f"malformed policy body: {exc!r}") from exc
     stored = doc.get("version_digest")
     if stored != env.version_digest:
         raise EnvironmentFormatError(

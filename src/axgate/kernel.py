@@ -5,7 +5,10 @@ needed symbols bound from their declared origins), evaluated with exact
 rational arithmetic while recording the value of every sub-expression, and
 decided with permit-required / deny-overrides semantics: any satisfied
 forbid refutes, any inability to evaluate refutes, and absence of a
-satisfied permit refutes. There is no rounding and no fallback path.
+satisfied permit refutes. There is no rounding and no fallback path: the
+walk evaluates exactly the operand shapes the typechecker admits. Any
+other shape, which only a hand-built or loaded environment can hold, is an
+evaluation failure, so the axiom refuses.
 
 verify() is a pure function of (request.params, request.tool, state.facts,
 environment); request ids and timestamps never influence the decision or
@@ -320,9 +323,9 @@ def _on_ints(op: str, n: int, d: int, m: int, e: int) -> tuple[int, int]:
 
 
 def _arith(op: str, left, right):
-    """`left op right` on walk values. Rationals, and money by the rules of
-    _arith_objects, run on ints; any other mix of operands is evaluated by
-    _arith_objects itself."""
+    """`left op right` on walk values: rational op rational, money + or -
+    money in one currency, money * or / rational, and rational * money. The
+    typechecker admits no other operands, so any other mix faults."""
     if type(left) is tuple and type(right) is tuple:
         if len(left) == 2:
             if len(right) == 2:
@@ -331,42 +334,15 @@ def _arith(op: str, left, right):
                 return _on_ints(op, left[0], left[1], right[0], right[1]) \
                     + (right[2],)
         elif len(right) == 3:
-            if op == "+" or op == "-":
+            if (op == "+" or op == "-") and left[2] == right[2]:
                 return _on_ints(op, left[0], left[1], right[0], right[1]) \
                     + (left[2],)
         elif op == "*" or op == "/":
             return _on_ints(op, left[0], left[1], right[0], right[1]) \
                 + (left[2],)
-    return _pair(_arith_objects(op, _obj(left), _obj(right)))
+    raise _EvalFault(f"no {op} for these operands")
 
 
-def _arith_objects(op: str, left, right):
-    """`left op right` on Fraction and Money objects: the rules for every
-    mix of operands."""
-    try:
-        if type(left) is Money:
-            if type(right) is Money:
-                if op == "+":
-                    return Money(left.minor + right.minor, left.ccy)
-                if op == "-":
-                    return Money(left.minor - right.minor, left.ccy)
-                raise _EvalFault(f"money {op} money")
-            if op == "*":
-                return Money(left.minor * right, left.ccy)
-            if op == "/":
-                return Money(left.minor / right, left.ccy)
-            raise _EvalFault(f"money {op} rational")
-        if type(right) is Money:
-            if op == "*":
-                return Money(left * right.minor, right.ccy)
-            raise _EvalFault(f"rational {op} money")
-        return _ARITH[op](left, right)
-    except (TypeError, ZeroDivisionError) as exc:
-        raise _EvalFault(str(exc)) from exc
-
-
-_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul,
-          "/": operator.truediv}
 _COMPARE = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
             ">=": operator.ge, "==": operator.eq, "!=": operator.ne}
 
@@ -391,16 +367,17 @@ def _walk_compare(expr: Compare, bound, holes):
     left_value = _WALK[type(left)](left, bound, holes)
     right_value = _WALK[type(right)](right, bound, holes)
     compare = _COMPARE[expr.op]
-    if type(left_value) is tuple and type(right_value) is tuple \
-            and len(left_value) == len(right_value):
+    if type(left_value) is tuple:
+        # two rationals, or two amounts in one currency
+        if type(right_value) is not tuple or left_value[2:] != right_value[2:]:
+            raise _EvalFault(f"no {expr.op} for these operands")
         # rationals, or money by its minor units: d > 0 keeps the order
         value = compare(left_value[0] * right_value[1],
                         right_value[0] * left_value[1])
+    elif type(left_value) is type(right_value) and expr.op in ("==", "!="):
+        value = compare(left_value, right_value)  # flags, atoms, text
     else:
-        try:
-            value = compare(_obj(left_value), _obj(right_value))
-        except TypeError as exc:
-            raise _EvalFault(str(exc)) from exc
+        raise _EvalFault(f"no {expr.op} for these operands")
     holes.append("true" if value else "false")
     return value
 
@@ -417,16 +394,11 @@ def _walk_boolop(expr: BoolOp, bound, holes):
     left, right = expr.left, expr.right
     left_value = _WALK[type(left)](left, bound, holes)
     right_value = _WALK[type(right)](right, bound, holes)
-    if type(left_value) is bool and type(right_value) is bool:
-        value = (left_value and right_value) if expr.op == "and" \
-            else (left_value or right_value)
-        holes.append("true" if value else "false")
-        return value
-    # not typechecked: the truth of the operands as objects
-    left_value, right_value = _obj(left_value), _obj(right_value)
-    value = _pair((left_value and right_value) if expr.op == "and"
-                  else (left_value or right_value))
-    holes.append(_text(value))
+    if type(left_value) is not bool or type(right_value) is not bool:
+        raise _EvalFault(f"{expr.op} needs flags")
+    value = (left_value and right_value) if expr.op == "and" \
+        else (left_value or right_value)
+    holes.append("true" if value else "false")
     return value
 
 
@@ -434,13 +406,15 @@ def _walk_unary(expr: Unary, bound, holes):
     kid = expr.operand
     kid_value = _WALK[type(kid)](kid, bound, holes)
     if expr.op == "not":
-        value = not _obj(kid_value)
-        text = "true" if value else "false"
-    else:
-        value = (-kid_value[0],) + kid_value[1:] \
-            if type(kid_value) is tuple else -kid_value
-        text = _text(value)
-    holes.append(text)
+        if type(kid_value) is not bool:
+            raise _EvalFault("not needs a flag")
+        value = not kid_value
+        holes.append("true" if value else "false")
+        return value
+    if type(kid_value) is not tuple:
+        raise _EvalFault("- needs a number")
+    value = (-kid_value[0],) + kid_value[1:]
+    holes.append(_text(value))
     return value
 
 
@@ -528,7 +502,9 @@ def eval_condition(
     value and its valuation tree, by the walk verify() makes."""
     bound = {s: (_pair(v), None) for s, v in bindings.items()}
     value = _walk(condition, bound, [])
-    return bool(_obj(value)), _tree(condition, bound)
+    if type(value) is not bool:
+        raise _EvalFault("the condition is not a flag")
+    return value, _tree(condition, bound)
 
 
 # Decision --------------------------------------------------------------------
@@ -664,14 +640,14 @@ def verify(
         holes: list[str] = []
         try:
             value = _WALK[type(condition)](condition, bound, holes)
-        except _EvalFault:
+            if type(value) is not bool:
+                raise _EvalFault("the condition is not a flag")
+        except (_EvalFault, KeyError):  # KeyError: a symbol with no binding
             outcomes.append(_Outcome(axiom.id, axiom.effect, None,
                                      _EVAL_MISSING))
             texts.append(_head(axiom) + _EVAL_MISSING_TEXT
                          + ',"tree":null,"value":null}')
             continue
-        if type(value) is not bool:
-            value = bool(_obj(value))
         outcomes.append(_Outcome(axiom.id, axiom.effect, value, ()))
         holes.append("true" if value else "false")
         texts.append(template % tuple(holes))

@@ -137,13 +137,6 @@ class _Checker:
             raise _TypeError(error(
                 E_UNREGISTERED_SYMBOL, expr.span,
                 f"'{expr.ident}' is not a registered concept"))
-        if isinstance(expr, Sym):  # already resolved (re-check path)
-            decl = self.registry.get(expr.symbol)
-            if decl is None:
-                raise _TypeError(error(
-                    E_UNREGISTERED_SYMBOL, expr.span,
-                    f"'{expr.symbol}' is not a registered concept"))
-            return _concept_type(decl), expr, None
         if isinstance(expr, Unary):
             return self._infer_unary(expr, ctx)
         if isinstance(expr, Binary):
@@ -301,9 +294,8 @@ class _Checker:
             f"cannot compare {lt.describe()} with {rt.describe()}"))
 
     def _enum_side(self, expr: Expr) -> Ty | None:
-        if isinstance(expr, (Name, Sym)):
-            name = expr.ident if isinstance(expr, Name) else expr.symbol
-            decl = self.registry.get(name)
+        if isinstance(expr, Name):
+            decl = self.registry.get(expr.ident)
             if decl is not None and decl.kind == "enum":
                 return _concept_type(decl)
         return None

@@ -277,6 +277,37 @@ def test_load_rejects_tampered_environment(tmp_path):
         environment_from_plain({"format": "other"})
 
 
+def test_malformed_environment_documents_are_format_errors(tmp_path, capsys):
+    from axgate.audit import AuditWriter
+    from axgate.cli import main
+
+    log = tmp_path / "audit.log"
+    with AuditWriter(str(log), fsync=False) as writer:
+        writer.append(ts_ns=1, request_id="r", tool="t", env_version="e" * 64,
+                      decision="Refuted", trace_digest="t" * 64,
+                      refusal_causes=(("no-permit-satisfied", None, None),),
+                      enforced=True)
+    with open("src/axgate/policies/sec15c3_5.pol", encoding="utf-8") as fh:
+        plain = compile_source(fh.read()).environment.to_plain()
+    no_effect = json.loads(json.dumps(plain))
+    del no_effect["policy"]["axioms"][0]["effect"]
+    bad_node = json.loads(json.dumps(plain))
+    bad_node["policy"]["axioms"][0]["when"] = ["gt", ["nope", 1], ["lit", "1"]]
+    short_node = json.loads(json.dumps(plain))
+    short_node["policy"]["concepts"][0]["derived"] = ["lit"]
+    for doc in ([], "env", no_effect, bad_node, short_node):
+        with pytest.raises(EnvironmentFormatError):
+            environment_from_plain(doc)
+        path = tmp_path / "env.bin"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(EnvironmentFormatError):
+            load_environment(str(path))
+        # `audit explain` reports the error instead of a traceback
+        assert main(["audit", "explain", str(log), "--request-id", "r",
+                     "--env", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_typecheck_result_has_resolved_names():
     parsed = parse(
         'concept flagged : flag from state "Flagged"\n'

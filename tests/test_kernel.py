@@ -640,9 +640,9 @@ def test_pair_arithmetic_and_compares_agree_with_fraction():
         assert _walk_value(Binary("/", left, zero), {"a": a}) is _EvalFault
 
 
-def test_operand_mixes_the_typechecker_rejects_evaluate_as_on_objects():
-    """A hand-made condition mixing kinds gets the value, or the
-    evaluation failure, that the Fraction and Money objects give."""
+def test_operand_mixes_the_typechecker_rejects_fail_closed():
+    """A hand-made condition mixing kinds the typechecker never admits is
+    an evaluation failure; only the typed shapes evaluate."""
     from axgate.kernel import _EvalFault
     from axgate.syntax import Binary, BoolOp, Unary
 
@@ -650,22 +650,22 @@ def test_operand_mixes_the_typechecker_rejects_evaluate_as_on_objects():
     q = Fraction(3, 4)
     a, b = Sym("a"), Sym("b")
     cases = [
-        (Compare("==", a, b), {"a": q, "b": usd}, False),
-        (Compare("!=", a, b), {"a": usd, "b": q}, True),
+        (Compare("==", a, b), {"a": q, "b": usd}, "fault"),
+        (Compare("!=", a, b), {"a": usd, "b": q}, "fault"),
         (Compare("<", a, b), {"a": q, "b": usd}, "fault"),
-        (Compare(">=", a, b), {"a": True, "b": Fraction(1)}, True),
+        (Compare(">=", a, b), {"a": True, "b": Fraction(1)}, "fault"),
         (Compare("<", a, b), {"a": "x", "b": q}, "fault"),
         (Binary("+", a, b), {"a": usd, "b": q}, "fault"),
         (Binary("/", a, b), {"a": q, "b": usd}, "fault"),
         (Binary("*", a, b), {"a": usd, "b": usd}, "fault"),
-        (Binary("+", a, b), {"a": True, "b": True}, 2),
-        (Binary("*", a, b), {"a": usd, "b": True}, usd),
-        (BoolOp("and", a, b), {"a": Fraction(0), "b": True}, Fraction(0)),
-        (BoolOp("or", a, b), {"a": Fraction(0), "b": usd}, usd),
-        (Unary("not", a), {"a": Fraction(0)}, True),
-        (Unary("not", a), {"a": usd}, False),
+        (Binary("+", a, b), {"a": True, "b": True}, "fault"),
+        (Binary("*", a, b), {"a": usd, "b": True}, "fault"),
+        (BoolOp("and", a, b), {"a": Fraction(0), "b": True}, "fault"),
+        (BoolOp("or", a, b), {"a": Fraction(0), "b": usd}, "fault"),
+        (Unary("not", a), {"a": Fraction(0)}, "fault"),
+        (Unary("not", a), {"a": usd}, "fault"),
         (Unary("-", a), {"a": usd}, Money(Fraction(5, 2), "USD")),
-        (Unary("-", a), {"a": True}, -1),
+        (Unary("-", a), {"a": True}, "fault"),
     ]
     for expr, values, want in cases:
         got = _walk_value(expr, values)
@@ -673,6 +673,184 @@ def test_operand_mixes_the_typechecker_rejects_evaluate_as_on_objects():
             assert got is _EvalFault, expr
         else:
             assert got == want and type(got) is type(want), expr
+
+
+_FUZZ_VALUES = {
+    "f": True, "g": False, "s": "a", "u": "b",
+    "x": Fraction(-3, 4), "y": Fraction(0),
+    "m": Money(Fraction(250), "USD"), "n": Money(Fraction(0), "USD"),
+    "e": Money(Fraction(-7), "EUR"),
+}
+
+
+def _hand_built_env(conditions):
+    """An environment over flag, text, rational and money request concepts
+    whose axioms (`a0`, `a1`, ... permits on tool `t`) are the given
+    conditions, assembled by hand: none of them was typechecked."""
+    from axgate.compiler import Axiom, PolicyEnvironment
+
+    env = compile_source(
+        'concept f : flag from request "F"\n'
+        'concept g : flag from request "G"\n'
+        'concept s : text from request "S"\n'
+        'concept u : text from request "U"\n'
+        'concept x : quantity from request "X"\n'
+        'concept y : quantity from request "Y"\n'
+        'concept m : money "USD" from request "M"\n'
+        'concept n : money "USD" from request "N"\n'
+        'concept e : money "EUR" from request "E"\n'
+        "axiom base permit t when f\n"
+    ).environment
+    axioms = tuple(Axiom(f"a{i}", "permit", "t", condition)
+                   for i, condition in enumerate(conditions))
+    return PolicyEnvironment(env.registry, axioms, "by-hand")
+
+
+def test_ill_typed_and_unbound_conditions_refuse_and_verify_never_raises():
+    """`ok + ok >= 2`, a rational root, an unregistered symbol and a sum
+    of two currencies each give one evaluation-failure entry, whose bytes
+    equal the trace."""
+    from axgate.syntax import Binary
+
+    two = Lit(Fraction(2))
+    usd_plus_eur = Binary("+", Sym("m"), Sym("e"))
+    for condition in (Compare(">=", Binary("+", Sym("f"), Sym("f")), two),
+                      Binary("+", Sym("x"), two),
+                      Compare("<", Sym("ghost"), Lit(Fraction(1))),
+                      Compare(">", usd_plus_eur, Sym("m"))):
+        env = _hand_built_env([condition])
+        params = {"f": True, "x": Fraction(1), "m": _FUZZ_VALUES["m"],
+                  "e": _FUZZ_VALUES["e"]}
+        result = verify(ActionRequest("h", "t", params), SystemState({}), env)
+        assert result.decision == "Refuted", condition
+        assert [c.to_plain() for c in result.refusal_causes] == [
+            {"reason": "evaluation-failure", "axiom": "a0", "symbol": None}]
+        (entry,) = result.trace.entries
+        assert entry.value is None and entry.tree is None
+        assert entry.missing == (("", "evaluation-failure"),)
+        _assert_trace_bytes_identical(result)
+
+
+_FUZZ_KINDS = ("flag", "text", "rational", "USD", "EUR")
+_ORDERS = ["<", "<=", ">", ">=", "==", "!="]
+# kind -> (node, operators, operand kinds) that the typechecker admits
+_FUZZ_SHAPES = {
+    "flag": [("compare", _ORDERS, ("rational", "rational")),
+             ("compare", _ORDERS, ("USD", "USD")),
+             ("compare", _ORDERS, ("EUR", "EUR")),
+             ("compare", ["==", "!="], ("flag", "flag")),
+             ("compare", ["==", "!="], ("text", "text")),
+             ("boolop", ["and", "or"], ("flag", "flag")),
+             ("unary", ["not"], ("flag",))],
+    "rational": [("binary", list("+-*/"), ("rational", "rational")),
+                 ("unary", ["-"], ("rational",))],
+}
+_FUZZ_SHAPES.update({ccy: [("binary", list("+-"), (ccy, ccy)),
+                            ("binary", list("*/"), (ccy, "rational")),
+                            ("binary", ["*"], ("rational", ccy)),
+                            ("unary", ["-"], (ccy,))]
+                     for ccy in ("USD", "EUR")})
+
+
+def _fuzz_kind(value):
+    if isinstance(value, Money):
+        return value.ccy
+    return {bool: "flag", str: "text", Fraction: "rational"}[type(value)]
+
+
+def _fuzz_leaf(rng, kind):
+    from axgate.syntax import BoolLit, StrLit
+
+    symbols = [s for s, v in _FUZZ_VALUES.items()
+               if _fuzz_kind(v) == kind]
+    if kind in ("USD", "EUR") or rng.random() < 0.5:
+        symbol = rng.choice(symbols)
+        return Sym(symbol), kind, _FUZZ_VALUES[symbol]
+    if kind == "rational":
+        value = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        return Lit(value), kind, value
+    if kind == "flag":
+        value = rng.random() < 0.5
+        return BoolLit(value), kind, value
+    value = rng.choice("ab")
+    return StrLit(value), kind, value
+
+
+def _fuzz_condition(rng, depth, want="flag"):
+    """A random expression meant to be of kind `want`; one operator node in
+    five takes operands of random kinds instead. Returns the expression, its
+    kind by the typechecker's operand rules (None: ill-typed) and its value
+    by Fraction and Money arithmetic ("zero": some divisor was zero)."""
+    from axgate.syntax import Binary, BoolOp, Unary
+
+    if want == "text" or depth == 0 or rng.random() < 0.2:
+        return _fuzz_leaf(rng, want)
+    node, ops, operand_kinds = rng.choice(_FUZZ_SHAPES[want])
+    if rng.random() < 0.2:
+        ops = {"compare": _ORDERS,
+               "boolop": ["and", "or"], "binary": list("+-*/"),
+               "unary": ["not", "-"]}[node]
+        operand_kinds = [rng.choice(_FUZZ_KINDS) for _ in operand_kinds]
+    op = rng.choice(ops)
+    operands = [_fuzz_condition(rng, depth - 1, k) for k in operand_kinds]
+    kids = [expr for expr, _, _ in operands]
+    expr = {"compare": Compare, "boolop": BoolOp, "binary": Binary,
+            "unary": Unary}[node](op, *kids)
+
+    kinds = tuple(kind for _, kind, _ in operands)
+    kind = next((k for k, shapes in _FUZZ_SHAPES.items()
+                 for n, o, ks in shapes
+                 if n == node and op in o and ks == kinds), None)
+    values = [value for _, _, value in operands]
+    if kind is None or "zero" in values:
+        return expr, kind, "zero" if kind is not None else None
+    numbers = [v.minor if isinstance(v, Money) else v for v in values]
+    if node == "unary":
+        value = not numbers[0] if op == "not" else -numbers[0]
+    elif node == "boolop":
+        value = (values[0] and values[1]) if op == "and" \
+            else (values[0] or values[1])
+    elif node == "compare":
+        x, y = numbers
+        value = {"<": x < y, "<=": x <= y, ">": x > y, ">=": x >= y,
+                 "==": x == y, "!=": x != y}[op]
+    elif op == "/" and numbers[1] == 0:
+        return expr, kind, "zero"
+    else:
+        x, y = numbers
+        value = {"+": x + y, "-": x - y, "*": x * y}[op] if op != "/" \
+            else x / y
+    return expr, kind, Money(value, kind) if kind in ("USD", "EUR") \
+        else value
+
+
+def test_hand_built_conditions_evaluate_exactly_when_well_typed():
+    """Seeded fuzz over conditions mixing flag, text, rational and money
+    leaves under every operator: verify() never raises, its bytes equal the
+    materialised trace, every ill-typed condition is an evaluation failure,
+    and every well-typed one is evaluated to its value unless a divisor is
+    zero."""
+    rng = random.Random(12)
+    counts = {"ill-typed": 0, "zero": 0, "evaluated": 0}
+    for _ in range(150):
+        made = [_fuzz_condition(rng, 5) for _ in range(12)]
+        env = _hand_built_env([expr for expr, _, _ in made])
+        result = verify(ActionRequest("z", "t", dict(_FUZZ_VALUES)),
+                        SystemState({}), env)
+        _assert_trace_bytes_identical(result)
+        for (expr, kind, value), entry in zip(made, result.trace.entries):
+            if kind != "flag":
+                assert entry.value is None, expr
+                counts["ill-typed"] += 1
+            elif value == "zero":
+                assert entry.value is None, expr
+                counts["zero"] += 1
+            else:
+                assert entry.value is value, expr
+                counts["evaluated"] += 1
+            if entry.value is None:
+                assert entry.missing == (("", "evaluation-failure"),)
+    assert min(counts.values()) > 10, counts
 
 
 def test_trace_texts_are_held_once_per_axiom_across_tools():
