@@ -16,13 +16,8 @@ from fractions import Fraction
 
 from .canonical import canonical_bytes, digest_of, plain_value, sha256_hex
 from .diagnostics import Diagnostic
-from .parser import parse
-from .registry import (
-    ConceptDecl,
-    ConceptRegistry,
-    build_registry,
-    derivation_order,
-)
+from .parser import MAX_EXPR_DEPTH, parse
+from .registry import ConceptDecl, ConceptRegistry, build_registry, order_derivations
 from .syntax import (
     LEAF_NAMES,
     OPERATOR_NAMES,
@@ -61,13 +56,18 @@ def expr_to_plain(expr: Expr) -> list:
     raise TypeError(f"cannot serialize unresolved expression: {expr!r}")
 
 
-def expr_from_plain(plain: object) -> Expr:
+def expr_from_plain(plain: object, depth: int = 0) -> Expr:
+    """Decode an expression; ValueError for a malformed one or one nested
+    deeper than a parsed expression can be."""
     if not isinstance(plain, list) or not plain:
         raise ValueError(f"malformed expression encoding: {plain!r}")
+    if depth > MAX_EXPR_DEPTH:
+        raise ValueError("expression nesting too deep")
     op = plain[0]
     if op in _OPERATOR_NODES:
         node_type, symbol = _OPERATOR_NODES[op]
-        return node_type(symbol, *[expr_from_plain(kid) for kid in plain[1:]])
+        return node_type(symbol, *[expr_from_plain(kid, depth + 1)
+                                   for kid in plain[1:]])
     node_type = _LEAF_NODES.get(op)
     if node_type is None:
         raise ValueError(f"unknown expression op: {op!r}")
@@ -175,7 +175,7 @@ class PolicyEnvironment:
         self.axioms = tuple(axioms)
         self.source_digest = source_digest
         self.version_digest = digest_of(policy_to_plain(registry, self.axioms))
-        self.derivation_order = derivation_order(registry)
+        self.derivation_order = order_derivations(registry)[0]
         self._plans: dict[str, BindingPlan] = {}
         self.trace_texts: dict[int, str] = {}
 

@@ -241,6 +241,17 @@ def _kind_matches(value: object, decl) -> bool:
     return False
 
 
+def _walk_kind_matches(value: object, decl) -> bool:
+    """Whether a derived walk value has its declared kind. The typechecker
+    guarantees it for a compiled definition, not for a hand-built one."""
+    kind = decl.kind
+    if kind == "quantity":
+        return type(value) is tuple and len(value) == 2
+    if kind == "money":
+        return type(value) is tuple and len(value) == 3 and value[2] == decl.ccy
+    return kind == "flag" and type(value) is bool
+
+
 def _bind(request: ActionRequest, state: SystemState, env: PolicyEnvironment,
           plan):
     """Resolve every needed symbol from its declared origin only.
@@ -278,13 +289,17 @@ def _bind(request: ActionRequest, state: SystemState, env: PolicyEnvironment,
 
     derived = []
     for symbol in plan.derived_symbols:  # dependency order
+        decl = registry.get(symbol)
         try:
             # only the value: the hole texts are dropped
-            value = _walk(registry.get(symbol).derived, bound, [])
+            value = _walk(decl.derived, bound, [])
         except KeyError:
             continue  # an input did not bind; its failure is already recorded
         except _EvalFault:
             failures.append((symbol, DETAIL_EVAL))
+            continue
+        if not _walk_kind_matches(value, decl):
+            failures.append((symbol, DETAIL_KIND))
             continue
         derived.append(symbol)
         provenance[symbol] = "derived"

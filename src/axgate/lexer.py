@@ -1,11 +1,27 @@
 """Tokenizer for the policy DSL.
 
-Total over arbitrary input: every byte sequence yields a token stream or
-located diagnostics, never an exception. `#` starts a line comment.
+One regular expression names every lexeme; a short loop turns its matches
+into tokens with 1-based spans. Total over arbitrary input: every string
+yields a token stream or located diagnostics, never an exception.
+
+- `#` starts a line comment; space, tab and carriage return separate tokens.
+- NUMBER is ASCII digits with an optional fraction (`12`, `0.5`); `1.` and
+  `.5` are not numbers.
+- An identifier starts with a character that passes `isalpha()` or `_`,
+  and goes on with characters that pass `isalnum()` or `_`. Keywords are
+  identifiers reserved below.
+- A string is double-quoted and holds no raw newline: one left open is an
+  `unterminated string literal` up to the end of its line. `\\n` and `\\t`
+  are newline and tab; a backslash before any other character stands for
+  that character. A backslash-newline is a newline in the string, but the
+  spans after it keep counting columns on the string's line.
+- Anything else, a digit outside `0-9` included, is an
+  `unexpected character` diagnostic.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .diagnostics import Diagnostic, E_SYNTAX, Span, error
@@ -27,6 +43,28 @@ PUNCT = {
     "==": "EQEQ", "!=": "NEQ",
 }
 
+# Each match takes the blanks before one lexeme. \w is exactly
+# `isalnum() or "_"`; tokenize() checks a word's first character.
+_LEXEME = re.compile(r"""
+    [ \t\r]*
+    (?: (?P<newline> \n )
+      | (?P<comment> \#[^\n]* )
+      | (?P<NUMBER> [0-9]+ (?: \.[0-9]+ )? )
+      | (?P<word> \w+ )
+      | (?P<STRING> " (?: [^"\\\n] | \\. )* " )
+      | (?P<unterminated> " (?: [^"\\\n] | \\.? )* )
+      | (?P<punct> [<>=!]= | [(){},:=*+\-/<>] )
+      | (?P<other> . )
+      | (?P<end> \Z ) )
+""", re.VERBOSE | re.DOTALL)
+
+_ESCAPE = re.compile(r"\\(.)", re.DOTALL)
+
+
+def _unescape(match: re.Match) -> str:
+    ch = match[1]
+    return "\n" if ch == "n" else "\t" if ch == "t" else ch
+
 
 @dataclass(frozen=True, slots=True)
 class Token:
@@ -35,125 +73,40 @@ class Token:
     span: Span
 
 
-def _is_ident_start(ch: str) -> bool:
-    return ch.isalpha() or ch == "_"
-
-
-def _is_ident_char(ch: str) -> bool:
-    return ch.isalnum() or ch == "_"
-
-
 def tokenize(source: str) -> tuple[list[Token], list[Diagnostic]]:
     tokens: list[Token] = []
     diagnostics: list[Diagnostic] = []
-    line = 1
-    col = 1
-    i = 0
-    n = len(source)
-
-    def span_from(start_line: int, start_col: int) -> Span:
-        return Span(start_line, start_col, line, col)
-
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
+    line, line_start, pos = 1, 0, 0
+    match = _LEXEME.match
+    while pos < len(source):
+        m = match(source, pos)
+        kind, pos = m.lastgroup, m.end()
+        if kind == "newline":
+            line, line_start = line + 1, pos
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
+        if kind == "comment" or kind == "end":
             continue
-        if ch == "#":
-            while i < n and source[i] != "\n":
-                i += 1
-                col += 1
-            continue
-
-        start_line, start_col = line, col
-
-        if _is_ident_start(ch):
-            j = i
-            while j < n and _is_ident_char(source[j]):
-                j += 1
-            word = source[i:j]
-            col += j - i
-            i = j
-            kind = word if word in KEYWORDS else "IDENT"
-            tokens.append(Token(kind, word, span_from(start_line, start_col)))
-            continue
-
-        if ch.isdigit():
-            j = i
-            while j < n and source[j].isdigit():
-                j += 1
-            if j < n and source[j] == "." and j + 1 < n and source[j + 1].isdigit():
-                j += 1
-                while j < n and source[j].isdigit():
-                    j += 1
-            word = source[i:j]
-            col += j - i
-            i = j
-            tokens.append(Token("NUMBER", word, span_from(start_line, start_col)))
-            continue
-
-        if ch == '"':
-            j = i + 1
-            buf: list[str] = []
-            closed = False
-            while j < n:
-                c = source[j]
-                if c == '"':
-                    closed = True
-                    j += 1
-                    break
-                if c == "\n":
-                    break
-                if c == "\\" and j + 1 < n:
-                    esc = source[j + 1]
-                    if esc == "n":
-                        buf.append("\n")
-                    elif esc == "t":
-                        buf.append("\t")
-                    elif esc in ('"', "\\"):
-                        buf.append(esc)
-                    else:
-                        buf.append(esc)
-                    j += 2
-                    continue
-                buf.append(c)
-                j += 1
-            col += j - i
-            if not closed:
-                diagnostics.append(
-                    error(E_SYNTAX, span_from(start_line, start_col),
-                          "unterminated string literal")
-                )
-                i = j
-                continue
-            i = j
-            tokens.append(Token("STRING", "".join(buf), span_from(start_line, start_col)))
-            continue
-
-        two = source[i : i + 2]
-        if two in ("<=", ">=", "==", "!="):
-            col += 2
-            i += 2
-            tokens.append(Token(PUNCT[two], two, span_from(start_line, start_col)))
-            continue
-        if ch in PUNCT:
-            col += 1
-            i += 1
-            tokens.append(Token(PUNCT[ch], ch, span_from(start_line, start_col)))
-            continue
-
-        col += 1
-        i += 1
-        diagnostics.append(
-            error(E_SYNTAX, span_from(start_line, start_col),
-                  f"unexpected character {ch!r}")
-        )
-
+        text = m[kind]
+        start = pos - len(text)
+        if kind == "word" and not (text[0].isalpha() or text[0] == "_"):
+            kind, text, pos = "other", text[0], start + 1
+        col = start - line_start + 1
+        span = Span(line, col, line, col + pos - start)
+        if kind == "word":
+            tokens.append(Token(text if text in KEYWORDS else "IDENT", text, span))
+        elif kind == "punct":
+            tokens.append(Token(PUNCT[text], text, span))
+        elif kind == "NUMBER":
+            tokens.append(Token(kind, text, span))
+        elif kind == "STRING":
+            body = text[1:-1]
+            if "\\" in body:
+                body = _ESCAPE.sub(_unescape, body)
+            tokens.append(Token(kind, body, span))
+        elif kind == "unterminated":
+            diagnostics.append(error(E_SYNTAX, span, "unterminated string literal"))
+        else:
+            diagnostics.append(error(E_SYNTAX, span, f"unexpected character {text!r}"))
+    col = pos - line_start + 1
     tokens.append(Token("EOF", "", Span(line, col, line, col)))
     return tokens, diagnostics

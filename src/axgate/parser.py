@@ -23,6 +23,9 @@ Grammar (informative; `#` starts a line comment):
 Parsing is total: any input produces either an AST or a non-empty list of
 located diagnostics. On error the parser synchronizes at the next
 `concept`/`axiom` keyword so one bad declaration does not mask the rest.
+An expression deeper than MAX_EXPR_DEPTH, through parentheses, prefix
+operators or a long operator chain, is a syntax diagnostic. The lexer
+defines NUMBER, IDENT and STRING.
 """
 
 from __future__ import annotations
@@ -47,7 +50,9 @@ from .syntax import (
     Unary,
 )
 
-MAX_EXPR_DEPTH = 200  # bounds recursion so hostile inputs cannot blow the stack
+# Bounds both the parser's recursion and the height of every expression tree
+# (a leaf is 0), so no later pass over a tree can blow the stack.
+MAX_EXPR_DEPTH = 200
 
 
 @dataclass(frozen=True, slots=True)
@@ -61,8 +66,8 @@ class ParseResult:
 
 
 class _ParseError(Exception):
-    def __init__(self, diagnostic: Diagnostic) -> None:
-        self.diagnostic = diagnostic
+    def __init__(self, span: Span, message: str) -> None:
+        self.diagnostic = error(E_SYNTAX, span, message)
 
 
 class _Parser:
@@ -93,9 +98,7 @@ class _Parser:
         if tok.kind == kind:
             return self.advance()
         shown = tok.text if tok.kind != "EOF" else "end of input"
-        raise _ParseError(
-            error(E_SYNTAX, tok.span, f"expected {what}, found {shown!r}")
-        )
+        raise _ParseError(tok.span, f"expected {what}, found {shown!r}")
 
     # Declarations -----------------------------------------------------------
 
@@ -110,10 +113,8 @@ class _Parser:
                     items.append(self.axiom())
                 else:
                     shown = tok.text if tok.kind != "EOF" else "end of input"
-                    raise _ParseError(
-                        error(E_SYNTAX, tok.span,
-                              f"expected 'concept' or 'axiom', found {shown!r}")
-                    )
+                    raise _ParseError(tok.span,
+                                      f"expected 'concept' or 'axiom', found {shown!r}")
             except _ParseError as exc:
                 self.diagnostics.append(exc.diagnostic)
                 self.synchronize()
@@ -143,13 +144,11 @@ class _Parser:
             elif self.accept("derived"):
                 origin = "derived"
                 self.expect("EQ", "'=' after 'derived'")
-                derived = self.expr()
+                derived = self.expr()[0]
             else:
                 tok = self.peek()
-                raise _ParseError(
-                    error(E_SYNTAX, tok.span,
-                          f"expected 'request', 'state' or 'derived', found {tok.text!r}")
-                )
+                raise _ParseError(tok.span, "expected 'request', 'state' or "
+                                  f"'derived', found {tok.text!r}")
         unit = None
         if self.accept("unit"):
             unit = self.expect("STRING", "a unit string").text
@@ -180,9 +179,7 @@ class _Parser:
             self.expect("RBRACE", "'}'")
             return "enum", None, tuple(atoms)
         shown = tok.text if tok.kind != "EOF" else "end of input"
-        raise _ParseError(
-            error(E_SYNTAX, tok.span, f"expected a concept kind, found {shown!r}")
-        )
+        raise _ParseError(tok.span, f"expected a concept kind, found {shown!r}")
 
     def axiom(self) -> AxiomNode:
         start = self.expect("axiom", "'axiom'")
@@ -194,16 +191,14 @@ class _Parser:
         else:
             tok = self.peek()
             shown = tok.text if tok.kind != "EOF" else "end of input"
-            raise _ParseError(
-                error(E_SYNTAX, tok.span,
-                      f"expected 'forbid' or 'permit', found {shown!r}")
-            )
+            raise _ParseError(tok.span,
+                              f"expected 'forbid' or 'permit', found {shown!r}")
         if self.accept("STAR"):
             tool = "*"
         else:
             tool = self.expect("IDENT", "a tool name or '*'").text
         self.expect("when", "'when'")
-        condition = self.expr()
+        condition = self.expr()[0]
         explain = None
         if self.accept("explain"):
             explain = self.expect("STRING", "an explain template string").text
@@ -215,104 +210,109 @@ class _Parser:
         )
 
     # Expressions --------------------------------------------------------
+    #
+    # `depth` bounds the recursion. Each function also returns the height of
+    # the tree it built, bounded by the same limit, because the operator
+    # loops grow a left spine without recursing.
 
-    def expr(self, depth: int = 0) -> Expr:
+    def expr(self, depth: int = 0) -> tuple[Expr, int]:
         return self.or_expr(depth)
 
     def _check_depth(self, depth: int) -> None:
         if depth > MAX_EXPR_DEPTH:
-            raise _ParseError(
-                error(E_SYNTAX, self.peek().span, "expression nesting too deep")
-            )
+            raise _ParseError(self.peek().span, "expression nesting too deep")
 
-    def or_expr(self, depth: int) -> Expr:
+    def _node(self, node: Expr, *heights: int) -> tuple[Expr, int]:
+        height = 1 + max(heights)
+        if height > MAX_EXPR_DEPTH:
+            raise _ParseError(node.span, "expression nesting too deep")
+        return node, height
+
+    def or_expr(self, depth: int) -> tuple[Expr, int]:
         self._check_depth(depth)
-        left = self.and_expr(depth + 1)
+        left, height = self.and_expr(depth + 1)
         while self.check("or"):
             op_tok = self.advance()
-            right = self.and_expr(depth + 1)
-            left = BoolOp("or", left, right, span=op_tok.span)
-        return left
+            right, rh = self.and_expr(depth + 1)
+            left, height = self._node(BoolOp("or", left, right, span=op_tok.span),
+                                      height, rh)
+        return left, height
 
-    def and_expr(self, depth: int) -> Expr:
-        left = self.not_expr(depth + 1)
+    def and_expr(self, depth: int) -> tuple[Expr, int]:
+        left, height = self.not_expr(depth + 1)
         while self.check("and"):
             op_tok = self.advance()
-            right = self.not_expr(depth + 1)
-            left = BoolOp("and", left, right, span=op_tok.span)
-        return left
+            right, rh = self.not_expr(depth + 1)
+            left, height = self._node(BoolOp("and", left, right, span=op_tok.span),
+                                      height, rh)
+        return left, height
 
-    def not_expr(self, depth: int) -> Expr:
+    def not_expr(self, depth: int) -> tuple[Expr, int]:
         self._check_depth(depth)
         if self.check("not"):
             tok = self.advance()
-            operand = self.not_expr(depth + 1)
-            return Unary("not", operand, span=tok.span)
+            operand, height = self.not_expr(depth + 1)
+            return self._node(Unary("not", operand, span=tok.span), height)
         return self.comparison(depth + 1)
 
-    def comparison(self, depth: int) -> Expr:
-        left = self.additive(depth + 1)
+    def comparison(self, depth: int) -> tuple[Expr, int]:
+        left, lh = self.additive(depth + 1)
         tok = self.peek()
         if tok.kind in ("LT", "LE", "GT", "GE", "EQEQ", "NEQ"):
             self.advance()
-            right = self.additive(depth + 1)
+            right, rh = self.additive(depth + 1)
             follow = self.peek()
             if follow.kind in ("LT", "LE", "GT", "GE", "EQEQ", "NEQ"):
-                raise _ParseError(
-                    error(E_SYNTAX, follow.span,
-                          "comparisons cannot be chained; use 'and'")
-                )
-            return Compare(tok.text, left, right, span=tok.span)
-        return left
+                raise _ParseError(follow.span,
+                                  "comparisons cannot be chained; use 'and'")
+            return self._node(Compare(tok.text, left, right, span=tok.span), lh, rh)
+        return left, lh
 
-    def additive(self, depth: int) -> Expr:
+    def additive(self, depth: int) -> tuple[Expr, int]:
         self._check_depth(depth)
-        left = self.term(depth + 1)
+        left, height = self.term(depth + 1)
         while self.peek().kind in ("PLUS", "MINUS"):
             op_tok = self.advance()
-            right = self.term(depth + 1)
-            left = Binary(op_tok.text, left, right, span=op_tok.span)
-        return left
+            right, rh = self.term(depth + 1)
+            left, height = self._node(
+                Binary(op_tok.text, left, right, span=op_tok.span), height, rh)
+        return left, height
 
-    def term(self, depth: int) -> Expr:
-        left = self.factor(depth + 1)
+    def term(self, depth: int) -> tuple[Expr, int]:
+        left, height = self.factor(depth + 1)
         while self.peek().kind in ("STAR", "SLASH"):
             op_tok = self.advance()
-            right = self.factor(depth + 1)
-            left = Binary(op_tok.text, left, right, span=op_tok.span)
-        return left
+            right, rh = self.factor(depth + 1)
+            left, height = self._node(
+                Binary(op_tok.text, left, right, span=op_tok.span), height, rh)
+        return left, height
 
-    def factor(self, depth: int) -> Expr:
+    def factor(self, depth: int) -> tuple[Expr, int]:
         self._check_depth(depth)
         tok = self.peek()
-        if tok.kind == "MINUS":
+        kind = tok.kind
+        if kind == "MINUS":
             self.advance()
-            operand = self.factor(depth + 1)
-            return Unary("-", operand, span=tok.span)
-        if tok.kind == "NUMBER":
-            self.advance()
-            return Lit(Fraction(tok.text), span=tok.span)
-        if tok.kind == "STRING":
-            self.advance()
-            return StrLit(tok.text, span=tok.span)
-        if tok.kind == "true":
-            self.advance()
-            return BoolLit(True, span=tok.span)
-        if tok.kind == "false":
-            self.advance()
-            return BoolLit(False, span=tok.span)
-        if tok.kind == "IDENT":
-            self.advance()
-            return Name(tok.text, span=tok.span)
-        if tok.kind == "LPAREN":
+            operand, height = self.factor(depth + 1)
+            return self._node(Unary("-", operand, span=tok.span), height)
+        if kind == "LPAREN":
             self.advance()
             inner = self.expr(depth + 1)
             self.expect("RPAREN", "')'")
             return inner
-        shown = tok.text if tok.kind != "EOF" else "end of input"
-        raise _ParseError(
-            error(E_SYNTAX, tok.span, f"expected an expression, found {shown!r}")
-        )
+        if kind == "NUMBER":
+            leaf = Lit(Fraction(tok.text), span=tok.span)
+        elif kind == "STRING":
+            leaf = StrLit(tok.text, span=tok.span)
+        elif kind == "true" or kind == "false":
+            leaf = BoolLit(kind == "true", span=tok.span)
+        elif kind == "IDENT":
+            leaf = Name(tok.text, span=tok.span)
+        else:
+            shown = tok.text if kind != "EOF" else "end of input"
+            raise _ParseError(tok.span, f"expected an expression, found {shown!r}")
+        self.advance()
+        return leaf, 0
 
 
 def decode_source(data: bytes) -> tuple[str, Diagnostic | None]:

@@ -69,9 +69,6 @@ class ConceptRegistry:
     def is_atom(self, name: str) -> bool:
         return name in self._atoms
 
-    def derived_symbols(self) -> tuple[str, ...]:
-        return tuple(s for s, d in self._concepts.items() if d.origin == "derived")
-
     def with_resolved(self, resolved: Mapping[str, Expr]) -> "ConceptRegistry":
         """Return a copy whose derived declarations carry resolved expressions."""
         out = {}
@@ -139,12 +136,12 @@ def build_registry(ast: PolicyAst) -> RegistryResult:
 
     def check_names(expr: Expr, where: str) -> None:
         for ref in walk_names(expr):
-            name = ref.ident if isinstance(ref, Name) else ref.symbol
+            name = _ref_name(ref)
             if name in registry:
                 used.add(name)
             elif not registry.is_atom(name):
                 diagnostics.append(
-                    error(E_UNREGISTERED_SYMBOL, getattr(ref, "span", None) or ref.span,
+                    error(E_UNREGISTERED_SYMBOL, ref.span,
                           f"'{name}' is not a registered concept ({where})")
                 )
 
@@ -172,7 +169,12 @@ def build_registry(ast: PolicyAst) -> RegistryResult:
                               f"unregistered symbol '{slot}'")
                     )
 
-    _check_derivation_cycles(registry, diagnostics, ast)
+    spans = {n.symbol: n.span for n in ast.concepts}
+    for cycle in order_derivations(registry)[1]:
+        diagnostics.append(
+            error(E_CYCLIC_DERIVATION, spans[cycle[-2]],
+                  "derived concepts form a cycle: " + " -> ".join(cycle))
+        )
 
     for symbol, decl in concepts.items():
         if symbol not in used and decl.origin != "derived":
@@ -187,71 +189,44 @@ def build_registry(ast: PolicyAst) -> RegistryResult:
     return RegistryResult(registry, diagnostics)
 
 
-def _check_derivation_cycles(
-    registry: ConceptRegistry, diagnostics: list[Diagnostic], ast: PolicyAst
-) -> None:
-    spans = {n.symbol: n.span for n in ast.concepts}
+def order_derivations(
+    registry: ConceptRegistry,
+) -> tuple[tuple[str, ...], list[tuple[str, ...]]]:
+    """One depth-first walk over the derived concepts, in declaration order.
+
+    Returns their dependency order (each after the derived concepts its
+    definition reads) and each distinct cycle, as the path that closes it
+    (`a -> b -> a`). The walk keeps its own stack, so a long chain of
+    definitions cannot exhaust the interpreter's.
+    """
     deps: dict[str, list[str]] = {}
     for decl in registry:
-        if decl.origin != "derived" or decl.derived is None:
-            continue
-        refs = []
-        for ref in walk_names(decl.derived):
-            name = ref.ident if isinstance(ref, Name) else ref.symbol
-            other = registry.get(name)
-            if other is not None and other.origin == "derived":
-                refs.append(name)
-        deps[decl.symbol] = refs
-
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {s: WHITE for s in deps}
-    reported: set[str] = set()
-
-    def visit(symbol: str, path: list[str]) -> None:
-        color[symbol] = GRAY
-        path.append(symbol)
-        for dep in deps.get(symbol, ()):
-            if color.get(dep, BLACK) == GRAY:
-                cycle = path[path.index(dep):] + [dep]
-                key = "->".join(sorted(set(cycle)))
-                if key not in reported:
-                    reported.add(key)
-                    diagnostics.append(
-                        error(E_CYCLIC_DERIVATION, spans.get(symbol, path_span(path)),
-                              "derived concepts form a cycle: " + " -> ".join(cycle))
-                    )
-            elif color.get(dep) == WHITE:
-                visit(dep, path)
-        path.pop()
-        color[symbol] = BLACK
-
-    def path_span(path: list[str]):
-        return spans[path[0]]
-
-    for symbol in deps:
-        if color[symbol] == WHITE:
-            visit(symbol, [])
-
-
-def derivation_order(registry: ConceptRegistry) -> tuple[str, ...]:
-    """Topological order of derived symbols (callers ensure acyclicity)."""
+        if decl.origin == "derived" and decl.derived is not None:
+            deps[decl.symbol] = [
+                name for name in map(_ref_name, walk_names(decl.derived))
+                if name in registry and registry.get(name).origin == "derived"]
     order: list[str] = []
-    seen: set[str] = set()
+    cycles: dict[frozenset[str], tuple[str, ...]] = {}
+    done: set[str] = set()
+    for root in deps:
+        if root in done:
+            continue
+        path, pending = [root], [iter(deps[root])]
+        while pending:
+            for dep in pending[-1]:
+                if dep in path:
+                    cycle = (*path[path.index(dep):], dep)
+                    cycles.setdefault(frozenset(cycle), cycle)
+                elif dep in deps and dep not in done:
+                    path.append(dep)
+                    pending.append(iter(deps[dep]))
+                    break
+            else:
+                pending.pop()
+                done.add(path[-1])
+                order.append(path.pop())
+    return tuple(order), list(cycles.values())
 
-    def visit(symbol: str) -> None:
-        if symbol in seen:
-            return
-        seen.add(symbol)
-        decl = registry.get(symbol)
-        if decl is None or decl.origin != "derived" or decl.derived is None:
-            return
-        for ref in walk_names(decl.derived):
-            name = ref.ident if isinstance(ref, Name) else ref.symbol
-            other = registry.get(name)
-            if other is not None and other.origin == "derived":
-                visit(name)
-        order.append(symbol)
 
-    for symbol in registry.derived_symbols():
-        visit(symbol)
-    return tuple(order)
+def _ref_name(ref) -> str:
+    return ref.ident if isinstance(ref, Name) else ref.symbol

@@ -15,7 +15,7 @@ unresolved reference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .diagnostics import (
@@ -32,6 +32,7 @@ from .diagnostics import (
 from .registry import ConceptRegistry
 from .syntax import (
     Atom,
+    AxiomNode,
     Binary,
     BoolLit,
     BoolOp,
@@ -71,19 +72,9 @@ TEXT = Ty("text")
 
 
 @dataclass(frozen=True, slots=True)
-class TypedAxiom:
-    ident: str
-    effect: str
-    tool: str
-    condition: Expr  # fully resolved
-    explain: str | None
-    span: Span
-
-
-@dataclass(frozen=True, slots=True)
 class TypedPolicy:
     registry: ConceptRegistry  # derived declarations carry resolved expressions
-    axioms: tuple[TypedAxiom, ...]
+    axioms: tuple[AxiomNode, ...]  # conditions resolved
 
 
 @dataclass(frozen=True, slots=True)
@@ -97,8 +88,8 @@ class TypecheckResult:
 
 
 class _TypeError(Exception):
-    def __init__(self, diagnostic: Diagnostic) -> None:
-        self.diagnostic = diagnostic
+    def __init__(self, code: str, span: Span, message: str) -> None:
+        self.diagnostic = error(code, span, message)
 
 
 def _concept_type(decl) -> Ty:
@@ -130,13 +121,12 @@ class _Checker:
             if decl is not None:
                 return _concept_type(decl), Sym(expr.ident, span=expr.span), None
             if self.registry.is_atom(expr.ident):
-                raise _TypeError(error(
+                raise _TypeError(
                     E_TYPE_MISMATCH, expr.span,
                     f"enum member '{expr.ident}' can only appear beside an "
-                    f"enum concept in == or !="))
-            raise _TypeError(error(
-                E_UNREGISTERED_SYMBOL, expr.span,
-                f"'{expr.ident}' is not a registered concept"))
+                    f"enum concept in == or !=")
+            raise _TypeError(E_UNREGISTERED_SYMBOL, expr.span,
+                             f"'{expr.ident}' is not a registered concept")
         if isinstance(expr, Unary):
             return self._infer_unary(expr, ctx)
         if isinstance(expr, Binary):
@@ -148,27 +138,24 @@ class _Checker:
             rt, re_, _ = self.infer(expr.right, ctx)
             for side, ty in (("left", lt), ("right", rt)):
                 if ty.tag != "flag":
-                    raise _TypeError(error(
-                        E_TYPE_MISMATCH, expr.span,
-                        f"'{expr.op}' needs boolean operands, "
-                        f"{side} side is {ty.describe()}"))
+                    raise _TypeError(E_TYPE_MISMATCH, expr.span,
+                                     f"'{expr.op}' needs boolean operands, "
+                                     f"{side} side is {ty.describe()}")
             return FLAG, BoolOp(expr.op, le, re_, span=expr.span), None
-        raise _TypeError(error(E_TYPE_MISMATCH, getattr(expr, "span", Span.point(1, 1)),
-                               f"unsupported expression {expr!r}"))
+        raise _TypeError(E_TYPE_MISMATCH, getattr(expr, "span", Span.point(1, 1)),
+                         f"unsupported expression {expr!r}")
 
     def _infer_unary(self, expr: Unary, ctx: str):
         ty, operand, const = self.infer(expr.operand, ctx)
         out = Unary(expr.op, operand, span=expr.span)
         if expr.op == "not":
             if ty.tag != "flag":
-                raise _TypeError(error(
-                    E_TYPE_MISMATCH, expr.span,
-                    f"'not' needs a boolean operand, got {ty.describe()}"))
+                raise _TypeError(E_TYPE_MISMATCH, expr.span,
+                                 f"'not' needs a boolean operand, got {ty.describe()}")
             return FLAG, out, None
         if ty.tag not in _NUMERIC:
-            raise _TypeError(error(
-                E_TYPE_MISMATCH, expr.span,
-                f"unary '-' needs a numeric operand, got {ty.describe()}"))
+            raise _TypeError(E_TYPE_MISMATCH, expr.span,
+                             f"unary '-' needs a numeric operand, got {ty.describe()}")
         return ty, out, (-const if const is not None else None)
 
     def _infer_binary(self, expr: Binary, ctx: str):
@@ -177,10 +164,9 @@ class _Checker:
         out = Binary(expr.op, left, right, span=expr.span)
         for side, ty in (("left", lt), ("right", rt)):
             if ty.tag not in _NUMERIC:
-                raise _TypeError(error(
-                    E_TYPE_MISMATCH, expr.span,
-                    f"'{expr.op}' needs numeric operands, "
-                    f"{side} side is {ty.describe()}"))
+                raise _TypeError(E_TYPE_MISMATCH, expr.span,
+                                 f"'{expr.op}' needs numeric operands, "
+                                 f"{side} side is {ty.describe()}")
 
         if expr.op in ("+", "-"):
             if lc is not None and rc is not None:
@@ -197,20 +183,18 @@ class _Checker:
             if rc is not None:
                 return lt, out, None
             if ctx == "condition":
-                raise _TypeError(error(
+                raise _TypeError(
                     E_TYPE_MISMATCH, expr.span,
                     "multiplication in a condition needs a constant rational "
-                    "factor on one side"))
+                    "factor on one side")
             return self._product_type(lt, rt, expr), out, None
 
         # division: divisor must fold to a nonzero constant
         if rc is None:
-            raise _TypeError(error(
-                E_TYPE_MISMATCH, expr.span,
-                "the divisor must be a constant rational"))
+            raise _TypeError(E_TYPE_MISMATCH, expr.span,
+                             "the divisor must be a constant rational")
         if rc == 0:
-            raise _TypeError(error(
-                E_DIVISION_BY_ZERO, expr.span, "division by zero"))
+            raise _TypeError(E_DIVISION_BY_ZERO, expr.span, "division by zero")
         if lc is not None:
             return CONST, out, lc / rc
         return lt, out, None
@@ -220,25 +204,24 @@ class _Checker:
             lt, rt = rt, lt  # normalize: concrete side first
         if rt.tag == "const":
             if lt.tag == "money":
-                raise _TypeError(error(
+                raise _TypeError(
                     E_TYPE_MISMATCH, expr.span,
                     f"cannot apply '{expr.op}' to {lt.describe()} and a bare "
-                    f"rational; money arithmetic needs money on both sides"))
+                    f"rational; money arithmetic needs money on both sides")
             return lt
         if lt.tag != rt.tag:
-            raise _TypeError(error(
+            raise _TypeError(
                 E_TYPE_MISMATCH, expr.span,
-                f"cannot apply '{expr.op}' to {lt.describe()} and {rt.describe()}"))
+                f"cannot apply '{expr.op}' to {lt.describe()} and {rt.describe()}")
         if lt.tag == "money":
             if lt.ccy != rt.ccy:
-                raise _TypeError(error(
-                    E_CURRENCY_MISMATCH, expr.span,
-                    f"cannot mix currencies {lt.ccy} and {rt.ccy}"))
+                raise _TypeError(E_CURRENCY_MISMATCH, expr.span,
+                                 f"cannot mix currencies {lt.ccy} and {rt.ccy}")
             return lt
         if lt.unit != rt.unit:
-            raise _TypeError(error(
+            raise _TypeError(
                 E_UNIT_MISMATCH, expr.span,
-                f"cannot mix units {lt.unit or '(none)'} and {rt.unit or '(none)'}"))
+                f"cannot mix units {lt.unit or '(none)'} and {rt.unit or '(none)'}")
         return lt
 
     def _product_type(self, lt: Ty, rt: Ty, expr: Binary) -> Ty:
@@ -250,12 +233,11 @@ class _Checker:
         if scalar(rt):
             return lt
         if lt.tag == "money" and rt.tag == "money":
-            raise _TypeError(error(
-                E_TYPE_MISMATCH, expr.span, "cannot multiply money by money"))
-        raise _TypeError(error(
-            E_UNIT_MISMATCH, expr.span,
-            f"multiplying {lt.describe()} by {rt.describe()} needs a "
-            f"dimensionless factor on one side"))
+            raise _TypeError(E_TYPE_MISMATCH, expr.span,
+                             "cannot multiply money by money")
+        raise _TypeError(E_UNIT_MISMATCH, expr.span,
+                         f"multiplying {lt.describe()} by {rt.describe()} needs a "
+                         f"dimensionless factor on one side")
 
     def _infer_compare(self, expr: Compare, ctx: str):
         # Resolve enum members contextually before general inference.
@@ -283,15 +265,13 @@ class _Checker:
             return FLAG, out, None
         if lt.tag == rt.tag == "enum":
             if lt.atoms != rt.atoms:
-                raise _TypeError(error(
-                    E_TYPE_MISMATCH, expr.span,
-                    "cannot compare enums with different member sets"))
+                raise _TypeError(E_TYPE_MISMATCH, expr.span,
+                                 "cannot compare enums with different member sets")
             return FLAG, out, None
         if lt.tag == rt.tag and lt.tag in ("flag", "text"):
             return FLAG, out, None
-        raise _TypeError(error(
-            E_TYPE_MISMATCH, expr.span,
-            f"cannot compare {lt.describe()} with {rt.describe()}"))
+        raise _TypeError(E_TYPE_MISMATCH, expr.span,
+                         f"cannot compare {lt.describe()} with {rt.describe()}")
 
     def _enum_side(self, expr: Expr) -> Ty | None:
         if isinstance(expr, Name):
@@ -303,12 +283,10 @@ class _Checker:
     def _atom_compare(self, expr: Compare, enum_ty: Ty, name: Name, swap: bool):
         if name.ident not in enum_ty.atoms:
             if self.registry.is_atom(name.ident):
-                raise _TypeError(error(
-                    E_TYPE_MISMATCH, name.span,
-                    f"'{name.ident}' is not a member of the compared enum"))
-            raise _TypeError(error(
-                E_UNREGISTERED_SYMBOL, name.span,
-                f"'{name.ident}' is not a registered concept"))
+                raise _TypeError(E_TYPE_MISMATCH, name.span,
+                                 f"'{name.ident}' is not a member of the compared enum")
+            raise _TypeError(E_UNREGISTERED_SYMBOL, name.span,
+                             f"'{name.ident}' is not a registered concept")
         atom = Atom(name.ident, span=name.span)
         if swap:
             _, right, _ = self.infer(expr.right, "condition")
@@ -321,32 +299,27 @@ class _Checker:
     def _require_comparable_numeric(self, lt: Ty, rt: Ty, expr: Compare) -> None:
         for ty in (lt, rt):
             if ty.tag not in _NUMERIC:
-                raise _TypeError(error(
-                    E_TYPE_MISMATCH, expr.span,
-                    f"cannot compare {lt.describe()} with {rt.describe()}"))
+                raise _TypeError(E_TYPE_MISMATCH, expr.span,
+                                 f"cannot compare {lt.describe()} with {rt.describe()}")
         if lt.tag == "const" or rt.tag == "const":
             concrete = rt if lt.tag == "const" else lt
             if concrete.tag == "money":
-                raise _TypeError(error(
-                    E_TYPE_MISMATCH, expr.span,
-                    "money compares only with money of the same currency, "
-                    "not with a bare rational"))
+                raise _TypeError(E_TYPE_MISMATCH, expr.span,
+                                 "money compares only with money of the same currency, "
+                                 "not with a bare rational")
             return
         if lt.tag != rt.tag:
-            raise _TypeError(error(
-                E_TYPE_MISMATCH, expr.span,
-                f"cannot compare {lt.describe()} with {rt.describe()}"))
+            raise _TypeError(E_TYPE_MISMATCH, expr.span,
+                             f"cannot compare {lt.describe()} with {rt.describe()}")
         if lt.tag == "money":
             if lt.ccy != rt.ccy:
-                raise _TypeError(error(
-                    E_CURRENCY_MISMATCH, expr.span,
-                    f"cannot compare {lt.ccy} with {rt.ccy}"))
+                raise _TypeError(E_CURRENCY_MISMATCH, expr.span,
+                                 f"cannot compare {lt.ccy} with {rt.ccy}")
             return
         if lt.unit != rt.unit:
-            raise _TypeError(error(
-                E_UNIT_MISMATCH, expr.span,
-                f"cannot compare units {lt.unit or '(none)'} "
-                f"and {rt.unit or '(none)'}"))
+            raise _TypeError(E_UNIT_MISMATCH, expr.span,
+                             f"cannot compare units {lt.unit or '(none)'} "
+                             f"and {rt.unit or '(none)'}")
 
 
 def typecheck(ast: PolicyAst, registry: ConceptRegistry) -> TypecheckResult:
@@ -369,19 +342,15 @@ def typecheck(ast: PolicyAst, registry: ConceptRegistry) -> TypecheckResult:
         except _TypeError as exc:
             diagnostics.append(exc.diagnostic)
 
-    typed_axioms: list[TypedAxiom] = []
+    typed_axioms: list[AxiomNode] = []
     for node in ast.axioms:
         try:
             ty, resolved, _ = checker.infer(node.condition, "condition")
             if ty.tag != "flag":
-                raise _TypeError(error(
-                    E_TYPE_MISMATCH, node.span,
-                    f"condition of axiom '{node.ident}' must be boolean, "
-                    f"got {ty.describe()}"))
-            typed_axioms.append(TypedAxiom(
-                ident=node.ident, effect=node.effect, tool=node.tool,
-                condition=resolved, explain=node.explain, span=node.span,
-            ))
+                raise _TypeError(E_TYPE_MISMATCH, node.span,
+                                 f"condition of axiom '{node.ident}' must be boolean, "
+                                 f"got {ty.describe()}")
+            typed_axioms.append(replace(node, condition=resolved))
         except _TypeError as exc:
             diagnostics.append(exc.diagnostic)
 
@@ -396,43 +365,41 @@ def typecheck(ast: PolicyAst, registry: ConceptRegistry) -> TypecheckResult:
 def _check_derived_kind(ty: Ty, const, declared: Ty, node, decl) -> None:
     span = node.span
     if declared.tag in ("enum", "text"):
-        raise _TypeError(error(
+        raise _TypeError(
             E_TYPE_MISMATCH, span,
-            f"derived concept '{decl.symbol}' must be quantity, money or flag"))
+            f"derived concept '{decl.symbol}' must be quantity, money or flag")
     if declared.tag == "flag":
         if ty.tag != "flag":
-            raise _TypeError(error(
+            raise _TypeError(
                 E_TYPE_MISMATCH, span,
                 f"derived flag '{decl.symbol}' needs a boolean definition, "
-                f"got {ty.describe()}"))
+                f"got {ty.describe()}")
         return
     if ty.tag == "flag" or ty.tag in ("enum", "text"):
-        raise _TypeError(error(
+        raise _TypeError(
             E_TYPE_MISMATCH, span,
             f"derived {declared.describe()} '{decl.symbol}' cannot be defined "
-            f"by a {ty.describe()} expression"))
+            f"by a {ty.describe()} expression")
     if declared.tag == "money":
         if ty.tag == "const":
-            raise _TypeError(error(
+            raise _TypeError(
                 E_TYPE_MISMATCH, span,
-                f"a bare rational cannot define money concept '{decl.symbol}'"))
+                f"a bare rational cannot define money concept '{decl.symbol}'")
         if ty.tag != "money":
-            raise _TypeError(error(
+            raise _TypeError(
                 E_TYPE_MISMATCH, span,
-                f"derived money '{decl.symbol}' defined by {ty.describe()}"))
+                f"derived money '{decl.symbol}' defined by {ty.describe()}")
         if ty.ccy != declared.ccy:
-            raise _TypeError(error(
-                E_CURRENCY_MISMATCH, span,
-                f"derived '{decl.symbol}' declared {declared.ccy} "
-                f"but defined in {ty.ccy}"))
+            raise _TypeError(E_CURRENCY_MISMATCH, span,
+                             f"derived '{decl.symbol}' declared {declared.ccy} "
+                             f"but defined in {ty.ccy}")
         return
     # declared quantity
     if ty.tag == "money":
-        raise _TypeError(error(
-            E_TYPE_MISMATCH, span,
-            f"derived quantity '{decl.symbol}' defined by {ty.describe()}"))
+        raise _TypeError(E_TYPE_MISMATCH, span,
+                         f"derived quantity '{decl.symbol}' defined by {ty.describe()}")
     if ty.tag == "quantity" and ty.unit != declared.unit:
-        raise _TypeError(error(
+        raise _TypeError(
             E_UNIT_MISMATCH, span,
             f"derived '{decl.symbol}' declared unit "
-            f"{declared.unit or '(none)'} but defined with {ty.unit or '(none)'}"))
+            f"{declared.unit or '(none)'} but defined with {ty.unit or '(none)'}")

@@ -346,3 +346,146 @@ def test_golden_saved_environment_bytes(tmp_path):
         save_environment(inst.env, str(path))
         h.update(path.read_bytes())
     assert h.hexdigest() == GOLDEN_RANDGEN_ENVS_SHA256
+
+
+# Pinned at the character-by-character tokenizer: the SHA-256 over the
+# token stream (kind, text, span) and every compile_source diagnostic
+# (severity, code, span, message) of each input, plus the version digest
+# of each accepted policy.
+GOLDEN_FRONT_END_SHA256 = \
+    "d9b2ffbc288a330b1c51afd6108fa9fe949396667b3c6c0aa1572048a252873a"
+
+
+def _has_non_ascii_digit(data: bytes) -> bool:
+    text = data.decode("utf-8", errors="replace")
+    return any(ch.isdigit() and not ch.isascii() for ch in text)
+
+
+def test_golden_front_end():
+    """Tokens, diagnostics and digests over the 1,000 distinct policies of
+    the randgen pool of seed 221 (6,000 instances, 6 per policy) and the
+    first 5,000 inputs of the compiler fuzz corpus. Inputs holding a
+    non-ASCII digit are left out: NUMBER takes ASCII digits only, and
+    tests/test_lexer.py covers those inputs."""
+    import hashlib
+
+    from test_acceptance import _fuzz_corpus
+
+    from axgate.lexer import tokenize
+    from axgate.randgen import iter_instances
+
+    pool = iter_instances(221, 6000, env_reuse=6)
+    sources = list(dict.fromkeys(inst.source for inst in pool))
+    assert len(sources) == 1000
+    inputs = [s.encode("utf-8") for s in sources] + list(_fuzz_corpus(5000))
+    h = hashlib.sha256()
+    kept = 0
+    for data in inputs:
+        if _has_non_ascii_digit(data):
+            continue
+        kept += 1
+        try:
+            tokens = tokenize(data.decode("utf-8"))[0]
+        except UnicodeDecodeError:
+            tokens = []
+        result = compile_source(data)
+        record = [
+            [[t.kind, t.text, *_span(t.span)] for t in tokens],
+            [[d.severity, d.code, *_span(d.span), d.message]
+             for d in result.diagnostics],
+            result.environment.version_digest if result.ok else None,
+        ]
+        h.update(json.dumps(record).encode("ascii"))
+        h.update(b"\n")
+    assert kept > 5000
+    assert h.hexdigest() == GOLDEN_FRONT_END_SHA256
+
+
+def _span(span):
+    return [span.line, span.col, span.end_line, span.end_col]
+
+
+CHAIN_HEAD = (
+    'concept x : quantity from request "X"\n'
+    'concept f : flag from request "F"\n'
+)
+
+
+def _chain_policy(op: str, height: int) -> str:
+    """An axiom whose condition is a tree of the given height (a leaf is 0)
+    built by one operator: a left spine for the binary ones."""
+    if op == "not":
+        return CHAIN_HEAD + "axiom a forbid t when " + "not " * height + "f\n"
+    if op in ("and", "or"):
+        return CHAIN_HEAD + "axiom a forbid t when " + \
+            f" {op} ".join(["f"] * (height + 1)) + "\n"
+    # a condition multiplies by constants only; the comparison adds one
+    # level above the arithmetic
+    operands = ["x"] * height if op == "+" else ["1"] * (height - 1) + ["x"]
+    return CHAIN_HEAD + "axiom a forbid t when " + \
+        f" {op} ".join(operands) + " > 1\n"
+
+
+@pytest.mark.parametrize("op", ["+", "*", "and", "or", "not"])
+def test_operator_chains_are_bounded_by_the_nesting_limit(op):
+    """A tree up to MAX_EXPR_DEPTH high compiles and verifies; a taller
+    one, or a 500-operator chain, is a located syntax diagnostic and never
+    a RecursionError, whether the parser recursed or looped to build it."""
+    from fractions import Fraction
+
+    from axgate import ActionRequest, SystemState, verify
+    from axgate.parser import MAX_EXPR_DEPTH
+
+    if op != "not":  # a `not` chain past the limit is too deep to parse at all
+        env = compile_source(_chain_policy(op, MAX_EXPR_DEPTH)).environment
+        assert env is not None
+        request = ActionRequest("r", "t", {"x": Fraction(1), "f": False})
+        result = verify(request, SystemState(None), env)
+        assert result.trace.canonical() == result.trace_bytes
+    for height in (MAX_EXPR_DEPTH + 1, 500):
+        result = compile_source(_chain_policy(op, height))  # must never raise
+        assert not result.ok
+        [diag] = result.diagnostics
+        assert (diag.code, diag.message) == ("syntax", "expression nesting too deep")
+        assert diag.span.line == 3 and diag.span.col > 1
+
+
+def test_chains_across_parentheses_and_precedence_levels_share_the_bound():
+    chain = " and ".join(["(" + " or ".join(["f"] * 120) + ")"] + ["f"] * 120)
+    result = compile_source(CHAIN_HEAD + "axiom a forbid t when " + chain)
+    assert [d.message for d in result.diagnostics] == ["expression nesting too deep"]
+
+
+def test_long_chain_of_derived_definitions_compiles():
+    """1,200 derived concepts, each read by the one declared before it:
+    the derivation walk keeps its own stack."""
+    from fractions import Fraction
+
+    from axgate import ActionRequest, SystemState, verify
+
+    n = 1200
+    source = 'concept x : quantity from request "X"\n' + "".join(
+        f'concept d{i} : quantity from derived = {f"d{i + 1}" if i < n - 1 else "x"}'
+        f' + 1 "D{i}"\n' for i in range(n)) + "axiom a forbid t when d0 > 1300\n"
+    env = compile_source(source).environment
+    assert env is not None
+    assert env.derivation_order == tuple(f"d{i}" for i in reversed(range(n)))
+    request = ActionRequest("r", "t", {"x": Fraction(99)})
+    result = verify(request, SystemState(None), env)
+    assert result.bindings["d0"] == Fraction(99 + n)
+    assert not result.proven
+
+
+def test_saved_expression_deeper_than_the_nesting_limit_is_a_format_error(tmp_path):
+    env = compile_source(CHAIN_HEAD + "axiom a forbid t when x > 1\n").environment
+    doc = env.to_plain()
+    when = doc["policy"]["axioms"][0]["when"]  # ["gt", ["sym", "x"], ["lit", ...]]
+    for _ in range(600):
+        when = ["add", when, when[2]]
+    doc["policy"]["axioms"][0]["when"] = when
+    with pytest.raises(EnvironmentFormatError, match="nesting too deep"):
+        environment_from_plain(doc)
+    path = tmp_path / "deep.env"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(EnvironmentFormatError, match="nesting too deep"):
+        load_environment(str(path))

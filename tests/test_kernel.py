@@ -898,3 +898,44 @@ def test_bindings_and_recorded_values_leave_the_kernel_as_fractions():
     condition = Compare("<", Sym("x"), Lit(Fraction(1, 3)))
     _, tree = eval_condition(condition, {"x": Fraction(1, 4)})
     assert [type(n.value) for n in nodes(tree)] == [bool, Fraction, Fraction]
+
+
+def test_derived_value_of_the_wrong_kind_is_a_kind_mismatch():
+    """A hand-built definition whose value is not of its concept's declared
+    kind binds nothing: the symbol gets a kind-mismatch binding failure, as
+    a request value of the wrong kind would, and stays out of the bindings.
+    The compiler refuses such definitions, so they are assembled by hand."""
+    import dataclasses
+
+    from axgate.compiler import PolicyEnvironment
+    from axgate.kernel import REASON_BINDING, RefusalCause
+    from axgate.registry import ConceptRegistry
+    from axgate.syntax import Binary
+
+    env = compile_source(
+        'concept x : quantity from request "X"\n'
+        'concept price : money "USD" from request "Price"\n'
+        'concept v : money "USD" from derived = price + price "V"\n'
+        "axiom cap forbid t when v < price\n"
+        "axiom open permit t when x > 0\n"
+    ).environment
+    request = ActionRequest("k", "t", {"x": Fraction(2),
+                                       "price": Money(Fraction(500), "USD")})
+    assert verify(request, SystemState(None), env).proven
+    decls = {d.symbol: d for d in env.registry}
+    rational = Binary("+", Sym("x"), Lit(Fraction(1)))
+    usd = Binary("+", Sym("price"), Sym("price"))
+    for kind, ccy, definition in (("money", "USD", rational),
+                                  ("money", "EUR", usd),
+                                  ("quantity", None, usd),
+                                  ("flag", None, rational)):
+        decls["v"] = dataclasses.replace(decls["v"], kind=kind, ccy=ccy,
+                                         derived=definition)
+        by_hand = PolicyEnvironment(ConceptRegistry(decls), env.axioms, "by-hand")
+        result = verify(request, SystemState(None), by_hand)
+        assert not result.proven
+        assert result.refusal_causes == (RefusalCause(REASON_BINDING, "cap", "v"),)
+        assert "v" not in result.bindings
+        entry = result.trace.entries[0]
+        assert entry.missing == (("v", "kind-mismatch"),)
+        _assert_trace_bytes_identical(result)
