@@ -259,10 +259,19 @@ def verify_chain(path: str, *, expected_head: str | None = None) -> ChainReport:
 
 
 def iter_records(path: str) -> Iterator[AuditRecord]:
+    """The records of a log; ValueError naming the 1-based line number of
+    the first line that is not an audit record."""
     with open(path, "rb") as fh:
-        for line in fh:
-            if line.strip():
-                yield AuditRecord.from_doc(json.loads(line))
+        for number, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                record = AuditRecord.from_doc(json.loads(line))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ValueError(
+                    f"{path}: line {number} is not an audit record: {exc!r}"
+                ) from None
+            yield record
 
 
 def find_record(path: str, *, seq: int | None = None,

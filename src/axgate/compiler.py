@@ -17,12 +17,14 @@ from fractions import Fraction
 from .canonical import canonical_bytes, digest_of, plain_value, sha256_hex
 from .diagnostics import Diagnostic
 from .parser import MAX_EXPR_DEPTH, parse
-from .registry import ConceptDecl, ConceptRegistry, build_registry, order_derivations
+from .registry import ConceptRegistry, build_registry, order_derivations
 from .syntax import (
     LEAF_NAMES,
     OPERATOR_NAMES,
     Atom,
+    Axiom,
     BoolLit,
+    ConceptDecl,
     Expr,
     Lit,
     StrLit,
@@ -31,7 +33,7 @@ from .syntax import (
     op_name,
     walk_names,
 )
-from .typecheck import TypedPolicy, typecheck
+from .typecheck import typecheck
 
 ENV_FORMAT = "axgate-env/1"
 
@@ -78,35 +80,24 @@ def expr_from_plain(plain: object, depth: int = 0) -> Expr:
     return node_type(str(plain[1]))  # StrLit, Sym, Atom
 
 
-@dataclass(frozen=True, slots=True)
-class Axiom:
-    id: str
-    effect: str  # "forbid" | "permit"
-    tool: str  # exact tool name or "*"
-    condition: Expr  # resolved
-    explain: str | None = None
+def axiom_to_plain(axiom: Axiom) -> dict:
+    return {
+        "id": axiom.id,
+        "effect": axiom.effect,
+        "tool": axiom.tool,
+        "when": expr_to_plain(axiom.condition),
+        "explain": axiom.explain,
+    }
 
-    def matches_tool(self, tool: str) -> bool:
-        return self.tool == "*" or self.tool == tool
 
-    def to_plain(self) -> dict:
-        return {
-            "id": self.id,
-            "effect": self.effect,
-            "tool": self.tool,
-            "when": expr_to_plain(self.condition),
-            "explain": self.explain,
-        }
-
-    @classmethod
-    def from_plain(cls, plain: dict) -> "Axiom":
-        return cls(
-            id=str(plain["id"]),
-            effect=str(plain["effect"]),
-            tool=str(plain["tool"]),
-            condition=expr_from_plain(plain["when"]),
-            explain=plain.get("explain"),
-        )
+def axiom_from_plain(plain: dict) -> Axiom:
+    return Axiom(
+        id=str(plain["id"]),
+        effect=str(plain["effect"]),
+        tool=str(plain["tool"]),
+        condition=expr_from_plain(plain["when"]),
+        explain=plain.get("explain"),
+    )
 
 
 def concept_to_plain(decl: ConceptDecl) -> dict:
@@ -141,7 +132,7 @@ def policy_to_plain(registry: ConceptRegistry, axioms: tuple[Axiom, ...]) -> dic
         "concepts": sorted(
             (concept_to_plain(d) for d in registry), key=lambda c: c["symbol"]
         ),
-        "axioms": sorted((a.to_plain() for a in axioms), key=lambda a: a["id"]),
+        "axioms": sorted(map(axiom_to_plain, axioms), key=lambda a: a["id"]),
     }
 
 
@@ -242,7 +233,7 @@ class PolicyEnvironment:
             "version_digest": self.version_digest,
             "policy": {
                 "concepts": [concept_to_plain(d) for d in self.registry],
-                "axioms": [a.to_plain() for a in self.axioms],
+                "axioms": [axiom_to_plain(a) for a in self.axioms],
             },
         }
 
@@ -257,18 +248,8 @@ class CompileResult:
         return self.environment is not None
 
 
-def compile_policy(typed: TypedPolicy, source_digest: str) -> PolicyEnvironment:
-    """Lower a typechecked policy into the immutable environment."""
-    axioms = tuple(
-        Axiom(id=a.ident, effect=a.effect, tool=a.tool,
-              condition=a.condition, explain=a.explain)
-        for a in typed.axioms
-    )
-    return PolicyEnvironment(typed.registry, axioms, source_digest)
-
-
 def compile_source(source: str | bytes) -> CompileResult:
-    """Run the full pipeline: parse -> registry -> typecheck -> compile."""
+    """Run the full pipeline: parse -> registry -> typecheck -> environment."""
     raw = source.encode("utf-8") if isinstance(source, str) else source
     source_digest = sha256_hex(raw)
 
@@ -284,10 +265,11 @@ def compile_source(source: str | bytes) -> CompileResult:
 
     checked = typecheck(parsed.ast, reg.registry)
     diagnostics.extend(checked.diagnostics)
-    if checked.typed is None:
+    typed = checked.typed
+    if typed is None:
         return CompileResult(None, diagnostics)
-
-    return CompileResult(compile_policy(checked.typed, source_digest), diagnostics)
+    env = PolicyEnvironment(typed.registry, typed.axioms, source_digest)
+    return CompileResult(env, diagnostics)
 
 
 def compile_file(path: str) -> CompileResult:
@@ -319,7 +301,7 @@ def environment_from_plain(doc: dict) -> PolicyEnvironment:
     try:
         concepts = [concept_from_plain(c) for c in policy.get("concepts", [])]
         registry = ConceptRegistry({c.symbol: c for c in concepts})
-        axioms = tuple(Axiom.from_plain(a) for a in policy.get("axioms", []))
+        axioms = tuple(axiom_from_plain(a) for a in policy.get("axioms", []))
         env = PolicyEnvironment(registry, axioms,
                                 str(doc.get("source_digest", "")))
     except (AttributeError, LookupError, TypeError, ValueError,

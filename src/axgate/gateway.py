@@ -21,6 +21,7 @@ from __future__ import annotations
 import http.client
 import json
 import logging
+import math
 import os
 import queue
 import socket
@@ -84,6 +85,12 @@ class GatewayConfig:
             raise GatewayStartupError(f"mode must be one of {MODES}: {self.mode!r}")
         if self.max_in_flight < 1:
             raise GatewayStartupError("max_in_flight must be >= 1")
+        if self.max_body_bytes < 1:
+            raise GatewayStartupError("max_body_bytes must be >= 1")
+        if not 0 < self.upstream_timeout_secs < math.inf:
+            raise GatewayStartupError("upstream_timeout_secs must be finite and > 0")
+        if not 0 <= self.state_refresh_secs < math.inf:
+            raise GatewayStartupError("state_refresh_secs must be finite and >= 0")
         if not self.trace_archive_path:
             self.trace_archive_path = self.audit_log_path + ".traces"
 
@@ -295,15 +302,18 @@ class AuditPump:
 
 
 def load_archived_trace(path: str, trace_digest: str) -> dict | None:
+    """The archived trace with this digest, or None. Lines that are not
+    JSON objects are skipped, so one damaged line hides no later trace."""
     try:
         with open(path, "rb") as fh:
             for line in fh:
-                if not line.strip():
+                try:
+                    doc = json.loads(line)
+                except ValueError:
                     continue
-                doc = json.loads(line)
-                if doc.get("trace_digest") == trace_digest:
+                if isinstance(doc, dict) and doc.get("trace_digest") == trace_digest:
                     return doc.get("trace")
-    except (OSError, ValueError):
+    except OSError:
         return None
     return None
 

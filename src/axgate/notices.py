@@ -22,7 +22,7 @@ from .kernel import (
     RefusalCause,
     VerificationResult,
 )
-from .registry import template_slots
+from .registry import TEMPLATE_SLOT
 from .syntax import Lit, Sym, subexpressions
 from .values import Money, render_value
 
@@ -66,15 +66,14 @@ def _display(env: PolicyEnvironment, symbol: str) -> str:
 
 def _interpolate(template: str, bindings, render,
                  env: PolicyEnvironment) -> str:
-    out = template
-    for slot in template_slots(template):
+    """Fill every slot in one pass, so a bound text that looks like a slot
+    is never substituted again."""
+    def fill(match) -> str:
+        slot = match.group(1)
         if slot in bindings:
-            out = out.replace("{%s}" % slot, render(slot))
-        else:
-            out = out.replace(
-                "{%s}" % slot, f"<{_display(env, slot)}: unavailable>"
-            )
-    return out
+            return render(slot)
+        return f"<{_display(env, slot)}: unavailable>"
+    return TEMPLATE_SLOT.sub(fill, template)
 
 
 def render_notice(

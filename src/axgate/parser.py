@@ -36,12 +36,12 @@ from fractions import Fraction
 from .diagnostics import Diagnostic, E_SYNTAX, Span, error, has_errors
 from .lexer import Token, tokenize
 from .syntax import (
-    AxiomNode,
+    Axiom,
     Binary,
     BoolLit,
     BoolOp,
     Compare,
-    ConceptNode,
+    ConceptDecl,
     Expr,
     Lit,
     Name,
@@ -129,7 +129,7 @@ class _Parser:
         while not self.check("EOF") and self.peek().kind not in ("concept", "axiom"):
             self.advance()
 
-    def concept(self) -> ConceptNode:
+    def concept(self) -> ConceptDecl:
         start = self.expect("concept", "'concept'")
         name = self.expect("IDENT", "a concept symbol")
         self.expect("COLON", "':'")
@@ -155,9 +155,9 @@ class _Parser:
         display = self.expect("STRING", "a display name string")
         span = Span(start.span.line, start.span.col,
                     display.span.end_line, display.span.end_col)
-        return ConceptNode(
-            symbol=name.text, kind=kind, ccy=ccy, atoms=atoms, unit=unit,
-            origin=origin, derived=derived, display=display.text, span=span,
+        return ConceptDecl(
+            symbol=name.text, kind=kind, display=display.text, origin=origin,
+            ccy=ccy, atoms=atoms, unit=unit, derived=derived, span=span,
         )
 
     def kind(self) -> tuple[str, str | None, tuple[str, ...]]:
@@ -181,7 +181,7 @@ class _Parser:
         shown = tok.text if tok.kind != "EOF" else "end of input"
         raise _ParseError(tok.span, f"expected a concept kind, found {shown!r}")
 
-    def axiom(self) -> AxiomNode:
+    def axiom(self) -> Axiom:
         start = self.expect("axiom", "'axiom'")
         name = self.expect("IDENT", "an axiom id")
         if self.accept("forbid"):
@@ -204,8 +204,8 @@ class _Parser:
             explain = self.expect("STRING", "an explain template string").text
         end = self.tokens[self.pos - 1].span
         span = Span(start.span.line, start.span.col, end.end_line, end.end_col)
-        return AxiomNode(
-            ident=name.text, effect=effect, tool=tool,
+        return Axiom(
+            id=name.text, effect=effect, tool=tool,
             condition=condition, explain=explain, span=span,
         )
 

@@ -16,12 +16,12 @@ from fractions import Fraction
 from .compiler import PolicyEnvironment, compile_source
 from .kernel import ActionRequest, SystemState
 from .syntax import (
-    AxiomNode,
+    Axiom,
     Binary,
     BoolLit,
     BoolOp,
     Compare,
-    ConceptNode,
+    ConceptDecl,
     Expr,
     Lit,
     Name,
@@ -57,16 +57,6 @@ class Instance:
     state: SystemState
 
 
-@dataclass
-class _Concept:
-    symbol: str
-    kind: str
-    unit: str | None = None
-    ccy: str | None = None
-    atoms: tuple[str, ...] = ()
-    origin: str = "state"
-
-
 class PolicyGenerator:
     def __init__(
         self,
@@ -87,35 +77,36 @@ class PolicyGenerator:
 
     # Concepts -----------------------------------------------------------
 
-    def _gen_concepts(self) -> list[_Concept]:
+    def _gen_concepts(self) -> list[ConceptDecl]:
         rng = self.rng
         count = rng.randint(2, max(2, self.max_symbols - 2))
-        concepts: list[_Concept] = []
+        concepts: list[ConceptDecl] = []
         for i in range(count):
             roll = rng.random()
             origin = "request" if rng.random() < 0.4 else "state"
             if roll < 0.40:
-                concepts.append(_Concept(f"qty{i}", "quantity",
-                                         unit=rng.choice(UNITS), origin=origin))
+                decl = ConceptDecl(f"qty{i}", "quantity", f"Concept qty{i}",
+                                   origin, unit=rng.choice(UNITS))
             elif roll < 0.65:
-                concepts.append(_Concept(f"mny{i}", "money",
-                                         ccy=rng.choice(CURRENCIES), origin=origin))
+                decl = ConceptDecl(f"mny{i}", "money", f"Concept mny{i}",
+                                   origin, ccy=rng.choice(CURRENCIES))
             elif roll < 0.80:
-                concepts.append(_Concept(f"flg{i}", "flag", origin=origin))
+                decl = ConceptDecl(f"flg{i}", "flag", f"Concept flg{i}", origin)
             elif roll < 0.90:
                 atoms = tuple(f"enm{i}_a{j}" for j in range(rng.randint(2, 4)))
-                concepts.append(_Concept(f"enm{i}", "enum", atoms=atoms,
-                                         origin=origin))
+                decl = ConceptDecl(f"enm{i}", "enum", f"Concept enm{i}",
+                                   origin, atoms=atoms)
             else:
-                concepts.append(_Concept(f"txt{i}", "text", origin=origin))
+                decl = ConceptDecl(f"txt{i}", "text", f"Concept txt{i}", origin)
+            concepts.append(decl)
         return concepts
 
-    def _by_kind(self, concepts: list[_Concept], kind: str) -> list[_Concept]:
+    def _by_kind(self, concepts: list[ConceptDecl], kind: str) -> list[ConceptDecl]:
         return [c for c in concepts if c.kind == kind]
 
-    def _gen_derived(self, concepts: list[_Concept]) -> list[ConceptNode]:
+    def _gen_derived(self, concepts: list[ConceptDecl]) -> None:
+        """Append up to two derived concepts over those already declared."""
         rng = self.rng
-        nodes: list[ConceptNode] = []
         budget = self.max_symbols - len(concepts)
         for i in range(rng.randint(0, min(2, max(0, budget)))):
             symbol = f"drv{i}"
@@ -126,29 +117,23 @@ class PolicyGenerator:
                 money = rng.choice(moneys)
                 expr: Expr = Binary("*", Name(rng.choice(scalars).symbol),
                                     Name(money.symbol))
-                nodes.append(ConceptNode(symbol, "money", ccy=money.ccy,
-                                         origin="derived", derived=expr,
-                                         display=f"Derived amount {symbol}"))
-                concepts.append(_Concept(symbol, "money", ccy=money.ccy,
-                                         origin="derived"))
+                concepts.append(ConceptDecl(symbol, "money",
+                                            f"Derived amount {symbol}",
+                                            "derived", money.ccy, derived=expr))
             elif choice < 0.7 and moneys:
                 money = rng.choice(moneys)
                 expr = Binary("*", self._literal(), Name(money.symbol))
-                nodes.append(ConceptNode(symbol, "money", ccy=money.ccy,
-                                         origin="derived", derived=expr,
-                                         display=f"Scaled amount {symbol}"))
-                concepts.append(_Concept(symbol, "money", ccy=money.ccy,
-                                         origin="derived"))
+                concepts.append(ConceptDecl(symbol, "money",
+                                            f"Scaled amount {symbol}",
+                                            "derived", money.ccy, derived=expr))
             elif scalars:
                 left = rng.choice(scalars)
                 expr = Binary(rng.choice(("+", "-", "*")), Name(left.symbol),
                               rng.choice([self._literal(),
                                           Name(rng.choice(scalars).symbol)]))
-                nodes.append(ConceptNode(symbol, "quantity", origin="derived",
-                                         derived=expr,
-                                         display=f"Derived quantity {symbol}"))
-                concepts.append(_Concept(symbol, "quantity", origin="derived"))
-        return nodes
+                concepts.append(ConceptDecl(symbol, "quantity",
+                                            f"Derived quantity {symbol}",
+                                            "derived", derived=expr))
 
     # Expressions --------------------------------------------------------
 
@@ -158,7 +143,7 @@ class PolicyGenerator:
         den = rng.randint(1, 10**6)
         return Lit(Fraction(num, den))
 
-    def _quantity_expr(self, pool: list[_Concept], unit: str | None) -> Expr:
+    def _quantity_expr(self, pool: list[ConceptDecl], unit: str | None) -> Expr:
         rng = self.rng
         same_unit = [c for c in pool if c.unit == unit]
         base: Expr = Name(rng.choice(same_unit).symbol)
@@ -172,7 +157,7 @@ class PolicyGenerator:
             return Binary(rng.choice(("+", "-")), base, other)
         return base
 
-    def _money_expr(self, pool: list[_Concept], ccy: str) -> Expr:
+    def _money_expr(self, pool: list[ConceptDecl], ccy: str) -> Expr:
         rng = self.rng
         same = [c for c in pool if c.ccy == ccy]
         base: Expr = Name(rng.choice(same).symbol)
@@ -186,7 +171,7 @@ class PolicyGenerator:
             return Binary(rng.choice(("+", "-")), base, other)
         return base
 
-    def _comparison(self, concepts: list[_Concept]) -> Expr | None:
+    def _comparison(self, concepts: list[ConceptDecl]) -> Expr | None:
         rng = self.rng
         quantities = self._by_kind(concepts, "quantity")
         moneys = self._by_kind(concepts, "money")
@@ -242,7 +227,7 @@ class PolicyGenerator:
         return Compare(rng.choice(("==", "!=")), Name(concept.symbol),
                        StrLit(rng.choice(TEXT_POOL)))
 
-    def _condition(self, concepts: list[_Concept], depth: int = 0) -> Expr | None:
+    def _condition(self, concepts: list[ConceptDecl], depth: int = 0) -> Expr | None:
         rng = self.rng
         if depth >= 2 or rng.random() < 0.55:
             return self._comparison(concepts)
@@ -260,13 +245,8 @@ class PolicyGenerator:
     def gen_policy(self) -> tuple[str, PolicyEnvironment] | None:
         rng = self.rng
         concepts = self._gen_concepts()
-        items: list = []
-        for c in concepts:
-            items.append(ConceptNode(
-                symbol=c.symbol, kind=c.kind, ccy=c.ccy, atoms=c.atoms,
-                unit=c.unit, origin=c.origin, display=f"Concept {c.symbol}",
-            ))
-        items.extend(self._gen_derived(concepts))
+        self._gen_derived(concepts)
+        items: list = list(concepts)
 
         n_axioms = rng.randint(0, self.max_axioms)
         for i in range(n_axioms):
@@ -290,8 +270,8 @@ class PolicyGenerator:
                     explain = template.format("{%s}" % refs[0], "{%s}" % refs[1])
                 elif "{1}" not in template and refs:
                     explain = template.format("{%s}" % refs[0])
-            items.append(AxiomNode(
-                ident=f"ax{i}", effect=effect, tool=tool,
+            items.append(Axiom(
+                id=f"ax{i}", effect=effect, tool=tool,
                 condition=condition, explain=explain,
             ))
 

@@ -25,21 +25,9 @@ from .diagnostics import (
     has_errors,
     warning,
 )
-from .syntax import Expr, Name, PolicyAst, walk_names
+from .syntax import ConceptDecl, Expr, Name, PolicyAst, walk_names
 
 TEMPLATE_SLOT = re.compile(r"\{([A-Za-z_][A-Za-z0-9_]*)\}")
-
-
-@dataclass(frozen=True, slots=True)
-class ConceptDecl:
-    symbol: str
-    kind: str
-    display: str
-    origin: str = "state"  # "request" | "state" | "derived"
-    ccy: str | None = None
-    atoms: tuple[str, ...] = ()
-    unit: str | None = None
-    derived: Expr | None = None
 
 
 class ConceptRegistry:
@@ -125,11 +113,7 @@ def build_registry(ast: PolicyAst) -> RegistryResult:
                           f"enum member '{atom}' is repeated in '{node.symbol}'")
                 )
             seen_atoms.add(atom)
-        concepts[node.symbol] = ConceptDecl(
-            symbol=node.symbol, kind=node.kind, display=node.display,
-            origin=node.origin, ccy=node.ccy, atoms=node.atoms,
-            unit=node.unit, derived=node.derived,
-        )
+        concepts[node.symbol] = node
 
     registry = ConceptRegistry(concepts)
     used: set[str] = set()
@@ -151,13 +135,13 @@ def build_registry(ast: PolicyAst) -> RegistryResult:
 
     axiom_ids: set[str] = set()
     for node in ast.axioms:
-        if node.ident in axiom_ids:
+        if node.id in axiom_ids:
             diagnostics.append(
                 error(E_DUPLICATE_AXIOM, node.span,
-                      f"axiom id '{node.ident}' is already used")
+                      f"axiom id '{node.id}' is already used")
             )
-        axiom_ids.add(node.ident)
-        check_names(node.condition, f"axiom '{node.ident}'")
+        axiom_ids.add(node.id)
+        check_names(node.condition, f"axiom '{node.id}'")
         if node.explain is not None:
             for slot in template_slots(node.explain):
                 if slot in registry:
@@ -165,22 +149,20 @@ def build_registry(ast: PolicyAst) -> RegistryResult:
                 else:
                     diagnostics.append(
                         error(E_UNREGISTERED_SYMBOL, node.span,
-                              f"explain template of '{node.ident}' interpolates "
+                              f"explain template of '{node.id}' interpolates "
                               f"unregistered symbol '{slot}'")
                     )
 
-    spans = {n.symbol: n.span for n in ast.concepts}
     for cycle in order_derivations(registry)[1]:
         diagnostics.append(
-            error(E_CYCLIC_DERIVATION, spans[cycle[-2]],
+            error(E_CYCLIC_DERIVATION, concepts[cycle[-2]].span,
                   "derived concepts form a cycle: " + " -> ".join(cycle))
         )
 
     for symbol, decl in concepts.items():
         if symbol not in used and decl.origin != "derived":
-            span = next(n.span for n in ast.concepts if n.symbol == symbol)
             diagnostics.append(
-                warning(W_UNUSED_CONCEPT, span,
+                warning(W_UNUSED_CONCEPT, decl.span,
                         f"concept '{symbol}' is never referenced")
             )
 

@@ -3,7 +3,9 @@
 Nodes are frozen dataclasses; spans never participate in equality, so two
 parses of the same text compare equal even when whitespace shifts spans.
 `Name` is the unresolved parse-time reference; type checking rewrites it to
-`Sym` (registered concept) or `Atom` (enum member).
+`Sym` (registered concept) or `Atom` (enum member). The declaration
+records, `ConceptDecl` and `Axiom`, are built by the parser and pass as they
+are through the registry and the typechecker into the compiled environment.
 """
 
 from __future__ import annotations
@@ -118,26 +120,29 @@ def op_name(expr: Expr) -> str:
 
 
 @dataclass(frozen=True, slots=True)
-class ConceptNode:
+class ConceptDecl:
     symbol: str
     kind: str
+    display: str
+    origin: str = "state"  # "request" | "state" | "derived"
     ccy: str | None = None
     atoms: tuple[str, ...] = ()
     unit: str | None = None
-    origin: str = "state"
     derived: Expr | None = None
-    display: str = ""
     span: Span = _span_field()
 
 
 @dataclass(frozen=True, slots=True)
-class AxiomNode:
-    ident: str
+class Axiom:
+    id: str
     effect: str  # "forbid" | "permit"
     tool: str  # exact tool name or "*"
-    condition: Expr
+    condition: Expr  # resolved once typechecked
     explain: str | None = None
     span: Span = _span_field()
+
+    def matches_tool(self, tool: str) -> bool:
+        return self.tool == "*" or self.tool == tool
 
 
 @dataclass(frozen=True, slots=True)
@@ -145,12 +150,12 @@ class PolicyAst:
     items: tuple = ()
 
     @property
-    def concepts(self) -> tuple[ConceptNode, ...]:
-        return tuple(i for i in self.items if isinstance(i, ConceptNode))
+    def concepts(self) -> tuple[ConceptDecl, ...]:
+        return tuple(i for i in self.items if isinstance(i, ConceptDecl))
 
     @property
-    def axioms(self) -> tuple[AxiomNode, ...]:
-        return tuple(i for i in self.items if isinstance(i, AxiomNode))
+    def axioms(self) -> tuple[Axiom, ...]:
+        return tuple(i for i in self.items if isinstance(i, Axiom))
 
 
 # Pretty printing ------------------------------------------------------------
@@ -223,7 +228,7 @@ def print_expr(expr: Expr, parent_prec: int = 0) -> str:
     return text
 
 
-def print_concept(node: ConceptNode) -> str:
+def print_concept(node: ConceptDecl) -> str:
     parts = [f"concept {node.symbol} :"]
     if node.kind == "money":
         parts.append(f"money {escape_string(node.ccy or '')}")
@@ -241,9 +246,9 @@ def print_concept(node: ConceptNode) -> str:
     return " ".join(parts)
 
 
-def print_axiom(node: AxiomNode) -> str:
+def print_axiom(node: Axiom) -> str:
     text = (
-        f"axiom {node.ident} {node.effect} {node.tool} "
+        f"axiom {node.id} {node.effect} {node.tool} "
         f"when {print_expr(node.condition)}"
     )
     if node.explain is not None:
@@ -254,7 +259,7 @@ def print_axiom(node: AxiomNode) -> str:
 def print_policy(ast: PolicyAst) -> str:
     lines = []
     for item in ast.items:
-        if isinstance(item, ConceptNode):
+        if isinstance(item, ConceptDecl):
             lines.append(print_concept(item))
         else:
             lines.append(print_axiom(item))

@@ -32,11 +32,12 @@ from .diagnostics import (
 from .registry import ConceptRegistry
 from .syntax import (
     Atom,
-    AxiomNode,
+    Axiom,
     Binary,
     BoolLit,
     BoolOp,
     Compare,
+    ConceptDecl,
     Expr,
     Lit,
     Name,
@@ -74,7 +75,7 @@ TEXT = Ty("text")
 @dataclass(frozen=True, slots=True)
 class TypedPolicy:
     registry: ConceptRegistry  # derived declarations carry resolved expressions
-    axioms: tuple[AxiomNode, ...]  # conditions resolved
+    axioms: tuple[Axiom, ...]  # conditions resolved
 
 
 @dataclass(frozen=True, slots=True)
@@ -328,27 +329,23 @@ def typecheck(ast: PolicyAst, registry: ConceptRegistry) -> TypecheckResult:
     checker = _Checker(registry)
     resolved_derived: dict[str, Expr] = {}
 
-    for node in ast.concepts:
-        if node.derived is None:
-            continue
-        decl = registry.get(node.symbol)
-        if decl is None:
+    for decl in registry:
+        if decl.derived is None:
             continue
         try:
-            ty, resolved, const = checker.infer(node.derived, "derived")
-            declared = _concept_type(decl)
-            _check_derived_kind(ty, const, declared, node, decl)
-            resolved_derived[node.symbol] = resolved
+            ty, resolved, _ = checker.infer(decl.derived, "derived")
+            _check_derived_kind(ty, _concept_type(decl), decl)
+            resolved_derived[decl.symbol] = resolved
         except _TypeError as exc:
             diagnostics.append(exc.diagnostic)
 
-    typed_axioms: list[AxiomNode] = []
+    typed_axioms: list[Axiom] = []
     for node in ast.axioms:
         try:
             ty, resolved, _ = checker.infer(node.condition, "condition")
             if ty.tag != "flag":
                 raise _TypeError(E_TYPE_MISMATCH, node.span,
-                                 f"condition of axiom '{node.ident}' must be boolean, "
+                                 f"condition of axiom '{node.id}' must be boolean, "
                                  f"got {ty.describe()}")
             typed_axioms.append(replace(node, condition=resolved))
         except _TypeError as exc:
@@ -362,8 +359,8 @@ def typecheck(ast: PolicyAst, registry: ConceptRegistry) -> TypecheckResult:
     )
 
 
-def _check_derived_kind(ty: Ty, const, declared: Ty, node, decl) -> None:
-    span = node.span
+def _check_derived_kind(ty: Ty, declared: Ty, decl: ConceptDecl) -> None:
+    span = decl.span
     if declared.tag in ("enum", "text"):
         raise _TypeError(
             E_TYPE_MISMATCH, span,

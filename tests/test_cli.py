@@ -200,6 +200,32 @@ def test_audit_cli_verify_show_explain(policy_file, tmp_path, capsys):
     assert capsys.readouterr().out.splitlines() == lines
 
 
+def test_audit_cli_reports_a_line_that_is_not_a_record(tmp_path, capsys):
+    log = tmp_path / "audit.log"
+    log.write_text('\n{"seq": 1}\n', encoding="utf-8")
+    for argv in (["audit", "show", str(log), "--seq", "1"],
+                 ["audit", "explain", str(log), "--request-id", "r",
+                  "--env", str(tmp_path / "unused.env")]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "line 2" in err
+
+
+def test_audit_cli_explain_skips_damaged_archive_lines(policy_file, tmp_path,
+                                                       capsys):
+    env_file = tmp_path / "env.bin"
+    assert main(["compile", str(policy_file), "--out", str(env_file)]) == 0
+    log, lines = _refuse_through_gateway(
+        policy_file, {"max_order_size": 100}, {"volume": 99999}, "blocked-1",
+        tmp_path / "gw")
+    archive = tmp_path / "gw" / "audit.log.traces"
+    archive.write_bytes(b"[1]\nnot json\n" + archive.read_bytes())
+    capsys.readouterr()
+    assert main(["audit", "explain", str(log), "--request-id", "blocked-1",
+                 "--env", str(env_file)]) == 0
+    assert capsys.readouterr().out.splitlines() == lines
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

@@ -87,6 +87,27 @@ def test_unused_concept_warning_does_not_fail():
                for d in result.diagnostics)
 
 
+def test_unused_concept_warnings_scale_and_keep_their_spans():
+    """Each warning is placed at its own declaration without a search over
+    the other declarations, so a large policy compiles in linear time."""
+    import time
+
+    count = 20_000
+    source = "".join(f'concept c{i} : flag from request "C{i}"\n'
+                     for i in range(count))
+    source += 'concept a : flag from state "A"\naxiom x permit t when a\n'
+    start = time.perf_counter()
+    result = compile_source(source)
+    elapsed = time.perf_counter() - start
+    assert result.ok
+    unused = [d for d in result.diagnostics if d.code == "unused-concept"]
+    assert len(unused) == count
+    for i, diag in enumerate(unused):
+        assert (diag.span.line, diag.message) == (
+            i + 1, f"concept 'c{i}' is never referenced")
+    assert elapsed < 10.0, f"compiled in {elapsed:.1f} s"
+
+
 def test_typecheck_dti_example():
     result = compile_source(
         'concept debt_to_income : quantity from state "Debt-to-income ratio"\n'

@@ -762,6 +762,15 @@ def test_malformed_upstream_reply_is_502_with_the_real_decision(workspace):
     ("allow_state_override", "maybe"),
     ("max_in_flight", "lots"),
     ("upstream_timeout_secs", "soon"),
+    ("upstream_timeout_secs", "0"),
+    ("upstream_timeout_secs", "-1"),
+    ("upstream_timeout_secs", "inf"),
+    ("upstream_timeout_secs", "nan"),
+    ("max_body_bytes", "0"),
+    ("max_body_bytes", "-1"),
+    ("state_refresh_secs", "-1"),
+    ("state_refresh_secs", "inf"),
+    ("state_refresh_secs", "nan"),
 ])
 def test_load_config_rejects_unreadable_values(tmp_path, key, raw):
     cfg = tmp_path / "gateway.conf"

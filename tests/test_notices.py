@@ -92,6 +92,24 @@ def test_no_permit_notice():
     assert notice.lines == ("No policy permits this action.",)
 
 
+def test_notice_does_not_substitute_inside_bound_values():
+    env = compile_source(
+        'concept memo : text from request "Memo"\n'
+        'concept volume : quantity from request "Order volume"\n'
+        "axiom cap forbid trade when volume > 10\n"
+        '  explain "Memo {memo} with volume {volume} exceeds the cap."\n'
+        'axiom memo_ok permit trade when memo != "x"\n'
+    ).environment
+    result = verify(
+        ActionRequest("r5", "trade", {"memo": "{volume}",
+                                      "volume": Fraction(50)}),
+        SystemState({}),
+        env,
+    )
+    notice = render_notice(result, env, "r5")
+    assert notice.lines == ("Memo {volume} with volume 50 exceeds the cap.",)
+
+
 def test_notice_faithfulness_on_fuzzed_refutations():
     checked = 0
     for inst in iter_instances(1311, 500, env_reuse=25):

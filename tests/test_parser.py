@@ -4,7 +4,7 @@ from fractions import Fraction
 from axgate.parser import parse
 from axgate.randgen import PolicyGenerator
 from axgate.syntax import (
-    AxiomNode,
+    Axiom,
     Binary,
     Compare,
     Lit,
@@ -21,7 +21,7 @@ def test_single_axiom_capital_policy():
     axioms = result.ast.axioms
     assert len(axioms) == 1
     ax = axioms[0]
-    assert ax.ident == "cap"
+    assert ax.id == "cap"
     assert ax.effect == "forbid"
     assert ax.tool == "execute_trade"
     assert ax.condition == Compare(
@@ -127,7 +127,7 @@ def test_explain_template_parses():
     )
     assert result.ok
     ax = result.ast.axioms[0]
-    assert isinstance(ax, AxiomNode)
+    assert isinstance(ax, Axiom)
     assert ax.explain == "Value {v} too large."
 
 
