@@ -1,12 +1,13 @@
-"""Hash-chained, append-only audit log.
+"""Hash-chained, append-only audit log, and the trace archive beside it.
 
 Each record binds a decision to its proof-trace digest and to the digest of
 the previous record, so any byte-level tampering, deletion, or reordering
 is detectable by rescanning the file. Records are newline-delimited
 canonical JSON; digests are lowercase hex SHA-256.
 
-Only one writer may ever append to a given log (the gateway funnels all
-handlers through a single consumer); verification and reading are pure and
+Only one writer may ever append to a given log: the gateway's handlers
+funnel their events through one `AuditPump`, whose single consumer thread
+owns the log and the trace archive. Verification and reading are pure and
 safe to run concurrently with the writer.
 """
 
@@ -14,16 +15,24 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import logging
 import os
-from dataclasses import dataclass
+import queue
+import threading
+import time
+from collections import deque
+from dataclasses import dataclass, field
 from typing import IO, Iterable, Iterator
 
-from .canonical import ZERO_DIGEST, canonical_bytes, sha256_hex
+from .canonical import ZERO_DIGEST, canonical_bytes, sha256_hex, value_from_plain
+
+logger = logging.getLogger("axgate.audit")
 
 CAUSE_PARSE = "parse-error"
 CAUSE_DIGEST = "digest-mismatch"
 CAUSE_LINK = "link-mismatch"
 CAUSE_SEQ = "seq-gap"
+CAUSE_HEAD = "head-mismatch"
 
 
 @dataclass(frozen=True, slots=True)
@@ -182,9 +191,6 @@ class AuditWriter:
         self.close()
 
 
-CAUSE_HEAD = "head-mismatch"
-
-
 @dataclass(frozen=True, slots=True)
 class ChainReport:
     ok: bool
@@ -282,3 +288,157 @@ def find_record(path: str, *, seq: int | None = None,
         if request_id is not None and record.request_id == request_id:
             return record
     return None
+
+
+# Audit pump -------------------------------------------------------------------
+
+
+_SENTINEL = object()
+_QUEUE_SIZE = 1024
+_DUPLICATE_WINDOW = 4096  # request ids remembered for duplicate_of
+_ARCHIVE_WINDOW = 65536  # trace digests remembered as already archived
+
+
+@dataclass
+class AuditEvent:
+    request_id: str
+    tool: str
+    env_version: str
+    decision: str
+    trace_digest: str
+    refusal_causes: tuple
+    enforced: bool
+    note: str | None = None
+    trace_bytes: bytes | None = field(default=None, repr=False)
+
+
+class AuditPump:
+    """Bounded multi-producer, single-consumer funnel to the audit log.
+
+    Producers block when the queue is full (backpressure, never loss). The
+    consumer owns the log file and the trace archive; a storage failure
+    flips the pump into degraded mode instead of blocking decisions.
+    """
+
+    def __init__(self, path: str, trace_archive_path: str | None, *,
+                 fsync: bool = True) -> None:
+        self._queue: queue.Queue = queue.Queue(maxsize=_QUEUE_SIZE)
+        self._writer = AuditWriter(path, fsync=fsync)
+        self._trace_fh = open(trace_archive_path, "ab") \
+            if trace_archive_path else None
+        # Two FIFO windows: insert on a miss, evict the oldest entry past the
+        # cap, never refresh on a hit. Each keeps its keys in a deque for the
+        # eviction order; archived digests are held as their 32 raw bytes.
+        self._seen: dict[str, int] = {}
+        self._seen_order: deque[str] = deque()
+        self._archived: set[bytes] = set()
+        self._archived_order: deque[bytes] = deque()
+        self.degraded = False
+        self.records_written = 0
+        self._thread = threading.Thread(
+            target=self._run, name="axgate-audit", daemon=True
+        )
+        self._thread.start()
+
+    def submit(self, event: AuditEvent) -> None:
+        self._queue.put(event)  # blocks when full: bounded backpressure
+
+    def drain(self) -> None:
+        self._queue.join()
+
+    def close(self) -> None:
+        self._queue.put(_SENTINEL)
+        self._thread.join()
+        self._writer.close()
+        if self._trace_fh is not None:
+            self._trace_fh.close()
+
+    def _run(self) -> None:
+        while True:
+            event = self._queue.get()
+            try:
+                if event is _SENTINEL:
+                    return
+                self._consume(event)
+            finally:
+                self._queue.task_done()
+
+    def _consume(self, event: AuditEvent) -> None:
+        request_id = event.request_id
+        duplicate_of = self._seen.get(request_id) if request_id else None
+        try:
+            record = self._writer.append(
+                ts_ns=time.time_ns(),
+                request_id=request_id,
+                tool=event.tool,
+                env_version=event.env_version,
+                decision=event.decision,
+                trace_digest=event.trace_digest,
+                refusal_causes=event.refusal_causes,
+                enforced=event.enforced,
+                duplicate_of=duplicate_of,
+                note=event.note,
+            )
+        except AuditStorageError:
+            logger.error("audit append failed; running degraded")
+            self.degraded = True
+            return
+        self.records_written += 1
+        # Only a record that was written can be cited as the first of its id.
+        if request_id and duplicate_of is None:
+            self._seen[request_id] = record.seq
+            self._seen_order.append(request_id)
+            if len(self._seen_order) > _DUPLICATE_WINDOW:
+                del self._seen[self._seen_order.popleft()]
+        self._archive_trace(event)
+
+    def _archive_trace(self, event: AuditEvent) -> None:
+        if self._trace_fh is None or event.trace_bytes is None:
+            return
+        key = bytes.fromhex(event.trace_digest)
+        if key in self._archived:
+            return
+        self._archived.add(key)
+        self._archived_order.append(key)
+        if len(self._archived_order) > _ARCHIVE_WINDOW:
+            self._archived.remove(self._archived_order.popleft())
+        # The kernel's canonical trace bytes, spliced in as they are: sorted
+        # keys put "trace" before "trace_digest", so this line equals
+        # canonical_bytes({"trace_digest": d, "trace": trace.to_plain()}).
+        self._trace_fh.write(b'{"trace":%s,"trace_digest":"%s"}\n' % (
+            event.trace_bytes, event.trace_digest.encode("ascii")))
+        self._trace_fh.flush()
+
+
+def load_archived_bindings(path: str, trace_digest: str, env) -> dict:
+    """The bindings archived under this trace digest, decoded under the
+    concepts of `env`: {} when there are none. A line that is not JSON, or
+    whose trace is damaged, is skipped and hides no later one. A binding
+    that `env` does not declare, or that does not decode as its concept's
+    kind, is left out, so a notice shows it as unavailable."""
+    plain: dict = {}
+    try:
+        with open(path, "rb") as fh:
+            for line in fh:
+                try:
+                    doc = json.loads(line)
+                except ValueError:
+                    continue
+                if not isinstance(doc, dict) \
+                        or doc.get("trace_digest") != trace_digest:
+                    continue
+                trace = doc.get("trace")
+                if isinstance(trace, dict) \
+                        and isinstance(trace.get("bindings"), dict):
+                    plain = trace["bindings"]
+                    break
+    except OSError:
+        pass
+    bindings = {}
+    for decl in env.registry:
+        if decl.symbol in plain:
+            try:
+                bindings[decl.symbol] = value_from_plain(plain[decl.symbol], decl)
+            except (ArithmeticError, KeyError, TypeError, ValueError):
+                pass  # damaged, or another environment's kind
+    return bindings

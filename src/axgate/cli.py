@@ -20,11 +20,10 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .audit import find_record, verify_chain
+from .audit import find_record, load_archived_bindings, verify_chain
 from .bench import bench
-from .canonical import value_from_plain
 from .compiler import compile_file, load_environment, save_environment
-from .gateway import load_archived_trace, load_config, serve
+from .gateway import load_config, serve
 from .kernel import ActionRequest, RefusalCause, SystemState, verify
 from .notices import render_notice_from_parts
 from .oracle import oracle_verify
@@ -106,17 +105,8 @@ def _cmd_audit_explain(args) -> int:
     if env.version_digest != record.env_version:
         print("warning: archived environment version differs from the record",
               file=sys.stderr)
-    traces_path = args.traces or (args.file + ".traces")
-    trace_doc = load_archived_trace(traces_path, record.trace_digest) or {}
-    bindings = {}
-    for symbol, plain in trace_doc.get("bindings", {}).items():
-        decl = env.registry.get(symbol)
-        if decl is None:
-            continue
-        try:
-            bindings[symbol] = value_from_plain(plain, decl)
-        except (KeyError, TypeError, ValueError):
-            continue  # another environment's kind: rendered as unavailable
+    bindings = load_archived_bindings(args.traces or (args.file + ".traces"),
+                                      record.trace_digest, env)
     causes = tuple(RefusalCause(*c) for c in record.refusal_causes)
     notice = render_notice_from_parts(causes, bindings, env, record.request_id)
     print(notice.render())

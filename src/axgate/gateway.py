@@ -23,18 +23,16 @@ import json
 import logging
 import math
 import os
-import queue
 import socket
 import sys
 import threading
 import time
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Mapping
 from urllib.parse import urlsplit
 
-from .audit import AuditStorageError, AuditWriter
+from .audit import AuditEvent, AuditPump
 from .canonical import ZERO_DIGEST
 from .compiler import PolicyEnvironment, compile_file
 from .diagnostics import Diagnostic
@@ -76,7 +74,6 @@ class GatewayConfig:
     trace_archive_path: str = ""  # defaults to audit_log_path + ".traces"
     max_in_flight: int = 64
     max_body_bytes: int = 1 << 20
-    allow_state_override: bool = False
     audit_fsync: bool = True
     upstream_timeout_secs: float = 5.0
 
@@ -182,142 +179,6 @@ def load_state_file(path: str, env: PolicyEnvironment) -> SystemState:
     return SystemState(coerce_facts(raw, env, "state"), as_of=time.time_ns())
 
 
-# Audit pump -------------------------------------------------------------------
-
-
-_SENTINEL = object()
-_QUEUE_SIZE = 1024
-_DUPLICATE_WINDOW = 4096  # request ids remembered for duplicate_of
-_ARCHIVE_WINDOW = 65536  # trace digests remembered as already archived
-
-
-@dataclass
-class AuditEvent:
-    request_id: str
-    tool: str
-    env_version: str
-    decision: str
-    trace_digest: str
-    refusal_causes: tuple
-    enforced: bool
-    note: str | None = None
-    trace_bytes: bytes | None = field(default=None, repr=False)
-
-
-class AuditPump:
-    """Bounded multi-producer, single-consumer funnel to the audit log.
-
-    Producers block when the queue is full (backpressure, never loss). The
-    consumer owns the log file and the trace archive; a storage failure
-    flips the pump into degraded mode instead of blocking decisions.
-    """
-
-    def __init__(self, path: str, trace_archive_path: str | None, *,
-                 fsync: bool = True) -> None:
-        self._queue: queue.Queue = queue.Queue(maxsize=_QUEUE_SIZE)
-        self._writer = AuditWriter(path, fsync=fsync)
-        self._trace_fh = open(trace_archive_path, "ab") \
-            if trace_archive_path else None
-        # Two FIFO windows: insert on a miss, evict the oldest entry past the
-        # cap, never refresh on a hit. Each keeps its keys in a deque for the
-        # eviction order; archived digests are held as their 32 raw bytes.
-        self._seen: dict[str, int] = {}
-        self._seen_order: deque[str] = deque()
-        self._archived: set[bytes] = set()
-        self._archived_order: deque[bytes] = deque()
-        self.degraded = False
-        self.records_written = 0
-        self._thread = threading.Thread(
-            target=self._run, name="axgate-audit", daemon=True
-        )
-        self._thread.start()
-
-    def submit(self, event: AuditEvent) -> None:
-        self._queue.put(event)  # blocks when full: bounded backpressure
-
-    def drain(self) -> None:
-        self._queue.join()
-
-    def close(self) -> None:
-        self._queue.put(_SENTINEL)
-        self._thread.join()
-        self._writer.close()
-        if self._trace_fh is not None:
-            self._trace_fh.close()
-
-    def _run(self) -> None:
-        while True:
-            event = self._queue.get()
-            try:
-                if event is _SENTINEL:
-                    return
-                self._consume(event)
-            finally:
-                self._queue.task_done()
-
-    def _consume(self, event: AuditEvent) -> None:
-        duplicate_of = None
-        if event.request_id:
-            duplicate_of = self._seen.get(event.request_id)
-            if duplicate_of is None:
-                self._seen[event.request_id] = self._writer.next_seq
-                self._seen_order.append(event.request_id)
-                if len(self._seen_order) > _DUPLICATE_WINDOW:
-                    del self._seen[self._seen_order.popleft()]
-        try:
-            self._writer.append(
-                ts_ns=time.time_ns(),
-                request_id=event.request_id,
-                tool=event.tool,
-                env_version=event.env_version,
-                decision=event.decision,
-                trace_digest=event.trace_digest,
-                refusal_causes=event.refusal_causes,
-                enforced=event.enforced,
-                duplicate_of=duplicate_of,
-                note=event.note,
-            )
-            self.records_written += 1
-            self._archive_trace(event)
-        except AuditStorageError:
-            logger.error("audit append failed; running degraded")
-            self.degraded = True
-
-    def _archive_trace(self, event: AuditEvent) -> None:
-        if self._trace_fh is None or event.trace_bytes is None:
-            return
-        key = bytes.fromhex(event.trace_digest)
-        if key in self._archived:
-            return
-        self._archived.add(key)
-        self._archived_order.append(key)
-        if len(self._archived_order) > _ARCHIVE_WINDOW:
-            self._archived.remove(self._archived_order.popleft())
-        # The kernel's canonical trace bytes, spliced in as they are: sorted
-        # keys put "trace" before "trace_digest", so this line equals
-        # canonical_bytes({"trace_digest": d, "trace": trace.to_plain()}).
-        self._trace_fh.write(b'{"trace":%s,"trace_digest":"%s"}\n' % (
-            event.trace_bytes, event.trace_digest.encode("ascii")))
-        self._trace_fh.flush()
-
-
-def load_archived_trace(path: str, trace_digest: str) -> dict | None:
-    """The archived trace with this digest, or None. Lines that are not
-    JSON objects are skipped, so one damaged line hides no later trace."""
-    try:
-        with open(path, "rb") as fh:
-            for line in fh:
-                try:
-                    doc = json.loads(line)
-                except ValueError:
-                    continue
-                if isinstance(doc, dict) and doc.get("trace_digest") == trace_digest:
-                    return doc.get("trace")
-    except OSError:
-        return None
-    return None
-
-
 # HTTP plumbing ------------------------------------------------------------------
 
 
@@ -396,11 +257,7 @@ class _Handler(BaseHTTPRequestHandler):
         try:
             raw = _read_body(self, self.gateway.config.max_body_bytes)
         except _UnreadableBody as exc:
-            self.close_connection = True
             self._send_json(exc.status, {"error": exc.error})
-            return
-        if raw is None:
-            self._send_json(413, {"error": "oversize-body"})
             return
         try:
             path = _parse_reload(raw)
@@ -438,9 +295,8 @@ def _parse_reload(raw: bytes) -> str | None:
 
 
 class _UnreadableBody(Exception):
-    """The body cannot be read, or where it ends cannot be trusted. The
-    reply is `status` with `error`, and the connection closes after it: the
-    bytes still on it must never be parsed as a request."""
+    """There is no body to act on: it is too large, it cannot be read, or
+    where it ends cannot be trusted. The reply is `status` with `error`."""
 
     def __init__(self, status: int, error: str) -> None:
         super().__init__(error)
@@ -476,23 +332,27 @@ def _content_length(headers) -> int:
     return lengths.pop()
 
 
-def _read_body(handler: _Handler, limit: int) -> bytes | None:
-    """The request body, or None when its declared size exceeds the limit
-    (the body is then read and dropped, so the connection can carry the
-    error). Raises _UnreadableBody for bad framing or a stalled body."""
-    n = _content_length(handler.headers)
+def _read_body(handler: _Handler, limit: int) -> bytes:
+    """The request body; otherwise raises _UnreadableBody. A body over the
+    limit is read and dropped, so the connection can carry the 413. After bad framing or
+    a stalled body the connection is marked to close: the bytes still on it
+    must never be parsed as a request."""
     try:
-        if n > limit:
-            remaining = n
-            while remaining > 0:
-                chunk = handler.rfile.read(min(65536, remaining))
-                if not chunk:
-                    break
-                remaining -= len(chunk)
-            return None
-        return handler.rfile.read(n) if n else b""
+        n = _content_length(handler.headers)
+        if n <= limit:
+            return handler.rfile.read(n) if n else b""
+        while n > 0:
+            chunk = handler.rfile.read(min(65536, n))
+            if not chunk:
+                break
+            n -= len(chunk)
+    except _UnreadableBody:
+        handler.close_connection = True
+        raise
     except TimeoutError:
+        handler.close_connection = True
         raise _UnreadableBody(408, "read-timeout") from None
+    raise _UnreadableBody(413, "oversize-body")
 
 
 class _Server(ThreadingHTTPServer):
@@ -711,18 +571,14 @@ class Gateway:
         try:
             raw = _read_body(handler, self.config.max_body_bytes)
         except _UnreadableBody as exc:
-            handler.close_connection = True
             refuse(exc.status, exc.error, exc.error)
-            return
-        if raw is None:
-            refuse(413, "oversize-body", "oversize-body")
             return
 
         parsed = _parse_tool_call(raw)
         if isinstance(parsed, str):
             refuse(400, parsed, parsed)
             return
-        request_id, tool, raw_params, state_override = parsed
+        request_id, tool, raw_params = parsed
 
         if not self._inflight.acquire(blocking=False):
             refuse(429, "too-many-requests", "backpressure", request_id, tool)
@@ -730,16 +586,11 @@ class Gateway:
         # Only deciding and recording is guarded: once the record is
         # submitted, a failure cannot lead to a second one.
         try:
-            state = snapshot.state
-            if state_override is not None and self.config.allow_state_override:
-                merged = dict(state.facts or {})
-                merged.update(coerce_facts(state_override, env, "state"))
-                state = SystemState(merged, as_of=state.as_of)
             request = ActionRequest(request_id, tool,
                                     coerce_facts(raw_params, env, "request"),
                                     received_at=time.time_ns())
             t0 = time.perf_counter_ns()
-            result = verify(request, state, env)
+            result = verify(request, snapshot.state, env)
             latency_ns = time.perf_counter_ns() - t0
 
             # /v1/verify never forwards and never enforces. /v1/execute in
@@ -868,7 +719,7 @@ def _still_idle(sock: socket.socket) -> bool:
 
 
 def _parse_tool_call(raw: bytes):
-    """Returns (request_id, tool, params, state_override) or an error slug."""
+    """Returns (request_id, tool, params) or an error slug."""
     try:
         doc = json.loads(raw.decode("utf-8"))
     except (ValueError, UnicodeDecodeError):
@@ -878,7 +729,6 @@ def _parse_tool_call(raw: bytes):
     request_id = doc.get("request_id")
     tool = doc.get("tool")
     params = doc.get("params", {})
-    override = doc.get("state_override")
     if not isinstance(request_id, str) or not request_id:
         return "missing-request-id"
     # The id is echoed in the X-Axgate-Request-Id reply header: only
@@ -890,9 +740,7 @@ def _parse_tool_call(raw: bytes):
         return "missing-tool"
     if not isinstance(params, dict):
         return "malformed-params"
-    if override is not None and not isinstance(override, dict):
-        return "malformed-state-override"
-    return request_id, tool, params, override
+    return request_id, tool, params
 
 
 def serve(config: GatewayConfig) -> None:

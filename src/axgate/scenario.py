@@ -1,20 +1,21 @@
 """Scripted scenario replay, in-process or through a live gateway.
 
-Scenario files are flat sectioned text (one `key = value` per line, values
-in JSON where structure is needed):
+Scenario files are flat sectioned text: one `key = value` per line, values
+in JSON where structure is needed, and `#` only at the start of a line:
 
     name = knight_burst
-    policy = ../policies/sec15c3_5.pol      # path relative to this file
-
-    [state]                                 # initial facts, wire format
+    # relative to this file
+    policy = ../policies/sec15c3_5.pol
+    # initial facts, wire format
+    [state]
     daily_capital = {"minor": 5000000000, "ccy": "USD"}
-
-    [step]                                  # one block per scripted step
+    # one block per step: 1000 requests, then state_after is applied once
+    [step]
     tool = execute_trade
     expect = Refuted
-    repeat = 1000                           # expands into 1000 requests
+    repeat = 1000
     params = {"volume": 99999}
-    state_after = {"max_order_size": 500}   # applied once, after the block
+    state_after = {"max_order_size": 500}
 
 Replay compares actual against expected decisions step by step; in gateway
 mode it also runs a stub upstream and asserts the forwarding contract

@@ -196,6 +196,40 @@ def test_duplicate_of_field_participates_in_digest(tmp_path):
     assert records[1].duplicate_of == 0
 
 
+def test_pump_cites_no_record_after_a_failed_append(tmp_path, monkeypatch):
+    """A request id is remembered only once its record is written. Before,
+    a failed append left the id at the sequence number the next record
+    took, so a retry of the id cited another request's record."""
+    from axgate.audit import AuditEvent, AuditPump
+
+    append = AuditWriter.append
+    failed = []
+
+    def append_failing_once(self, **fields):
+        if not failed:
+            failed.append(fields["request_id"])
+            raise AuditStorageError("disk full")
+        return append(self, **fields)
+
+    monkeypatch.setattr(AuditWriter, "append", append_failing_once)
+    log = tmp_path / "audit.log"
+    pump = AuditPump(str(log), None, fsync=False)
+    try:
+        for request_id in ("lost", "other", "lost"):
+            pump.submit(AuditEvent(
+                request_id=request_id, tool="t", env_version="e" * 64,
+                decision="Proven", trace_digest="t" * 64,
+                refusal_causes=(), enforced=False,
+            ))
+        pump.drain()
+    finally:
+        pump.close()
+    assert failed == ["lost"] and pump.degraded
+    assert [(r.seq, r.request_id, r.duplicate_of)
+            for r in iter_records(str(log))] == \
+        [(0, "other", None), (1, "lost", None)]
+
+
 def test_record_with_key_like_strings_round_trips(tmp_path):
     """Writing splices "record_digest" into the payload bytes and verifying
     cuts it back out; strings that spell those keys must not confuse either,

@@ -94,6 +94,11 @@ connects = spans.named("HTTPConnection.connect")
 assert connects
 assert {spans.parent_name(s) for s in connects} == {"Gateway._forward"}, \\
     [spans.parent_name(s) for s in connects]
+# One audit submit under each request's handler, and one append each.
+submits = spans.named("AuditPump.submit")
+assert [spans.parent_name(s) for s in submits] == \\
+    ["Gateway.handle_tool_call"] * 3, [spans.parent_name(s) for s in submits]
+assert len(spans.named("AuditWriter.append")) == 3
 """
 
 

@@ -219,11 +219,28 @@ def test_audit_cli_explain_skips_damaged_archive_lines(policy_file, tmp_path,
         policy_file, {"max_order_size": 100}, {"volume": 99999}, "blocked-1",
         tmp_path / "gw")
     archive = tmp_path / "gw" / "audit.log.traces"
-    archive.write_bytes(b"[1]\nnot json\n" + archive.read_bytes())
-    capsys.readouterr()
-    assert main(["audit", "explain", str(log), "--request-id", "blocked-1",
-                 "--env", str(env_file)]) == 0
-    assert capsys.readouterr().out.splitlines() == lines
+    good = archive.read_bytes()
+    entry = b'{"trace_digest": "%s", "trace": %%s}\n' % \
+        json.loads(good)["trace_digest"].encode()
+    unavailable = ["Order volume <Order volume (shares): unavailable> exceeds "
+                   "the maximum order size <Maximum order size (shares): "
+                   "unavailable>."]
+    for damaged, expected in (
+        (b"[1]\nnot json\n" + good, lines),
+        # the record's own entry, damaged inside: its values are unavailable
+        (entry % b"5", unavailable),
+        (entry % b'{"bindings": 5}', unavailable),
+        (entry % b'{"bindings": {"volume": "1/0", "max_order_size": 100}}',
+         ["Order volume <Order volume (shares): unavailable> exceeds the "
+          "maximum order size 100."]),
+        # a damaged entry hides no later one
+        (entry % b"5" + good, lines),
+    ):
+        archive.write_bytes(damaged)
+        capsys.readouterr()
+        assert main(["audit", "explain", str(log), "--request-id",
+                     "blocked-1", "--env", str(env_file)]) == 0, damaged
+        assert capsys.readouterr().out.splitlines() == expected, damaged
 
 
 def test_version_flag(capsys):

@@ -163,6 +163,28 @@ def test_oversize_body_is_413_and_audited(workspace):
     assert records[0].decision == "Refuted"
 
 
+def test_oversize_body_keeps_the_connection(workspace):
+    """An oversize body is read and dropped, so after its 413 the same
+    connection carries the next request."""
+    config = make_config(workspace, "http://127.0.0.1:9/none",
+                         max_body_bytes=128)
+    big = json.dumps(tool_call("big", 1)).encode() + b" " * 500
+    after = json.dumps(tool_call("after", 1)).encode()
+    with Gateway(config) as gw:
+        reply = _exchange(gw, (
+            b"POST /v1/verify HTTP/1.1\r\nHost: x\r\nContent-Length: %d"
+            b"\r\n\r\n%s" % (len(big), big)) + (
+            b"POST /v1/verify HTTP/1.1\r\nHost: x\r\nConnection: close\r\n"
+            b"Content-Length: %d\r\n\r\n%s" % (len(after), after)))
+        gw.pump.drain()
+        records = list(iter_records(config.audit_log_path))
+    assert reply is not None
+    assert reply.startswith(b"HTTP/1.1 413 ")
+    assert reply.count(b"HTTP/1.1 200 ") == 1
+    assert [(r.request_id, r.decision, r.note) for r in records] == \
+        [("", "Refuted", "oversize-body"), ("after", "Proven", None)]
+
+
 def test_upstream_unreachable_is_502_and_audited(workspace):
     config = make_config(workspace, "http://127.0.0.1:1/unreachable")
     with Gateway(config) as gw:
@@ -419,22 +441,15 @@ def test_duplicate_request_id_noted(workspace):
     assert records[0].decision == records[1].decision
 
 
-def test_state_override_requires_test_mode(workspace):
+def test_state_override_is_ignored(workspace):
+    """State facts come only from the state source: a request body cannot
+    rewrite them, and a `state_override` key is an ignored extra key."""
     config = make_config(workspace, "http://127.0.0.1:9/none")
-    call = {**tool_call("so1", 20000),
-            "state_override": {"max_order_size": 50000}}
     with Gateway(config) as gw:
-        status, data, _ = post(gw, "/v1/verify", call)
-        assert json.loads(data)["decision"] == "Refuted"  # override ignored
-        gw.pump.drain()
-
-    config2 = make_config(workspace, "http://127.0.0.1:9/none",
-                          allow_state_override=True,
-                          audit_log_path=str(workspace / "audit2.log"))
-    with Gateway(config2) as gw:
-        status, data, _ = post(gw, "/v1/verify", call)
-        assert json.loads(data)["decision"] == "Proven"
-        gw.pump.drain()
+        for override in ({"max_order_size": 50000}, 5):
+            call = {**tool_call("so1", 20000), "state_override": override}
+            status, data, _ = post(gw, "/v1/verify", call)
+            assert (status, json.loads(data)["decision"]) == (200, "Refuted")
 
 
 def test_snapshot_isolation_under_concurrent_reloads(workspace):
@@ -759,7 +774,6 @@ def test_malformed_upstream_reply_is_502_with_the_real_decision(workspace):
 
 @pytest.mark.parametrize("key, raw", [
     ("audit_fsync", "ture"),
-    ("allow_state_override", "maybe"),
     ("max_in_flight", "lots"),
     ("upstream_timeout_secs", "soon"),
     ("upstream_timeout_secs", "0"),
@@ -781,6 +795,17 @@ def test_load_config_rejects_unreadable_values(tmp_path, key, raw):
     cfg.write_text("policy_path = p.pol\n", encoding="utf-8")
     with pytest.raises(GatewayStartupError, match=key):
         load_config(str(cfg), env={"AXGATE_" + key.upper(): raw})
+
+
+def test_load_config_refuses_allow_state_override_as_unknown_key(tmp_path):
+    """The option that let a request body rewrite state facts is gone; a
+    config that still names it stops startup."""
+    cfg = tmp_path / "gateway.conf"
+    cfg.write_text("policy_path = p.pol\nallow_state_override = true\n",
+                   encoding="utf-8")
+    with pytest.raises(GatewayStartupError,
+                       match="unknown config key: 'allow_state_override'"):
+        load_config(str(cfg), env={})
 
 
 def test_load_config_boolean_spellings(tmp_path):
@@ -880,11 +905,11 @@ def test_request_id_outside_printable_ascii_is_400(workspace, request_id):
 def test_audit_pump_windows_are_fifo(tmp_path, monkeypatch):
     """Both dedup windows insert on a miss, evict the oldest entry past the
     cap and never refresh on a hit."""
-    import axgate.gateway as gateway_module
-    from axgate.gateway import AuditEvent, AuditPump
+    import axgate.audit as audit_module
+    from axgate.audit import AuditEvent, AuditPump
 
-    monkeypatch.setattr(gateway_module, "_DUPLICATE_WINDOW", 3)
-    monkeypatch.setattr(gateway_module, "_ARCHIVE_WINDOW", 3)
+    monkeypatch.setattr(audit_module, "_DUPLICATE_WINDOW", 3)
+    monkeypatch.setattr(audit_module, "_ARCHIVE_WINDOW", 3)
     archive = tmp_path / "audit.log.traces"
     pump = AuditPump(str(tmp_path / "audit.log"), str(archive), fsync=False)
     ids = ["a", "b", "a", "c", "d", "a", "d"]

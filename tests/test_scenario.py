@@ -131,6 +131,23 @@ def test_replay_gateway_shadow(scenario):
     assert audited == {"Proven": 1, "Refuted": 21}
 
 
+def test_module_docstring_example_parses_and_replays():
+    import re
+    import textwrap
+
+    import axgate.scenario as scenario_module
+
+    block = re.search(r"\n\n((?:    .*\n|\n)+)", scenario_module.__doc__)
+    scenario = parse_scenario(
+        textwrap.dedent(block.group(1)),
+        base_dir=os.path.join(os.path.dirname(scenario_module.__file__),
+                              "scenarios"))
+    assert scenario.name == "knight_burst"
+    assert scenario.steps[0].state_after == {"max_order_size": 500}
+    report = replay(scenario)
+    assert report.ok and report.passed == 1000, report.render()
+
+
 def test_shipped_knight_burst_parses():
     scenario = load_scenario("src/axgate/scenarios/knight_burst.scn")
     assert scenario.name == "knight_burst"
