@@ -15,8 +15,6 @@ from .compiler import (
     PolicyEnvironment,
     compile_file,
     compile_source,
-    load_environment,
-    save_environment,
 )
 from .gateway import Gateway, GatewayConfig, load_config, serve
 from .notices import AdverseActionNotice, render_notice
@@ -61,12 +59,10 @@ __all__ = [
     "decide",
     "eval_condition",
     "load_config",
-    "load_environment",
     "load_scenario",
     "oracle_verify",
     "render_notice",
     "replay",
-    "save_environment",
     "serve",
     "verify",
     "verify_chain",

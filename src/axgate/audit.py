@@ -13,6 +13,7 @@ safe to run concurrently with the writer.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import logging
@@ -317,7 +318,9 @@ class AuditPump:
 
     Producers block when the queue is full (backpressure, never loss). The
     consumer owns the log file and the trace archive; a storage failure
-    flips the pump into degraded mode instead of blocking decisions.
+    flips the pump into degraded mode instead of blocking decisions. A
+    failed archive write sets `archive_degraded` and ends archiving, while
+    records keep landing in the log.
     """
 
     def __init__(self, path: str, trace_archive_path: str | None, *,
@@ -334,6 +337,7 @@ class AuditPump:
         self._archived: set[bytes] = set()
         self._archived_order: deque[bytes] = deque()
         self.degraded = False
+        self.archive_degraded = False
         self.records_written = 0
         self._thread = threading.Thread(
             target=self._run, name="axgate-audit", daemon=True
@@ -405,9 +409,17 @@ class AuditPump:
         # The kernel's canonical trace bytes, spliced in as they are: sorted
         # keys put "trace" before "trace_digest", so this line equals
         # canonical_bytes({"trace_digest": d, "trace": trace.to_plain()}).
-        self._trace_fh.write(b'{"trace":%s,"trace_digest":"%s"}\n' % (
-            event.trace_bytes, event.trace_digest.encode("ascii")))
-        self._trace_fh.flush()
+        try:
+            self._trace_fh.write(b'{"trace":%s,"trace_digest":"%s"}\n' % (
+                event.trace_bytes, event.trace_digest.encode("ascii")))
+            self._trace_fh.flush()
+        except OSError as exc:
+            logger.error("trace archive write failed (%s); archiving stopped",
+                         exc)
+            self.archive_degraded = True
+            with contextlib.suppress(OSError):  # a failed flush fails again
+                self._trace_fh.close()
+            self._trace_fh = None
 
 
 def load_archived_bindings(path: str, trace_digest: str, env) -> dict:

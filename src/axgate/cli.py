@@ -1,10 +1,11 @@
 """Command-line interface.
 
-    axgate compile <file.pol> [--out env.bin] [--print-digest]
+    axgate compile <file.pol> [--print-digest]
     axgate serve --config <file>
-    axgate audit verify <log>
+    axgate audit verify <log> [--expect-head DIGEST]
     axgate audit show <log> --seq N
-    axgate audit explain <log> --request-id R --env <env.bin> [--traces <file>]
+    axgate audit explain <log> --request-id R --policy <file.pol>
+                         [--traces <file>]
     axgate bench --policy <file> --samples N [--state <json>]
                  [--tool NAME] [--params JSON]
     axgate difftest --seed S --cases N [--env-reuse K]
@@ -22,7 +23,7 @@ from fractions import Fraction
 from . import __version__
 from .audit import find_record, load_archived_bindings, verify_chain
 from .bench import bench
-from .compiler import compile_file, load_environment, save_environment
+from .compiler import compile_file
 from .gateway import load_config, serve
 from .kernel import ActionRequest, RefusalCause, SystemState, verify
 from .notices import render_notice_from_parts
@@ -32,20 +33,21 @@ from .scenario import load_scenario, replay
 from .values import Money
 
 
-def _cmd_compile(args) -> int:
-    try:
-        result = compile_file(args.file)
-    except OSError as exc:
-        print(f"error: cannot read {args.file}: {exc}", file=sys.stderr)
-        return 1
+def _compiled(path: str):
+    """The environment the policy at `path` compiles to, or None. Its
+    diagnostics go to stderr either way."""
+    result = compile_file(path)
     for diag in result.diagnostics:
         print(diag.render(), file=sys.stderr)
-    if result.environment is None:
+    return result.environment
+
+
+def _cmd_compile(args) -> int:
+    env = _compiled(args.file)
+    if env is None:
         return 1
-    if args.out:
-        save_environment(result.environment, args.out)
     if args.print_digest:
-        print(result.environment.version_digest)
+        print(env.version_digest)
     return 0
 
 
@@ -101,10 +103,14 @@ def _cmd_audit_explain(args) -> int:
         print(f"request {args.request_id!r} was {record.decision}; "
               f"no notice to render")
         return 0
-    env = load_environment(args.env)
+    env = _compiled(args.policy)
+    if env is None:
+        return 1
     if env.version_digest != record.env_version:
-        print("warning: archived environment version differs from the record",
+        print(f"error: {args.policy} compiles to version {env.version_digest}, "
+              f"but the record was decided under {record.env_version}",
               file=sys.stderr)
+        return 1
     bindings = load_archived_bindings(args.traces or (args.file + ".traces"),
                                       record.trace_digest, env)
     causes = tuple(RefusalCause(*c) for c in record.refusal_causes)
@@ -114,12 +120,9 @@ def _cmd_audit_explain(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    result = compile_file(args.policy)
-    for diag in result.diagnostics:
-        print(diag.render(), file=sys.stderr)
-    if result.environment is None:
+    env = _compiled(args.policy)
+    if env is None:
         return 1
-    env = result.environment
 
     from .gateway import coerce_facts
 
@@ -187,7 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compile", help="compile a policy file")
     p.add_argument("file")
-    p.add_argument("--out", help="write the compiled environment here")
     p.add_argument("--print-digest", action="store_true")
     p.set_defaults(func=_cmd_compile)
 
@@ -209,8 +211,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = audit_sub.add_parser("explain", help="re-render a refusal notice")
     p.add_argument("file")
     p.add_argument("--request-id", required=True)
-    p.add_argument("--env", required=True,
-                   help="archived environment (axgate compile --out)")
+    p.add_argument("--policy", required=True,
+                   help="the policy source the record was decided under")
     p.add_argument("--traces", help="trace archive (default: <log>.traces)")
     p.set_defaults(func=_cmd_audit_explain)
 
@@ -239,13 +241,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    from .compiler import EnvironmentFormatError
     from .scenario import ScenarioError
 
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ValueError, ScenarioError, EnvironmentFormatError) as exc:
+    except (OSError, ValueError, ScenarioError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

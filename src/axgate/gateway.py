@@ -530,12 +530,15 @@ class Gateway:
             reasons.append("state-unreadable")
         if self.pump.degraded:
             reasons.append("audit-degraded")
+        if self.pump.archive_degraded:
+            reasons.append("archive-degraded")
         return {
             "status": "degraded" if reasons else "ok",
             "reasons": reasons,
             "mode": self.config.mode,
             "env_version": snapshot.env.version_digest,
             "audit_degraded": self.pump.degraded,
+            "archive_degraded": self.pump.archive_degraded,
         }
 
     def policy_doc(self) -> dict:

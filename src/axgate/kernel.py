@@ -7,7 +7,7 @@ decided with permit-required / deny-overrides semantics: any satisfied
 forbid refutes, any inability to evaluate refutes, and absence of a
 satisfied permit refutes. There is no rounding and no fallback path: the
 walk evaluates exactly the operand shapes the typechecker admits. Any
-other shape, which only a hand-built or loaded environment can hold, is an
+other shape, which only a hand-built environment can hold, is an
 evaluation failure, so the axiom refuses.
 
 verify() is a pure function of (request.params, request.tool, state.facts,

@@ -1,5 +1,6 @@
 import json
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -228,6 +229,55 @@ def test_pump_cites_no_record_after_a_failed_append(tmp_path, monkeypatch):
     assert [(r.seq, r.request_id, r.duplicate_of)
             for r in iter_records(str(log))] == \
         [(0, "other", None), (1, "lost", None)]
+
+
+def test_archived_bindings_decode_only_under_their_own_kinds(tmp_path):
+    """A binding archived under one policy is read back under that policy's
+    concepts. A policy that declares the same symbols with other kinds
+    decodes none of them, so its notice shows them as unavailable."""
+    from axgate.audit import AuditEvent, AuditPump, load_archived_bindings
+    from axgate.compiler import compile_source
+    from axgate.kernel import ActionRequest, SystemState, verify
+    from axgate.notices import render_notice_from_parts
+
+    explain = ('axiom max_order forbid execute_trade when volume > '
+               'max_order_size\n  explain "Order volume {volume} exceeds '
+               'the maximum order size {max_order_size}."\n')
+    quantities = compile_source(
+        'concept volume : quantity from request "Order volume (shares)"\n'
+        'concept max_order_size : quantity from state '
+        '"Maximum order size (shares)"\n' + explain).environment
+    money = compile_source(
+        'concept volume : money "USD" from request "Order volume (shares)"\n'
+        'concept max_order_size : money "USD" from state '
+        '"Maximum order size (shares)"\n' + explain).environment
+    result = verify(ActionRequest("r", "execute_trade",
+                                  {"volume": Fraction(99999)}),
+                    SystemState({"max_order_size": Fraction(100)}), quantities)
+    assert not result.proven
+
+    archive = tmp_path / "audit.log.traces"
+    pump = AuditPump(str(tmp_path / "audit.log"), str(archive), fsync=False)
+    try:
+        pump.submit(AuditEvent(
+            request_id="r", tool="execute_trade",
+            env_version=quantities.version_digest, decision=result.decision,
+            trace_digest=result.trace_digest, refusal_causes=(),
+            enforced=True, trace_bytes=result.trace_bytes))
+        pump.drain()
+    finally:
+        pump.close()
+
+    assert load_archived_bindings(str(archive), result.trace_digest,
+                                  quantities) == \
+        {"volume": Fraction(99999), "max_order_size": Fraction(100)}
+    bindings = load_archived_bindings(str(archive), result.trace_digest, money)
+    assert bindings == {}
+    notice = render_notice_from_parts(result.refusal_causes, bindings, money,
+                                      "r")
+    assert notice.lines == (
+        "Order volume <Order volume (shares): unavailable> exceeds the "
+        "maximum order size <Maximum order size (shares): unavailable>.",)
 
 
 def test_record_with_key_like_strings_round_trips(tmp_path):

@@ -21,15 +21,12 @@ def policy_file(tmp_path):
     return path
 
 
-def test_compile_success_prints_digest(policy_file, tmp_path, capsys):
-    out = tmp_path / "env.bin"
-    code = main(["compile", str(policy_file), "--out", str(out),
-                 "--print-digest"])
+def test_compile_success_prints_digest(policy_file, capsys):
+    code = main(["compile", str(policy_file), "--print-digest"])
     assert code == 0
     captured = capsys.readouterr()
     digest = captured.out.strip()
     assert re.fullmatch(r"[0-9a-f]{64}", digest)
-    assert out.exists()
 
 
 def test_compile_failure_prints_located_diagnostics(tmp_path, capsys):
@@ -139,8 +136,6 @@ def _refuse_through_gateway(policy_path, facts, params, request_id, workdir):
 
 def test_audit_cli_verify_show_explain(policy_file, tmp_path, capsys):
     # produce a real audit log + trace archive through the gateway
-    env_file = tmp_path / "env.bin"
-    assert main(["compile", str(policy_file), "--out", str(env_file)]) == 0
     log, lines = _refuse_through_gateway(
         policy_file, {"max_order_size": 100}, {"volume": 99999}, "blocked-1",
         tmp_path / "quantity")
@@ -155,7 +150,7 @@ def test_audit_cli_verify_show_explain(policy_file, tmp_path, capsys):
     assert doc["decision"] == "Refuted"
 
     assert main(["audit", "explain", str(log), "--request-id", "blocked-1",
-                 "--env", str(env_file)]) == 0
+                 "--policy", str(policy_file)]) == 0
     out = capsys.readouterr().out
     assert "Order volume 99999 exceeds the maximum order size 100." in out
     assert out.splitlines() == lines
@@ -163,8 +158,8 @@ def test_audit_cli_verify_show_explain(policy_file, tmp_path, capsys):
     assert main(["audit", "show", str(log), "--seq", "99"]) == 1
     capsys.readouterr()
 
-    # an environment whose concepts have other kinds cannot decode the
-    # archived values: they render as unavailable instead of failing
+    # a policy that compiles to another version is not the one the record
+    # was decided under: explain names both digests and renders nothing
     other = tmp_path / "other.pol"
     other.write_text(
         'concept volume : money "USD" from request "Order volume (shares)"\n'
@@ -173,20 +168,21 @@ def test_audit_cli_verify_show_explain(policy_file, tmp_path, capsys):
         "axiom max_order forbid execute_trade when volume > max_order_size\n"
         '  explain "Order volume {volume} exceeds the maximum order size '
         '{max_order_size}."\n', encoding="utf-8")
-    other_env = tmp_path / "other.env"
-    assert main(["compile", str(other), "--out", str(other_env)]) == 0
+    record_version = json.loads(log.read_text())["env_version"]
+    assert main(["compile", str(other), "--print-digest"]) == 0
+    other_version = capsys.readouterr().out.strip()
+    assert other_version != record_version
     assert main(["audit", "explain", str(log), "--request-id", "blocked-1",
-                 "--env", str(other_env)]) == 0
+                 "--policy", str(other)]) == 1
     captured = capsys.readouterr()
-    assert "archived environment version differs" in captured.err
-    assert captured.out.splitlines() == [
-        "Order volume <Order volume (shares): unavailable> exceeds the "
-        "maximum order size <Maximum order size (shares): unavailable>."]
+    assert captured.out == ""
+    assert other_version in captured.err and record_version in captured.err
 
+
+def test_audit_cli_explain_renders_the_shipped_policy_notice(tmp_path,
+                                                             capsys):
     # capital_threshold cites two money bindings, one of them derived
     shipped = "src/axgate/policies/sec15c3_5.pol"
-    env_file = tmp_path / "sec15c3_5.env"
-    assert main(["compile", shipped, "--out", str(env_file)]) == 0
     log, lines = _refuse_through_gateway(
         shipped,
         {"share_price": {"minor": 20000, "ccy": "USD"},
@@ -196,8 +192,23 @@ def test_audit_cli_verify_show_explain(policy_file, tmp_path, capsys):
     assert lines == ["Trade value 10000000 USD exceeds 10% of the available "
                      "daily capital 50000000 USD."]
     assert main(["audit", "explain", str(log), "--request-id", "blocked-2",
-                 "--env", str(env_file)]) == 0
+                 "--policy", shipped]) == 0
     assert capsys.readouterr().out.splitlines() == lines
+
+
+def test_audit_cli_explain_refuses_a_policy_with_diagnostics(
+        policy_file, tmp_path, capsys):
+    log, _ = _refuse_through_gateway(
+        policy_file, {"max_order_size": 100}, {"volume": 99999}, "blocked-1",
+        tmp_path / "gw")
+    bad = tmp_path / "bad.pol"
+    bad.write_text("axiom x forbid t when ghost > 1\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["audit", "explain", str(log), "--request-id", "blocked-1",
+                 "--policy", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.match(r"^error unregistered-symbol 1:23 ", captured.err)
 
 
 def test_audit_cli_reports_a_line_that_is_not_a_record(tmp_path, capsys):
@@ -205,7 +216,7 @@ def test_audit_cli_reports_a_line_that_is_not_a_record(tmp_path, capsys):
     log.write_text('\n{"seq": 1}\n', encoding="utf-8")
     for argv in (["audit", "show", str(log), "--seq", "1"],
                  ["audit", "explain", str(log), "--request-id", "r",
-                  "--env", str(tmp_path / "unused.env")]):
+                  "--policy", str(tmp_path / "unused.pol")]):
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "line 2" in err
@@ -213,8 +224,6 @@ def test_audit_cli_reports_a_line_that_is_not_a_record(tmp_path, capsys):
 
 def test_audit_cli_explain_skips_damaged_archive_lines(policy_file, tmp_path,
                                                        capsys):
-    env_file = tmp_path / "env.bin"
-    assert main(["compile", str(policy_file), "--out", str(env_file)]) == 0
     log, lines = _refuse_through_gateway(
         policy_file, {"max_order_size": 100}, {"volume": 99999}, "blocked-1",
         tmp_path / "gw")
@@ -239,7 +248,7 @@ def test_audit_cli_explain_skips_damaged_archive_lines(policy_file, tmp_path,
         archive.write_bytes(damaged)
         capsys.readouterr()
         assert main(["audit", "explain", str(log), "--request-id",
-                     "blocked-1", "--env", str(env_file)]) == 0, damaged
+                     "blocked-1", "--policy", str(policy_file)]) == 0, damaged
         assert capsys.readouterr().out.splitlines() == expected, damaged
 
 
@@ -247,3 +256,23 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+def test_readme_cli_block_parses():
+    """Every `$ axgate ...` line of README's CLI block, optional parts
+    included, is a command line the parser accepts."""
+    import pathlib
+    import shlex
+
+    from axgate.cli import build_parser
+
+    readme = pathlib.Path(__file__).parent.parent / "README.md"
+    block = readme.read_text(encoding="utf-8").split("## CLI", 1)[1]
+    block = block.split("```console\n", 1)[1].split("```", 1)[0]
+    commands = [line[len("$ axgate "):] for line in block.splitlines()
+                if line.startswith("$ axgate ")]
+    assert len(commands) >= 8
+    parser = build_parser()
+    for command in commands:
+        argv = shlex.split(command.replace("[", "").replace("]", ""))
+        parser.parse_args(argv)  # SystemExit on an unknown flag or command

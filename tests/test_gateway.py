@@ -1,3 +1,4 @@
+import errno
 import http.client
 import json
 import os
@@ -249,6 +250,7 @@ def test_policy_and_health_endpoints(workspace):
         assert status == 200
         assert health["status"] == "ok"
         assert health["audit_degraded"] is False
+        assert health["archive_degraded"] is False
 
 
 def test_health_is_degraded_while_state_or_audit_is_untrustworthy(
@@ -292,6 +294,60 @@ def test_health_is_degraded_while_state_or_audit_is_untrustworthy(
         assert status == 503
         assert health["reasons"] == ["audit-degraded"]
         assert health["audit_degraded"] is True
+
+
+class _FullDisk:
+    """A trace archive whose every write fails as on a full disk."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def write(self, data):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def flush(self):
+        pass
+
+    def close(self):
+        self.fh.close()
+
+
+def test_failed_archive_write_degrades_archiving_not_the_log(workspace,
+                                                             caplog):
+    """A trace-archive write that fails ends archiving: it is logged once,
+    every record still lands in the log, drain() returns, and /v1/healthz
+    names the reason."""
+    import logging
+
+    caplog.set_level(logging.ERROR, logger="axgate.audit")
+    config = make_config(workspace, "http://127.0.0.1:9/none")
+    gw = Gateway(config).start()
+    archive = gw.pump._trace_fh
+    gw.pump._trace_fh = _FullDisk(archive)
+    n = 5
+    for i in range(n):
+        status, _, _ = post(gw, "/v1/verify", tool_call(f"d{i}", 20000 + i))
+        assert status == 200
+    drained = threading.Thread(target=gw.pump.drain, daemon=True)
+    drained.start()
+    drained.join(10)
+    # A pump whose consumer died never drains, and neither would stop().
+    assert not drained.is_alive()
+    try:
+        assert gw.pump.records_written == n
+        assert archive.closed
+        status, health = get(gw, "/v1/healthz")
+        assert status == 503
+        assert health["reasons"] == ["archive-degraded"]
+        assert health["archive_degraded"] is True
+        assert health["audit_degraded"] is False
+    finally:
+        gw.stop()
+    assert verify_chain(config.audit_log_path).ok
+    assert len(list(iter_records(config.audit_log_path))) == n
+    assert os.path.getsize(config.trace_archive_path) == 0
+    errors = [r for r in caplog.records if r.name == "axgate.audit"]
+    assert len(errors) == 1 and "archiving stopped" in errors[0].getMessage()
 
 
 def test_reload_policy_success_and_failure(workspace):

@@ -292,8 +292,7 @@ def test_deny_monotonicity():
         extra = Axiom("added_forbid", "forbid", inst.request.tool,
                       BoolLit(False))
         grown = PolicyEnvironment(inst.env.registry,
-                                  inst.env.axioms + (extra,),
-                                  inst.env.source_digest)
+                                  inst.env.axioms + (extra,))
         assert verify(inst.request, inst.state, grown).decision == "Refuted"
         # Removing any evaluable permit must never flip Refuted to Proven.
         # (Removing an *unevaluable* permit can: its binding failure was
@@ -306,7 +305,6 @@ def test_deny_monotonicity():
             shrunk = PolicyEnvironment(
                 inst.env.registry,
                 inst.env.axioms[:i] + inst.env.axioms[i + 1:],
-                inst.env.source_digest,
             )
             assert verify(inst.request, inst.state, shrunk).decision == "Refuted"
 
@@ -504,7 +502,7 @@ def _zero_division_env():
         Axiom("div_zero", "forbid", "t", Compare(">", by_zero, Lit(Fraction(1)))),
         Axiom("uses_half", "forbid", "t", Compare(">", Sym("half"), Lit(Fraction(1)))),
     )
-    return PolicyEnvironment(ConceptRegistry(decls), axioms, "by-hand")
+    return PolicyEnvironment(ConceptRegistry(decls), axioms)
 
 
 def _corpus():
@@ -703,7 +701,7 @@ def _hand_built_env(conditions):
     ).environment
     axioms = tuple(Axiom(f"a{i}", "permit", "t", condition)
                    for i, condition in enumerate(conditions))
-    return PolicyEnvironment(env.registry, axioms, "by-hand")
+    return PolicyEnvironment(env.registry, axioms)
 
 
 def test_ill_typed_and_unbound_conditions_refuse_and_verify_never_raises():
@@ -931,7 +929,7 @@ def test_derived_value_of_the_wrong_kind_is_a_kind_mismatch():
                                   ("flag", None, rational)):
         decls["v"] = dataclasses.replace(decls["v"], kind=kind, ccy=ccy,
                                          derived=definition)
-        by_hand = PolicyEnvironment(ConceptRegistry(decls), env.axioms, "by-hand")
+        by_hand = PolicyEnvironment(ConceptRegistry(decls), env.axioms)
         result = verify(request, SystemState(None), by_hand)
         assert not result.proven
         assert result.refusal_causes == (RefusalCause(REASON_BINDING, "cap", "v"),)
