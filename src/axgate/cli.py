@@ -124,14 +124,19 @@ def _cmd_bench(args) -> int:
     if env is None:
         return 1
 
-    from .gateway import coerce_facts
+    from .gateway import coerce_facts, load_state_file
 
     raw_params = json.loads(args.params) if args.params else {}
-    raw_state = {}
+    if not isinstance(raw_params, dict):
+        print("error: --params must be a JSON object", file=sys.stderr)
+        return 1
+    state_facts = {}
     if args.state:
-        with open(args.state, encoding="utf-8") as fh:
-            doc = json.load(fh)
-        raw_state = doc.get("facts", doc) if isinstance(doc, dict) else {}
+        state_facts = load_state_file(args.state, env).facts
+        if state_facts is None:
+            print(f"error: cannot read state facts from {args.state}",
+                  file=sys.stderr)
+            return 1
 
     params = {}
     facts = {}
@@ -141,7 +146,7 @@ def _cmd_bench(args) -> int:
         target = params if decl.origin == "request" else facts
         target[decl.symbol] = _synthesize_value(decl)
     params.update(coerce_facts(raw_params, env, "request"))
-    facts.update(coerce_facts(raw_state, env, "state"))
+    facts.update(state_facts)
 
     request = ActionRequest("bench", args.tool, params)
     state = SystemState(facts)

@@ -28,7 +28,6 @@ from .syntax import (
     Sym,
     children,
     op_name,
-    walk_names,
 )
 from .typecheck import typecheck
 
@@ -79,25 +78,9 @@ def policy_to_plain(registry: ConceptRegistry, axioms: tuple[Axiom, ...]) -> dic
     }
 
 
-@dataclass(frozen=True, slots=True)
-class BindingPlan:
-    """Per-tool plan precomputed from an immutable environment."""
-
-    axioms: tuple[Axiom, ...]  # in-scope, environment order
-    request_symbols: tuple[str, ...]
-    state_symbols: tuple[str, ...]
-    derived_symbols: tuple[str, ...]  # dependency order
-    axiom_symbols: dict  # axiom id -> frozenset of all needed symbols
-
-
 class PolicyEnvironment:
     """Immutable compiled policy: registry + ordered axioms + digests.
-
-    Safe for unbounded concurrent readers. The per-tool plan cache and the
-    kernel's per-axiom trace texts (`trace_texts`, keyed by the axiom's
-    id(), filled on first use) are benign-race memos: entries are pure
-    functions of immutable state.
-    """
+    Safe for unbounded concurrent readers."""
 
     def __init__(self, registry: ConceptRegistry,
                  axioms: tuple[Axiom, ...]) -> None:
@@ -105,56 +88,6 @@ class PolicyEnvironment:
         self.axioms = tuple(axioms)
         self.version_digest = digest_of(policy_to_plain(registry, self.axioms))
         self.derivation_order = order_derivations(registry)[0]
-        self._plans: dict[str, BindingPlan] = {}
-        self.trace_texts: dict[int, str] = {}
-
-    def _direct_symbols(self, expr: Expr) -> set[str]:
-        return {ref.symbol for ref in walk_names(expr)}
-
-    def plan_for(self, tool: str) -> BindingPlan:
-        plan = self._plans.get(tool)
-        if plan is not None:
-            return plan
-
-        in_scope = tuple(a for a in self.axioms if a.matches_tool(tool))
-        needed: set[str] = set()
-        axiom_syms: dict[str, frozenset[str]] = {}
-        for axiom in in_scope:
-            full: set[str] = set()
-            stack = list(self._direct_symbols(axiom.condition))
-            while stack:
-                sym = stack.pop()
-                if sym in full:
-                    continue
-                full.add(sym)
-                decl = self.registry.get(sym)
-                if decl is not None and decl.origin == "derived" \
-                        and decl.derived is not None:
-                    stack.extend(self._direct_symbols(decl.derived))
-            axiom_syms[axiom.id] = frozenset(full)
-            needed |= full
-
-        request_syms = []
-        state_syms = []
-        for symbol in self.registry.symbols():  # declaration order, deterministic
-            if symbol not in needed:
-                continue
-            decl = self.registry.get(symbol)
-            if decl.origin == "request":
-                request_syms.append(symbol)
-            elif decl.origin == "state":
-                state_syms.append(symbol)
-        derived_syms = [s for s in self.derivation_order if s in needed]
-
-        plan = BindingPlan(
-            axioms=in_scope,
-            request_symbols=tuple(request_syms),
-            state_symbols=tuple(state_syms),
-            derived_symbols=tuple(derived_syms),
-            axiom_symbols=axiom_syms,
-        )
-        self._plans[tool] = plan
-        return plan
 
     def with_axiom_order(self, order: tuple[int, ...]) -> "PolicyEnvironment":
         """Same environment with axioms permuted (version digest unchanged)."""

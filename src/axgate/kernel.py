@@ -12,13 +12,15 @@ evaluation failure, so the axiom refuses.
 
 verify() is a pure function of (request.params, request.tool, state.facts,
 environment); request ids and timestamps never influence the decision or
-the trace digest. It holds no locks and may run concurrently against a
-shared environment.
+the trace digest. It may run concurrently against a shared environment:
+the one lock it can take is held while an environment's plans are built,
+once, on the first call against that environment.
 """
 
 from __future__ import annotations
 
 import operator
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -47,6 +49,7 @@ from .syntax import (
     Unary,
     children,
     op_name,
+    walk_names,
 )
 from .values import Money
 
@@ -200,14 +203,18 @@ class _EvalFault(Exception):
 
 
 def _pair(value):
-    """The walk's form of a value: Fraction -> (n, d), Money -> (n, d, ccy)."""
+    """The walk's form of a value: Fraction -> (n, d), Money -> (n, d, ccy),
+    flags and strings as they are, and None, which has no kind, for any
+    other value (a Money whose minor is not a Fraction among them)."""
     t = type(value)
     if t is Fraction:
         return value.as_integer_ratio()
     if t is Money:
         minor = value.minor
-        return (minor.numerator, minor.denominator, value.ccy)
-    return value
+        if type(minor) is Fraction:
+            return (minor.numerator, minor.denominator, value.ccy)
+        return None
+    return value if t is bool or t is str else None
 
 
 def _obj(value):
@@ -228,44 +235,31 @@ def _text(value) -> str:
 
 
 def _kind_matches(value: object, decl) -> bool:
-    if decl.kind == "quantity":
-        return type(value) is Fraction
-    if decl.kind == "money":
-        return type(value) is Money and value.ccy == decl.ccy
-    if decl.kind == "flag":
-        return type(value) is bool
-    if decl.kind == "enum":
-        return type(value) is str and value in decl.atoms
-    if decl.kind == "text":
-        return type(value) is str
-    return False
-
-
-def _walk_kind_matches(value: object, decl) -> bool:
-    """Whether a derived walk value has its declared kind. The typechecker
-    guarantees it for a compiled definition, not for a hand-built one."""
+    """Whether a walk value has the symbol's declared kind."""
     kind = decl.kind
     if kind == "quantity":
         return type(value) is tuple and len(value) == 2
     if kind == "money":
         return type(value) is tuple and len(value) == 3 and value[2] == decl.ccy
-    return kind == "flag" and type(value) is bool
+    if kind == "flag":
+        return type(value) is bool
+    if kind == "enum":
+        return type(value) is str and value in decl.atoms
+    return kind == "text" and type(value) is str
 
 
 def _bind(request: ActionRequest, state: SystemState, env: PolicyEnvironment,
-          plan):
+          plan: Plan):
     """Resolve every needed symbol from its declared origin only.
 
     Unregistered request params and state facts are never consulted: the
     plan's symbol lists come from the registry, so injected context simply
     does not exist as far as the kernel is concerned.
 
-    Each bound value is converted and encoded once: `bound` maps a symbol
-    to its walk value and that value's canonical JSON text. `bindings`
-    holds the request and state values as given; the derived symbols'
-    Fraction or Money values are made from `bound` when they are read.
+    Each value is converted to its walk form, kind-checked and encoded
+    once: `bound` maps a bound symbol to its walk value and that value's
+    canonical JSON text, and `provenance` maps it to its origin.
     """
-    bindings: dict[str, object] = {}
     provenance: dict[str, str] = {}
     bound: dict[str, tuple] = {}
     failures: list[tuple[str, str]] = []
@@ -278,16 +272,13 @@ def _bind(request: ActionRequest, state: SystemState, env: PolicyEnvironment,
             if source is None or symbol not in source:
                 failures.append((symbol, DETAIL_MISSING))
                 continue
-            value = source[symbol]
+            value = _pair(source[symbol])
             if not _kind_matches(value, registry.get(symbol)):
                 failures.append((symbol, DETAIL_KIND))
                 continue
-            bindings[symbol] = value
             provenance[symbol] = origin
-            value = _pair(value)
             bound[symbol] = (value, _text(value))
 
-    derived = []
     for symbol in plan.derived_symbols:  # dependency order
         decl = registry.get(symbol)
         try:
@@ -298,14 +289,13 @@ def _bind(request: ActionRequest, state: SystemState, env: PolicyEnvironment,
         except _EvalFault:
             failures.append((symbol, DETAIL_EVAL))
             continue
-        if not _walk_kind_matches(value, decl):
+        if not _kind_matches(value, decl):  # only a hand-built definition
             failures.append((symbol, DETAIL_KIND))
             continue
-        derived.append(symbol)
         provenance[symbol] = "derived"
         bound[symbol] = (value, _text(value))
 
-    return bindings, derived, provenance, bound, tuple(failures)
+    return provenance, bound, tuple(failures)
 
 
 # Evaluation ------------------------------------------------------------------
@@ -313,7 +303,7 @@ def _bind(request: ActionRequest, state: SystemState, env: PolicyEnvironment,
 # One walk per condition gives each node's exact value. The text of a
 # valuation tree is fixed by its condition except for the values of its
 # `sym` and operator nodes, so each axiom has a template with one %s hole
-# per such node, in post-order (_entry_template). The walk appends each hole's
+# per such node, in post-order (_Step). The walk appends each hole's
 # value text to `holes`, and the tree text is the template filled with them.
 #
 # Node texts have their keys in canonical (sorted) order: kids, op, ref,
@@ -482,22 +472,6 @@ def _template(expr: Expr) -> str:
                                        _literal(value_json(expr.value)))
 
 
-def _head(axiom) -> str:
-    return '{"axiom":%s,"effect":%s,"missing":' % (
-        json_string(axiom.id), json_string(axiom.effect))
-
-
-def _entry_template(axiom) -> str:
-    """The text of the axiom's evaluated entry with the tree's holes, then
-    one for the entry's value. Empty for a condition with an unresolved
-    name, whose walk always faults."""
-    try:
-        tree = _template(axiom.condition)
-    except KeyError:
-        return ""
-    return '%s[],"tree":%s,"value":%%s}' % (_literal(_head(axiom)), tree)
-
-
 def _tree(expr: Expr, bound) -> ValNode:
     """The valuation tree of `expr`: each node's value by the walk verify()
     makes, as a Fraction or Money."""
@@ -562,6 +536,90 @@ def decide(trace) -> tuple[str, tuple[RefusalCause, ...]]:
 _NO_PERMIT = (RefusalCause(REASON_NO_PERMIT),)
 
 
+# Plans -----------------------------------------------------------------------
+#
+# The first verify() against an environment builds one plan for each tool some
+# axiom names and one, under "*", that every other tool shares, and keeps them
+# on the environment: no tool name a caller sends adds a plan.
+
+
+class _Step:
+    """One axiom, as every plan it is in holds it: the symbols its condition
+    needs (derived ones and all their inputs), and its entry's head and its
+    template: the text of the evaluated entry with the tree's holes, then one
+    for the entry's value. The template is empty for a condition with an
+    unresolved name, whose walk always faults."""
+
+    __slots__ = ("axiom", "symbols", "head", "template")
+
+    def __init__(self, axiom, registry) -> None:
+        symbols: set[str] = set()
+        stack = [axiom.condition]
+        while stack:
+            for ref in walk_names(stack.pop()):
+                # an unresolved name binds nothing: its walk faults
+                if type(ref) is Sym and ref.symbol not in symbols:
+                    symbols.add(ref.symbol)
+                    decl = registry.get(ref.symbol)
+                    if decl is not None and decl.origin == "derived" \
+                            and decl.derived is not None:
+                        stack.append(decl.derived)
+        self.axiom = axiom
+        self.symbols = frozenset(symbols)
+        self.head = '{"axiom":%s,"effect":%s,"missing":' % (
+            json_string(axiom.id), json_string(axiom.effect))
+        try:
+            self.template = '%s[],"tree":%s,"value":%%s}' % (
+                _literal(self.head), _template(axiom.condition))
+        except KeyError:
+            self.template = ""
+
+
+class Plan:
+    """A tool's steps, in environment order, and the symbols they need:
+    request and state ones in declaration order, derived ones in dependency
+    order."""
+
+    __slots__ = ("steps", "request_symbols", "state_symbols",
+                 "derived_symbols")
+
+    def __init__(self, steps: tuple[_Step, ...], env: PolicyEnvironment) -> None:
+        needed = frozenset().union(*(step.symbols for step in steps))
+        registry = env.registry
+        self.steps = steps
+        self.request_symbols, self.state_symbols = (
+            tuple(symbol for symbol in registry.symbols() if symbol in needed
+                  and registry.get(symbol).origin == origin)
+            for origin in ("request", "state"))
+        self.derived_symbols = tuple(symbol for symbol in env.derivation_order
+                                     if symbol in needed)
+
+
+_PLANS_LOCK = threading.Lock()
+
+
+def plans(env: PolicyEnvironment) -> Mapping[str, Plan]:
+    """The environment's plans by tool, "*" for the shared one. The first
+    call builds them all, under a lock so that they are built once."""
+    built = getattr(env, "_kernel_plans", None)
+    if built is None:
+        with _PLANS_LOCK:
+            built = getattr(env, "_kernel_plans", None)
+            if built is None:
+                steps = [_Step(axiom, env.registry) for axiom in env.axioms]
+                built = env._kernel_plans = {
+                    tool: Plan(tuple(step for step in steps
+                                     if step.axiom.matches_tool(tool)), env)
+                    for tool in {"*", *(axiom.tool for axiom in env.axioms)}}
+    return built
+
+
+def plan_for(env: PolicyEnvironment, tool: str) -> Plan:
+    """The plan verify() follows for `tool`."""
+    built = plans(env)
+    return built.get(tool) or built["*"]
+
+
 # Verification ----------------------------------------------------------------
 
 
@@ -586,35 +644,30 @@ class _Walk:
     """What verify() recorded: enough to decide, and to build the ProofTrace
     (valuation trees included) only when someone reads it."""
 
-    __slots__ = ("env_version", "tool", "entries", "_bindings", "derived",
-                 "provenance", "axioms", "bound")
+    __slots__ = ("env_version", "tool", "entries", "provenance", "steps",
+                 "bound")
 
-    def __init__(self, env_version, tool, entries, bindings, derived,
-                 provenance, axioms, bound) -> None:
+    def __init__(self, env_version, tool, entries, provenance, steps,
+                 bound) -> None:
         self.env_version = env_version
         self.tool = tool
         self.entries = entries
-        self._bindings = bindings  # the request and state values
-        self.derived = derived  # symbols not yet in _bindings
         self.provenance = provenance
-        self.axioms = axioms  # the plan's axioms, one per entry
+        self.steps = steps  # the plan's steps, one per entry
         self.bound = bound  # the walk values the conditions were walked under
 
     @property
     def bindings(self) -> dict[str, object]:
-        if self.derived:  # a benign race: both readers add the same values
-            for symbol in self.derived:
-                self._bindings[symbol] = _obj(self.bound[symbol][0])
-            self.derived = ()
-        return self._bindings
+        bound = self.bound
+        return {symbol: _obj(bound[symbol][0]) for symbol in self.provenance}
 
     def materialise(self) -> ProofTrace:
         entries = tuple(
             TraceEntry(o.axiom_id, o.effect, o.value,
                        None if o.value is None
-                       else _tree(axiom.condition, self.bound),
+                       else _tree(step.axiom.condition, self.bound),
                        o.missing)
-            for axiom, o in zip(self.axioms, self.entries))
+            for step, o in zip(self.steps, self.entries))
         return ProofTrace(self.env_version, self.tool, entries,
                           self.bindings, self.provenance)
 
@@ -627,27 +680,22 @@ def verify(
 
     The trace bytes are written while the conditions are evaluated; they
     equal `result.trace.canonical()`."""
-    plan = env.plan_for(request.tool)
-    bindings, derived, provenance, bound, failures = \
-        _bind(request, state, env, plan)
+    plan = plan_for(env, request.tool)
+    provenance, bound, failures = _bind(request, state, env, plan)
     failure_detail = dict(failures)
-    memo = env.trace_texts
 
     outcomes: list[_Outcome] = []
     texts: list[str] = []
-    for axiom in plan.axioms:
-        template = memo.get(id(axiom))
-        if template is None:
-            template = memo[id(axiom)] = _entry_template(axiom)
-        # axiom_symbols covers base symbols and derived names, so this also
+    for step in plan.steps:
+        axiom = step.axiom
+        # step.symbols covers base symbols and derived names, so this also
         # catches derived-evaluation faults recorded under the derived symbol.
-        blocked = failures and plan.axiom_symbols[axiom.id] & \
-            failure_detail.keys()
+        blocked = failures and step.symbols & failure_detail.keys()
         if blocked:
             missing = tuple(sorted((s, failure_detail[s]) for s in blocked))
             outcomes.append(_Outcome(axiom.id, axiom.effect, None, missing))
             texts.append('%s[%s],"tree":null,"value":null}' % (
-                _head(axiom), ",".join(
+                step.head, ",".join(
                 "[%s,%s]" % (json_string(s), json_string(d))
                 for s, d in missing)))
             continue
@@ -660,15 +708,15 @@ def verify(
         except (_EvalFault, KeyError):  # KeyError: a symbol with no binding
             outcomes.append(_Outcome(axiom.id, axiom.effect, None,
                                      _EVAL_MISSING))
-            texts.append(_head(axiom) + _EVAL_MISSING_TEXT
+            texts.append(step.head + _EVAL_MISSING_TEXT
                          + ',"tree":null,"value":null}')
             continue
         outcomes.append(_Outcome(axiom.id, axiom.effect, value, ()))
         holes.append("true" if value else "false")
-        texts.append(template % tuple(holes))
+        texts.append(step.template % tuple(holes))
 
-    walk = _Walk(env.version_digest, request.tool, outcomes, bindings,
-                 derived, provenance, plan.axioms, bound)
+    walk = _Walk(env.version_digest, request.tool, outcomes, provenance,
+                 plan.steps, bound)
     decision, causes = decide(walk)
     bindings_text = []
     provenance_text = []

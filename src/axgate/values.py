@@ -8,6 +8,7 @@ boundary.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -44,12 +45,20 @@ class WireValueError(ValueError):
     """Raised when a wire-format value cannot be read as its declared kind."""
 
 
+# Fraction("1e10000000") builds a 33-million-bit integer. A string's decimal
+# exponent is held to Python's int-to-string digit limit, the bound a JSON
+# integer already has.
+MAX_EXPONENT = 4300
+_EXPONENT = re.compile(r"[eE]([-+]?[0-9_]+)\s*\Z")
+
+
 def rational_from_wire(raw: object) -> Fraction:
     """Convert a wire scalar to an exact rational.
 
-    Accepted forms: int, decimal/fraction strings ("0.45", "9/20"), and JSON
-    floats. Floats are reinterpreted through their shortest decimal
+    Accepted forms: int, decimal/fraction strings ("0.45", "9/20", "1e-3"),
+    and JSON floats. Floats are reinterpreted through their shortest decimal
     representation, so a JSON document containing 0.45 binds exactly 9/20.
+    A string's exponent may be at most MAX_EXPONENT in absolute value.
     """
     if isinstance(raw, bool):
         raise WireValueError("boolean is not a quantity")
@@ -61,6 +70,9 @@ def rational_from_wire(raw: object) -> Fraction:
         return Fraction(repr(raw))
     if isinstance(raw, str):
         try:
+            exponent = _EXPONENT.search(raw)
+            if exponent and abs(int(exponent[1])) > MAX_EXPONENT:
+                raise ValueError("exponent out of range")
             return Fraction(raw.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise WireValueError(f"not a rational: {raw!r}") from exc

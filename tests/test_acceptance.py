@@ -15,7 +15,7 @@ from axgate import ActionRequest, SystemState, compile_source, verify
 from axgate.audit import AuditWriter, verify_chain_lines
 from axgate.bench import bench, fixed_workload
 from axgate.gateway import Gateway, GatewayConfig
-from axgate.kernel import REFUTED
+from axgate.kernel import REFUTED, plan_for
 from axgate.notices import render_notice, rendered_trace_values
 from axgate.oracle import oracle_verify
 from axgate.randgen import PolicyGenerator, iter_instances
@@ -105,7 +105,7 @@ def test_criterion_3_fail_closed_fact_deletion():
     wrong = 0
     unnamed = 0
     for inst in proven:
-        plan = inst.env.plan_for(inst.request.tool)
+        plan = plan_for(inst.env, inst.request.tool)
         for symbol in plan.state_symbols:
             if symbol not in inst.state.facts:
                 continue

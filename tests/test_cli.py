@@ -98,6 +98,32 @@ def test_bench_cli(policy_file, tmp_path, capsys):
     assert "p50" in out and "decision under benchmarked bindings: Proven" in out
 
 
+def test_bench_cli_reads_the_state_file_as_the_gateway_does(policy_file,
+                                                          tmp_path, capsys):
+    state = tmp_path / "state.json"
+    bench = ["bench", "--policy", str(policy_file), "--samples", "50"]
+    # {"facts": 5} is a bare fact object with no registered symbol in it
+    state.write_text(json.dumps({"facts": 5}))
+    assert main([*bench, "--state", str(state)]) == 0
+    assert "decision under benchmarked bindings: Proven" in \
+        capsys.readouterr().out
+    for unreadable in ("[1, 2]", "{not json"):
+        state.write_text(unreadable)
+        assert main([*bench, "--state", str(state)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+    assert main([*bench, "--state", str(tmp_path / "absent.json")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("params", ["5", "[1]", '"volume"', "{not json"])
+def test_bench_cli_refuses_params_that_are_not_an_object(policy_file, params,
+                                                         capsys):
+    code = main(["bench", "--policy", str(policy_file), "--samples", "50",
+                 "--params", params])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def _refuse_through_gateway(policy_path, facts, params, request_id, workdir):
     """Send one refused /v1/execute through a real gateway; return the audit
     log path and the notice lines of the 403 response."""

@@ -497,6 +497,27 @@ def test_duplicate_request_id_noted(workspace):
     assert records[0].decision == records[1].decision
 
 
+def test_huge_wire_exponent_is_refused_at_once(workspace):
+    """A 12-byte quantity string whose exponent would build a 33-million-bit
+    integer is a kind mismatch, decided and audited without the work."""
+    import time
+
+    config = make_config(workspace, "http://127.0.0.1:9/none")
+    with Gateway(config) as gw:
+        start = time.process_time()
+        status, data, _ = post(gw, "/v1/verify",
+                               tool_call("exp", "1e10000000"))
+        cpu_s = time.process_time() - start
+        gw.pump.drain()
+        records = list(iter_records(config.audit_log_path))
+    assert (status, json.loads(data)["decision"]) == (200, "Refuted")
+    assert cpu_s < 0.5
+    assert len(records) == 1
+    assert records[0].decision == "Refuted"
+    assert ("binding-failure", "ordinary", "volume") in \
+        tuple(tuple(c) for c in records[0].refusal_causes)
+
+
 def test_state_override_is_ignored(workspace):
     """State facts come only from the state source: a request body cannot
     rewrite them, and a `state_override` key is an ignored extra key."""

@@ -11,7 +11,7 @@ from axgate import (
     oracle_verify,
     verify,
 )
-from axgate.kernel import ProofTrace, TraceEntry, ValNode
+from axgate.kernel import ProofTrace, TraceEntry, ValNode, plan_for, plans
 from axgate.randgen import PolicyGenerator, iter_instances
 from axgate.syntax import Compare, Lit, Sym
 
@@ -89,6 +89,28 @@ def test_formulate_kind_mismatch():
     assert any(("volume", "kind-mismatch") in e.missing
                for e in result.trace.entries)
     assert "volume" not in result.trace.bindings
+
+
+def test_money_whose_minor_is_not_a_fraction_is_a_kind_mismatch():
+    from axgate.kernel import REASON_BINDING, RefusalCause
+
+    env = compile_source(
+        'concept amount : money "USD" from request "Amount"\n'
+        'concept limit : money "USD" from state "Limit"\n'
+        "axiom within permit pay when amount < limit\n"
+    ).environment
+    state = SystemState({"limit": Money(Fraction(100), "USD")})
+    ok = ActionRequest("m", "pay", {"amount": Money(Fraction(5), "USD")})
+    assert verify(ok, state, env).proven
+    for minor in ("5", 1.5, None, 5):
+        request = ActionRequest("m", "pay", {"amount": Money(minor, "USD")})
+        result = verify(request, state, env)
+        assert result.decision == "Refuted"
+        assert result.refusal_causes == (
+            RefusalCause(REASON_BINDING, "within", "amount"),)
+        assert result.trace.entries[0].missing == (("amount", "kind-mismatch"),)
+        assert "amount" not in result.bindings
+        _assert_trace_bytes_identical(result)
 
 
 def test_request_param_cannot_shadow_state_fact():
@@ -322,7 +344,7 @@ def test_fail_closed_state_fact_deletion():
                 proven.append(inst)
 
     for inst in proven:
-        plan = inst.env.plan_for(inst.request.tool)
+        plan = plan_for(inst.env, inst.request.tool)
         for symbol in plan.state_symbols:
             if symbol not in inst.state.facts:
                 continue
@@ -370,9 +392,10 @@ def test_per_axiom_condition_values_match_oracle():
     pairs = 0
     for inst in iter_instances(97, 5000, env_reuse=40):
         result = verify(inst.request, inst.state, inst.env)
-        for axiom, entry in zip(
-            inst.env.plan_for(inst.request.tool).axioms, result.trace.entries
+        for step, entry in zip(
+            plan_for(inst.env, inst.request.tool).steps, result.trace.entries
         ):
+            axiom = step.axiom
             try:
                 expected = oracle_eval(
                     axiom.condition, inst.request, inst.state, inst.env
@@ -865,8 +888,71 @@ def test_trace_texts_are_held_once_per_axiom_across_tools():
                        {"rate": Fraction(-1, 3)}):
             _assert_trace_bytes_identical(
                 verify(ActionRequest("m", tool, params), SystemState({}), env))
-    assert len(env.trace_texts) == len(env.axioms) == 3
+    steps = {step for tool in tools for step in plan_for(env, tool).steps}
+    assert len(steps) == len(env.axioms) == 3
     assert len({id(a) for a in env.axioms}) == 3
+
+
+def test_unnamed_tools_share_one_plan_and_add_none():
+    """1,000 tool names the policy does not name leave the environment with
+    one plan per named tool plus the shared one; the decisions and trace
+    bytes are the ones recorded before the plans moved into the kernel."""
+    import hashlib
+
+    with open("src/axgate/policies/sec15c3_5.pol", encoding="utf-8") as fh:
+        source = fh.read()
+    env = compile_source(source + (
+        "axiom whole_capital forbid * when trade_value > daily_capital\n"
+        "axiom any_volume permit * when volume > 0\n")).environment
+    digest = hashlib.sha256()
+    decisions = set()
+    for i in range(1000):
+        facts = dict(trade_state().facts)
+        if i % 3 == 1:
+            del facts["share_price"]
+        request = ActionRequest(f"r{i}", f"unnamed_tool_{i}",
+                                trade_request(volume=i * 997).params)
+        result = verify(request, SystemState(facts), env)
+        decisions.add(result.decision)
+        digest.update(result.decision.encode() + b"\n"
+                      + result.trace_bytes + b"\n")
+    assert decisions == {"Proven", "Refuted"}
+    assert digest.hexdigest() == (
+        "8407d8a900d03594f52b20434abcbeb61fd48e51c474ba24f456f4872e31698a")
+    named = {a.tool for a in env.axioms} - {"*"}
+    assert named == {"execute_trade"}
+    assert len(plans(env)) == len(named) + 1
+    assert plan_for(env, "unnamed_tool_7") is plans(env)["*"]
+
+
+def test_concurrent_first_calls_build_the_plans_once():
+    import sys
+    import threading
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            env = shipped_env()
+            barrier = threading.Barrier(6)
+            seen = []
+
+            def first_call():
+                barrier.wait(timeout=10)
+                built = plans(env)
+                result = verify(trade_request(), trade_state(), env)
+                seen.append((id(built), result.trace_bytes))
+
+            threads = [threading.Thread(target=first_call) for _ in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+                assert not thread.is_alive()
+            assert len(seen) == 6 and len(set(seen)) == 1
+            assert len(plans(env)) == 2
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_bindings_and_recorded_values_leave_the_kernel_as_fractions():

@@ -42,6 +42,18 @@ def test_rational_from_wire_rejects(bad):
         rational_from_wire(bad)
 
 
+def test_rational_from_wire_bounds_a_string_exponent():
+    assert rational_from_wire("1e4300") == Fraction(10**4300)
+    assert rational_from_wire(" 1E-4300 ") == Fraction(1, 10**4300)
+    assert rational_from_wire("2.5e+4_300") == Fraction(25 * 10**4299)
+    assert rational_from_wire(1e300) == Fraction(10**300)
+    assert rational_from_wire(repr(1e-300)) == Fraction(1, 10**300)
+    for bad in ("1e4301", "1e-4301", "1e10000000", "1e1_0000000",
+                "1e" + "9" * 5000):
+        with pytest.raises(WireValueError):
+            rational_from_wire(bad)
+
+
 def test_money_from_wire():
     m = money_from_wire({"minor": 20000, "ccy": "USD"})
     assert m == Money(Fraction(20000), "USD")
