@@ -71,9 +71,6 @@ class AuditRecord:
             doc["note"] = self.note
         return doc
 
-    def compute_digest(self) -> str:
-        return sha256_hex(canonical_bytes(self.payload()))
-
     def line(self) -> bytes:
         return _line(canonical_bytes(self.payload()), self.record_digest)
 
@@ -313,22 +310,25 @@ class AuditEvent:
     trace_bytes: bytes | None = field(default=None, repr=False)
 
 
+def archive_path(log_path: str) -> str:
+    """Where the trace archive of the log at `log_path` is."""
+    return log_path + ".traces"
+
+
 class AuditPump:
     """Bounded multi-producer, single-consumer funnel to the audit log.
 
     Producers block when the queue is full (backpressure, never loss). The
-    consumer owns the log file and the trace archive; a storage failure
-    flips the pump into degraded mode instead of blocking decisions. A
-    failed archive write sets `archive_degraded` and ends archiving, while
-    records keep landing in the log.
+    consumer owns the log file and its trace archive, `archive_path(path)`;
+    a storage failure flips the pump into degraded mode instead of blocking
+    decisions. A failed archive write sets `archive_degraded` and ends
+    archiving, while records keep landing in the log.
     """
 
-    def __init__(self, path: str, trace_archive_path: str | None, *,
-                 fsync: bool = True) -> None:
+    def __init__(self, path: str, *, fsync: bool = True) -> None:
         self._queue: queue.Queue = queue.Queue(maxsize=_QUEUE_SIZE)
         self._writer = AuditWriter(path, fsync=fsync)
-        self._trace_fh = open(trace_archive_path, "ab") \
-            if trace_archive_path else None
+        self._trace_fh = open(archive_path(path), "ab")
         # Two FIFO windows: insert on a miss, evict the oldest entry past the
         # cap, never refresh on a hit. Each keeps its keys in a deque for the
         # eviction order; archived digests are held as their 32 raw bytes.
@@ -354,8 +354,7 @@ class AuditPump:
         self._queue.put(_SENTINEL)
         self._thread.join()
         self._writer.close()
-        if self._trace_fh is not None:
-            self._trace_fh.close()
+        self._trace_fh.close()  # a no-op once a failed write closed it
 
     def _run(self) -> None:
         while True:
@@ -397,7 +396,7 @@ class AuditPump:
         self._archive_trace(event)
 
     def _archive_trace(self, event: AuditEvent) -> None:
-        if self._trace_fh is None or event.trace_bytes is None:
+        if self.archive_degraded or event.trace_bytes is None:
             return
         key = bytes.fromhex(event.trace_digest)
         if key in self._archived:
@@ -419,7 +418,6 @@ class AuditPump:
             self.archive_degraded = True
             with contextlib.suppress(OSError):  # a failed flush fails again
                 self._trace_fh.close()
-            self._trace_fh = None
 
 
 def load_archived_bindings(path: str, trace_digest: str, env) -> dict:

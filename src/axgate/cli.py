@@ -21,7 +21,12 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .audit import find_record, load_archived_bindings, verify_chain
+from .audit import (
+    archive_path,
+    find_record,
+    load_archived_bindings,
+    verify_chain,
+)
 from .bench import bench
 from .compiler import compile_file
 from .gateway import load_config, serve
@@ -111,7 +116,7 @@ def _cmd_audit_explain(args) -> int:
               f"but the record was decided under {record.env_version}",
               file=sys.stderr)
         return 1
-    bindings = load_archived_bindings(args.traces or (args.file + ".traces"),
+    bindings = load_archived_bindings(args.traces or archive_path(args.file),
                                       record.trace_digest, env)
     causes = tuple(RefusalCause(*c) for c in record.refusal_causes)
     notice = render_notice_from_parts(causes, bindings, env, record.request_id)

@@ -71,7 +71,6 @@ class GatewayConfig:
     state_path: str = ""
     state_refresh_secs: float = 2.0
     audit_log_path: str = "audit.log"
-    trace_archive_path: str = ""  # defaults to audit_log_path + ".traces"
     max_in_flight: int = 64
     max_body_bytes: int = 1 << 20
     audit_fsync: bool = True
@@ -88,8 +87,6 @@ class GatewayConfig:
             raise GatewayStartupError("upstream_timeout_secs must be finite and > 0")
         if not 0 <= self.state_refresh_secs < math.inf:
             raise GatewayStartupError("state_refresh_secs must be finite and >= 0")
-        if not self.trace_archive_path:
-            self.trace_archive_path = self.audit_log_path + ".traces"
 
 
 # GatewayConfig's annotations are strings (see the __future__ import). A bool
@@ -164,19 +161,17 @@ def coerce_facts(raw: Mapping[str, object], env: PolicyEnvironment,
 
 
 def load_state_file(path: str, env: PolicyEnvironment) -> SystemState:
-    """Read the fact source; any failure yields the unreadable marker."""
+    """Read the fact source, `{"facts": {...}}`; a file that cannot be read
+    or parsed, or any other document, yields the unreadable marker."""
     try:
         with open(path, "rb") as fh:
             doc = json.loads(fh.read().decode("utf-8"))
     except (OSError, ValueError, UnicodeDecodeError):
         return SystemState(None)
-    if isinstance(doc, dict) and isinstance(doc.get("facts"), dict):
-        raw = doc["facts"]
-    elif isinstance(doc, dict):
-        raw = doc
-    else:
+    if not isinstance(doc, dict) or not isinstance(doc.get("facts"), dict):
         return SystemState(None)
-    return SystemState(coerce_facts(raw, env, "state"), as_of=time.time_ns())
+    return SystemState(coerce_facts(doc["facts"], env, "state"),
+                       as_of=time.time_ns())
 
 
 # HTTP plumbing ------------------------------------------------------------------
@@ -252,20 +247,18 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_json(404, {"error": "not-found"})
 
     def _handle_reload(self) -> None:
-        """Reload the policy named by the body, or the configured one. The
+        """Reload the configured policy file; the body must be empty. The
         published snapshot changes only on a 200."""
         try:
             raw = _read_body(self, self.gateway.config.max_body_bytes)
         except _UnreadableBody as exc:
             self._send_json(exc.status, {"error": exc.error})
             return
-        try:
-            path = _parse_reload(raw)
-        except ValueError:
+        if raw:
             self._send_json(400, {"error": "malformed-body"})
             return
         try:
-            outcome = self.gateway.reload_policy(path)
+            outcome = self.gateway.reload_policy()
         except OSError as exc:
             self._send_json(422, {"error": "policy-unreadable",
                                   "diagnostics": [f"cannot read: {exc}"]})
@@ -276,22 +269,6 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_json(
                 422, {"diagnostics": [d.render() for d in outcome]}
             )
-
-
-def _parse_reload(raw: bytes) -> str | None:
-    """The policy path a reload body names; None means the configured one.
-    Raises ValueError unless the body is empty or a JSON object whose
-    "path" is absent, null or a non-empty string without NUL, which no
-    file name holds."""
-    if not raw:
-        return None
-    doc = json.loads(raw)
-    if not isinstance(doc, dict):
-        raise ValueError("reload body is not an object")
-    path = doc.get("path")
-    if path is None or (isinstance(path, str) and path and "\0" not in path):
-        return path
-    raise ValueError("reload path is not a non-empty string")
 
 
 class _UnreadableBody(Exception):
@@ -382,16 +359,13 @@ class _Server(ThreadingHTTPServer):
 class Gateway:
     """Owns the published snapshot, the audit pump, and the HTTP server."""
 
-    def __init__(self, config: GatewayConfig,
-                 environment: PolicyEnvironment | None = None) -> None:
+    def __init__(self, config: GatewayConfig) -> None:
         self.config = config
-        if environment is None:
-            result = compile_file(config.policy_path)
-            if result.environment is None:
-                raise GatewayStartupError(
-                    "policy failed to compile", result.diagnostics
-                )
-            environment = result.environment
+        result = compile_file(config.policy_path)
+        if result.environment is None:
+            raise GatewayStartupError("policy failed to compile",
+                                      result.diagnostics)
+        environment = result.environment
         state = self._load_state(environment)
         if state.facts is None and config.state_path:
             raise GatewayStartupError(
@@ -405,11 +379,8 @@ class Gateway:
         host, _, port = config.listen_address.rpartition(":")
         self._server = _Server((host or "127.0.0.1", int(port or 0)), self)
         try:
-            self.pump = AuditPump(
-                config.audit_log_path,
-                config.trace_archive_path,
-                fsync=config.audit_fsync,
-            )
+            self.pump = AuditPump(config.audit_log_path,
+                                  fsync=config.audit_fsync)
         except BaseException:
             self._server.server_close()
             raise
@@ -504,10 +475,10 @@ class Gateway:
         while not self._poll_stop.wait(self.config.state_refresh_secs):
             self.refresh_state()
 
-    def reload_policy(self, path: str | None = None) -> str | list[Diagnostic]:
-        """Compile off the hot path; publish atomically only on success.
-        Raises OSError when the policy file cannot be read."""
-        result = compile_file(path or self.config.policy_path)
+    def reload_policy(self) -> str | list[Diagnostic]:
+        """Compile the configured policy file off the hot path; publish
+        atomically only on success. Raises OSError when it cannot be read."""
+        result = compile_file(self.config.policy_path)
         if result.environment is None:
             return result.diagnostics
         with self._snapshot_lock:

@@ -645,7 +645,7 @@ class _Walk:
     (valuation trees included) only when someone reads it."""
 
     __slots__ = ("env_version", "tool", "entries", "provenance", "steps",
-                 "bound")
+                 "bound", "_bindings")
 
     def __init__(self, env_version, tool, entries, provenance, steps,
                  bound) -> None:
@@ -655,11 +655,17 @@ class _Walk:
         self.provenance = provenance
         self.steps = steps  # the plan's steps, one per entry
         self.bound = bound  # the walk values the conditions were walked under
+        self._bindings = None
 
     @property
     def bindings(self) -> dict[str, object]:
-        bound = self.bound
-        return {symbol: _obj(bound[symbol][0]) for symbol in self.provenance}
+        """The bound values as Fractions and Money, built on first read."""
+        bindings = self._bindings
+        if bindings is None:
+            bound = self.bound
+            bindings = self._bindings = {
+                symbol: _obj(bound[symbol][0]) for symbol in self.provenance}
+        return bindings
 
     def materialise(self) -> ProofTrace:
         entries = tuple(
@@ -680,6 +686,8 @@ def verify(
 
     The trace bytes are written while the conditions are evaluated; they
     equal `result.trace.canonical()`."""
+    if type(request.tool) is not str:
+        return _unnamed_tool(env)
     plan = plan_for(env, request.tool)
     provenance, bound, failures = _bind(request, state, env, plan)
     failure_detail = dict(failures)
@@ -735,3 +743,13 @@ def verify(
         )).encode("utf-8")
     return VerificationResult(decision, walk, sha256_hex(trace_bytes), causes,
                               trace_bytes)
+
+
+def _unnamed_tool(env: PolicyEnvironment) -> VerificationResult:
+    """A call whose tool is not a string names no tool, so no axiom can be
+    evaluated for it: it is refused with an evaluation failure, under an
+    empty trace that records the tool as ""."""
+    trace = ProofTrace(env.version_digest, "", (), {}, {})
+    trace_bytes = trace.canonical()
+    return VerificationResult(REFUTED, trace, sha256_hex(trace_bytes),
+                              (RefusalCause(REASON_EVALUATION),), trace_bytes)

@@ -12,7 +12,7 @@ from axgate.audit import (
     verify_chain,
     verify_chain_lines,
 )
-from axgate.canonical import ZERO_DIGEST
+from axgate.canonical import ZERO_DIGEST, canonical_bytes, sha256_hex
 
 
 def _append_n(path, n, *, decision="Refuted", enforced=True):
@@ -36,7 +36,8 @@ def test_genesis_record(tmp_path):
     records = list(iter_records(str(log)))
     assert records[0].seq == 0
     assert records[0].prev_digest == ZERO_DIGEST
-    assert records[0].record_digest == records[0].compute_digest()
+    assert records[0].record_digest == \
+        sha256_hex(canonical_bytes(records[0].payload()))
 
 
 def test_identical_decisions_chain_differently(tmp_path):
@@ -214,7 +215,7 @@ def test_pump_cites_no_record_after_a_failed_append(tmp_path, monkeypatch):
 
     monkeypatch.setattr(AuditWriter, "append", append_failing_once)
     log = tmp_path / "audit.log"
-    pump = AuditPump(str(log), None, fsync=False)
+    pump = AuditPump(str(log), fsync=False)
     try:
         for request_id in ("lost", "other", "lost"):
             pump.submit(AuditEvent(
@@ -257,7 +258,7 @@ def test_archived_bindings_decode_only_under_their_own_kinds(tmp_path):
     assert not result.proven
 
     archive = tmp_path / "audit.log.traces"
-    pump = AuditPump(str(tmp_path / "audit.log"), str(archive), fsync=False)
+    pump = AuditPump(str(tmp_path / "audit.log"), fsync=False)
     try:
         pump.submit(AuditEvent(
             request_id="r", tool="execute_trade",
@@ -296,7 +297,8 @@ def test_record_with_key_like_strings_round_trips(tmp_path):
         )
     line = log.read_bytes()
     assert line == written.line()
-    assert written.record_digest == written.compute_digest()
+    assert written.record_digest == \
+        sha256_hex(canonical_bytes(written.payload()))
     assert verify_chain(str(log)).ok
     found = find_record(str(log), request_id=tricky)
     assert found == written

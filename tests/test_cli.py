@@ -102,12 +102,13 @@ def test_bench_cli_reads_the_state_file_as_the_gateway_does(policy_file,
                                                           tmp_path, capsys):
     state = tmp_path / "state.json"
     bench = ["bench", "--policy", str(policy_file), "--samples", "50"]
-    # {"facts": 5} is a bare fact object with no registered symbol in it
-    state.write_text(json.dumps({"facts": 5}))
+    state.write_text(json.dumps({"facts": {"unregistered": 5}}))
     assert main([*bench, "--state", str(state)]) == 0
     assert "decision under benchmarked bindings: Proven" in \
         capsys.readouterr().out
-    for unreadable in ("[1, 2]", "{not json"):
+    # only {"facts": {...}} is a state file: a bare object is not
+    for unreadable in ("[1, 2]", "{not json", '{"facts": 5}',
+                       '{"max_order_size": 100}'):
         state.write_text(unreadable)
         assert main([*bench, "--state", str(state)]) == 1
         assert capsys.readouterr().err.startswith("error: ")

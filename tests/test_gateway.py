@@ -228,15 +228,19 @@ def test_startup_fails_fast_on_bad_policy(tmp_path):
 
 
 def test_startup_fails_fast_on_unreadable_state(tmp_path):
+    """A missing file is unreadable, and so is any document but
+    {"facts": {...}}: a bare object of facts among them."""
     policy = tmp_path / "p.pol"
     policy.write_text(POLICY, encoding="utf-8")
-    config = GatewayConfig(
-        policy_path=str(policy), upstream_url="http://127.0.0.1:9/none",
-        state_path=str(tmp_path / "missing.json"),
-        audit_log_path=str(tmp_path / "a.log"),
-    )
-    with pytest.raises(GatewayStartupError):
-        Gateway(config)
+    (tmp_path / "bare.json").write_text(json.dumps({"max_order_size": 10}))
+    for state in ("missing.json", "bare.json"):
+        config = GatewayConfig(
+            policy_path=str(policy), upstream_url="http://127.0.0.1:9/none",
+            state_path=str(tmp_path / state),
+            audit_log_path=str(tmp_path / "a.log"),
+        )
+        with pytest.raises(GatewayStartupError, match="state source"):
+            Gateway(config)
 
 
 def test_policy_and_health_endpoints(workspace):
@@ -269,6 +273,7 @@ def test_health_is_degraded_while_state_or_audit_is_untrustworthy(
     with Gateway(config) as gw:
         state.write_text("{not json")
         gw.refresh_state()
+        state.write_text(json.dumps({"max_order_size": 10000}))  # bare
         gw.refresh_state()
         status, health = get(gw, "/v1/healthz")
         assert status == 503
@@ -345,7 +350,7 @@ def test_failed_archive_write_degrades_archiving_not_the_log(workspace,
         gw.stop()
     assert verify_chain(config.audit_log_path).ok
     assert len(list(iter_records(config.audit_log_path))) == n
-    assert os.path.getsize(config.trace_archive_path) == 0
+    assert os.path.getsize(config.audit_log_path + ".traces") == 0
     errors = [r for r in caplog.records if r.name == "axgate.audit"]
     assert len(errors) == 1 and "archiving stopped" in errors[0].getMessage()
 
@@ -356,14 +361,14 @@ def test_reload_policy_success_and_failure(workspace):
         original = gw.snapshot.env.version_digest
 
         # byte-identical reload is a no-op with the same digest
-        status, doc = _post_json(gw, "/v1/policy/reload", {})
+        status, doc = _reload(gw)
         assert status == 200 and doc["env_version"] == original
 
         # a broken policy is rejected with diagnostics, env unchanged
         (workspace / "policy.pol").write_text(
             "axiom x forbid t when ghost > 1\n", encoding="utf-8"
         )
-        status, doc = _post_json(gw, "/v1/policy/reload", {})
+        status, doc = _reload(gw)
         assert status == 422
         assert any("unregistered-symbol" in line for line in doc["diagnostics"])
         assert gw.snapshot.env.version_digest == original
@@ -373,10 +378,16 @@ def test_reload_policy_success_and_failure(workspace):
             POLICY + "\naxiom extra permit transfer when volume >= 0\n",
             encoding="utf-8",
         )
-        status, doc = _post_json(gw, "/v1/policy/reload", {})
+        status, doc = _reload(gw)
         assert status == 200
         assert doc["env_version"] != original
         assert gw.snapshot.env.version_digest == doc["env_version"]
+
+
+def _reload(gateway):
+    """Reload the configured policy: an empty body."""
+    status, data, _ = post(gateway, "/v1/policy/reload", body=b"")
+    return status, json.loads(data)
 
 
 def test_reload_body_naming_the_audit_descriptor_is_refused(workspace):
@@ -401,35 +412,41 @@ def test_reload_body_naming_the_audit_descriptor_is_refused(workspace):
 
 def test_reload_rejects_bad_bodies_and_unreadable_files(workspace,
                                                          monkeypatch):
+    """A reload re-reads the configured policy_path and nothing else: any
+    body, one that names another policy file included, is refused and
+    publishes nothing."""
     import socket
 
     import axgate.gateway as gateway_module
 
     monkeypatch.setattr(gateway_module, "_CLIENT_TIMEOUT_SECS", 0.5)
-    (workspace / "other.pol").write_text(
-        POLICY + "\naxiom extra permit transfer when volume >= 0\n",
-        encoding="utf-8")
+    # would prove the call the configured policy refuses
+    other = workspace / "other.pol"
+    other.write_text(POLICY.split("axiom max_order")[0]
+                     + "axiom ordinary permit execute_trade when volume > 0\n",
+                     encoding="utf-8")
     config = make_config(workspace, "http://127.0.0.1:9/none",
                          max_body_bytes=128)
     with Gateway(config) as gw:
         original = gw.snapshot.env.version_digest
+        status, data, _ = post(gw, "/v1/verify", tool_call("before", 99999))
+        assert (status, json.loads(data)["decision"]) == (200, "Refuted")
+        named = b'{"path": "%s"}' % str(other).encode()
         cases = [
-            (b'{"path": "%s"}' % str(workspace / "other.pol").encode()
-             + b" " * 200, 413, "oversize-body"),
+            (named + b" " * 200, 413, "oversize-body"),
+            (named, 400, "malformed-body"),
+            (b"{}", 400, "malformed-body"),
+            (b'{"path": null}', 400, "malformed-body"),
             (b"[1]", 400, "malformed-body"),
-            (b'{"path": ""}', 400, "malformed-body"),
-            (b'{"path": ["x"]}', 400, "malformed-body"),
             (b"{", 400, "malformed-body"),
-            (b'{"path": "%s"}' % str(workspace / "missing.pol").encode(),
-             422, "policy-unreadable"),
-            (b'{"path": "%s"}' % str(workspace).encode(), 422,
-             "policy-unreadable"),
-            (b'{"path": "a\\u0000b"}', 400, "malformed-body"),
+            (b" ", 400, "malformed-body"),
         ]
         for body, status, error in cases:
             got, data, _ = post(gw, "/v1/policy/reload", body=body)
             assert (got, json.loads(data)["error"]) == (status, error), body
             assert gw.snapshot.env.version_digest == original, body
+        status, data, _ = post(gw, "/v1/verify", tool_call("after", 99999))
+        assert (status, json.loads(data)["decision"]) == (200, "Refuted")
 
         stalled = socket.create_connection(gw.address, timeout=10)
         try:
@@ -442,14 +459,17 @@ def test_reload_rejects_bad_bodies_and_unreadable_files(workspace,
         assert reply.startswith(b"HTTP/1.1 408 ")
         assert gw.snapshot.env.version_digest == original
 
-        # an absent or null path reloads the configured file
-        for doc in ({}, {"path": None}):
-            status, reply = _post_json(gw, "/v1/policy/reload", doc)
-            assert (status, reply["env_version"]) == (200, original)
-        status, reply = _post_json(gw, "/v1/policy/reload",
-                                   {"path": str(workspace / "other.pol")})
-        assert status == 200 and reply["env_version"] != original
-        assert gw.snapshot.env.version_digest == reply["env_version"]
+        # the configured file missing, then a directory, cannot be read
+        policy = workspace / "policy.pol"
+        text = policy.read_text(encoding="utf-8")
+        for make_unreadable in (policy.unlink, policy.mkdir):
+            make_unreadable()
+            status, reply = _reload(gw)
+            assert (status, reply["error"]) == (422, "policy-unreadable")
+            assert gw.snapshot.env.version_digest == original
+        policy.rmdir()
+        policy.write_text(text, encoding="utf-8")
+        assert _reload(gw) == (200, {"env_version": original})
 
 
 def _post_json(gateway, path, doc):
@@ -628,7 +648,6 @@ def test_load_config_file_and_env_overrides(tmp_path):
     assert config.mode == "shadow"
     assert config.max_in_flight == 7
     assert config.audit_fsync is False
-    assert config.trace_archive_path == config.audit_log_path + ".traces"
 
     config = load_config(str(cfg), env={"AXGATE_MODE": "enforce",
                                         "AXGATE_MAX_IN_FLIGHT": "3"})
@@ -768,7 +787,7 @@ def _golden_run(workspace, mode, upstream_url):
             for key in ("ts_ns", "prev_digest", "record_digest"):
                 del record[key]
             records.append(record)
-    with open(config.trace_archive_path, "rb") as fh:
+    with open(config.audit_log_path + ".traces", "rb") as fh:
         archive = fh.read().decode("utf-8")
     return {"replies": replies, "records": records, "archive": archive,
             "chain_ok": verify_chain(config.audit_log_path).ok}
@@ -875,14 +894,17 @@ def test_load_config_rejects_unreadable_values(tmp_path, key, raw):
 
 
 def test_load_config_refuses_allow_state_override_as_unknown_key(tmp_path):
-    """The option that let a request body rewrite state facts is gone; a
-    config that still names it stops startup."""
+    """Removed keys stop startup: the option that let a request body
+    rewrite state facts, and the trace archive's path, which is always
+    `<audit_log_path>.traces`."""
     cfg = tmp_path / "gateway.conf"
-    cfg.write_text("policy_path = p.pol\nallow_state_override = true\n",
-                   encoding="utf-8")
-    with pytest.raises(GatewayStartupError,
-                       match="unknown config key: 'allow_state_override'"):
-        load_config(str(cfg), env={})
+    for key, raw in (("allow_state_override", "true"),
+                     ("trace_archive_path", "a.traces")):
+        cfg.write_text(f"policy_path = p.pol\n{key} = {raw}\n",
+                       encoding="utf-8")
+        with pytest.raises(GatewayStartupError,
+                           match=f"unknown config key: '{key}'"):
+            load_config(str(cfg), env={})
 
 
 def test_load_config_boolean_spellings(tmp_path):
@@ -904,7 +926,7 @@ def test_trace_archive_lines_are_canonical_documents(tmp_path):
     from axgate.randgen import iter_instances
 
     archive = tmp_path / "audit.log.traces"
-    pump = AuditPump(str(tmp_path / "audit.log"), str(archive), fsync=False)
+    pump = AuditPump(str(tmp_path / "audit.log"), fsync=False)
     expected = {}
     try:
         for i, inst in enumerate(iter_instances(11, 3000, env_reuse=6)):
@@ -988,7 +1010,7 @@ def test_audit_pump_windows_are_fifo(tmp_path, monkeypatch):
     monkeypatch.setattr(audit_module, "_DUPLICATE_WINDOW", 3)
     monkeypatch.setattr(audit_module, "_ARCHIVE_WINDOW", 3)
     archive = tmp_path / "audit.log.traces"
-    pump = AuditPump(str(tmp_path / "audit.log"), str(archive), fsync=False)
+    pump = AuditPump(str(tmp_path / "audit.log"), fsync=False)
     ids = ["a", "b", "a", "c", "d", "a", "d"]
     traces = ["1", "2", "1", "3", "4", "1", "3"]
     try:
@@ -1055,6 +1077,9 @@ def test_readme_gateway_config_example_loads(tmp_path):
     assert config.mode == "enforce"
     assert config.state_path == "state.json"
     assert config.max_in_flight == 64
+    # every key the section's range table names is a config field
+    table = re.findall(r"^\| `(\w+)` \|", section.split("\n## ")[0], re.M)
+    assert table and set(table) <= set(GatewayConfig.__dataclass_fields__)
 
 
 # Upstream connection reuse ---------------------------------------------------

@@ -278,6 +278,20 @@ def test_verify_unreadable_state_fails_closed():
     assert all(c.reason == "binding-failure" for c in result.refusal_causes)
 
 
+def test_verify_refuses_a_tool_that_is_not_a_string():
+    """Only a string names a tool. Any other value is refused with an
+    evaluation failure instead of raising out of verify()."""
+    env = shipped_env()
+    params = trade_request().params
+    for tool in (["x"], None, 5):
+        result = verify(ActionRequest("t", tool, params), trade_state(), env)
+        assert result.decision == "Refuted", tool
+        assert [c.to_plain() for c in result.refusal_causes] == [
+            {"reason": "evaluation-failure", "axiom": None, "symbol": None}]
+        assert result.bindings == {}
+        _assert_trace_bytes_identical(result)
+
+
 # Properties ------------------------------------------------------------------
 
 
@@ -468,6 +482,7 @@ def test_golden_environment_digest_and_audit_record_bytes():
     import dataclasses
 
     from axgate import AuditRecord
+    from axgate.canonical import canonical_bytes, sha256_hex
 
     env = shipped_env()
     assert env.version_digest == GOLDEN_ENV_VERSION
@@ -481,7 +496,8 @@ def test_golden_environment_digest_and_audit_record_bytes():
                              for c in result.refusal_causes),
         enforced=True,
     )
-    record = dataclasses.replace(record, record_digest=record.compute_digest())
+    record = dataclasses.replace(
+        record, record_digest=sha256_hex(canonical_bytes(record.payload())))
     assert record.line() == GOLDEN_RECORD_LINE
 
 
@@ -958,7 +974,10 @@ def test_concurrent_first_calls_build_the_plans_once():
 def test_bindings_and_recorded_values_leave_the_kernel_as_fractions():
     env = shipped_env()
     result = verify(trade_request(), trade_state(), env)
+    bindings = result.bindings  # built once, before and after the trace
+    assert result.bindings is bindings
     assert result.trace.provenance["trade_value"] == "derived"
+    assert result.trace.bindings is bindings and result.bindings is bindings
     assert result.bindings["trade_value"] == Money(Fraction(1_000_000_000),
                                                    "USD")
     typed = (Fraction, Money, bool, str)
