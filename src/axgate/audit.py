@@ -223,6 +223,29 @@ def _checked_record(line: bytes) -> AuditRecord | str:
     return record
 
 
+class _ChainBreak(Exception):
+    """The first line of a log that fails verification; its args are the
+    line's 0-based index and the verifier's cause."""
+
+
+def _chain(lines: Iterable[bytes]) -> Iterator[AuditRecord]:
+    """The one walk over a log: each record in order, checked by
+    `_checked_record` and linked to the one before it by prev_digest and
+    seq. _ChainBreak at the first line that fails, so a reader only ever
+    sees a chain that verifies up to the record it reads."""
+    expected_prev = ZERO_DIGEST
+    for index, line in enumerate(lines):
+        record = _checked_record(line)
+        if isinstance(record, str):
+            raise _ChainBreak(index, record)
+        if record.prev_digest != expected_prev:
+            raise _ChainBreak(index, CAUSE_LINK)
+        if record.seq != index:
+            raise _ChainBreak(index, CAUSE_SEQ)
+        expected_prev = record.record_digest
+        yield record
+
+
 def verify_chain_lines(
     lines: Iterable[bytes], *, expected_head: str | None = None
 ) -> ChainReport:
@@ -240,21 +263,16 @@ def verify_chain_lines(
     log by content alone; pass `expected_head` (the last record digest the
     auditor trusts) to detect it.
     """
-    expected_prev = ZERO_DIGEST
-    index = 0
-    for line in lines:
-        record = _checked_record(line)
-        if isinstance(record, str):
-            return ChainReport(False, index, index, record)
-        if record.prev_digest != expected_prev:
-            return ChainReport(False, index, index, CAUSE_LINK)
-        if record.seq != index:
-            return ChainReport(False, index, index, CAUSE_SEQ)
-        expected_prev = record.record_digest
-        index += 1
-    if expected_head is not None and expected_prev != expected_head:
-        return ChainReport(False, index, index, CAUSE_HEAD, head=expected_prev)
-    return ChainReport(True, index, head=expected_prev)
+    head, records = ZERO_DIGEST, 0
+    try:
+        for record in _chain(lines):
+            head, records = record.record_digest, records + 1
+    except _ChainBreak as exc:
+        index, cause = exc.args
+        return ChainReport(False, index, index, cause)
+    if expected_head is not None and head != expected_head:
+        return ChainReport(False, records, records, CAUSE_HEAD, head=head)
+    return ChainReport(True, records, head=head)
 
 
 def verify_chain(path: str, *, expected_head: str | None = None) -> ChainReport:
@@ -263,19 +281,16 @@ def verify_chain(path: str, *, expected_head: str | None = None) -> ChainReport:
 
 
 def iter_records(path: str) -> Iterator[AuditRecord]:
-    """The records of a log; ValueError naming the 1-based line number of
-    the first line that is not an audit record."""
+    """The records of a log, read as `verify_chain` reads them: each one is
+    yielded only once it and every record before it verify. ValueError
+    naming the 1-based line and the cause of the first line that fails."""
     with open(path, "rb") as fh:
-        for number, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                record = AuditRecord.from_doc(json.loads(line))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ValueError(
-                    f"{path}: line {number} is not an audit record: {exc!r}"
-                ) from None
-            yield record
+        try:
+            yield from _chain(fh)
+        except _ChainBreak as exc:
+            index, cause = exc.args
+            raise ValueError(f"{path}: line {index + 1} fails "
+                             f"verification: {cause}") from None
 
 
 def find_record(path: str, *, seq: int | None = None,
@@ -328,7 +343,11 @@ class AuditPump:
     def __init__(self, path: str, *, fsync: bool = True) -> None:
         self._queue: queue.Queue = queue.Queue(maxsize=_QUEUE_SIZE)
         self._writer = AuditWriter(path, fsync=fsync)
-        self._trace_fh = open(archive_path(path), "ab")
+        try:
+            self._trace_fh = open(archive_path(path), "ab")
+        except BaseException:
+            self._writer.close()
+            raise
         # Two FIFO windows: insert on a miss, evict the oldest entry past the
         # cap, never refresh on a hit. Each keeps its keys in a deque for the
         # eviction order; archived digests are held as their 32 raw bytes.
@@ -382,8 +401,8 @@ class AuditPump:
                 duplicate_of=duplicate_of,
                 note=event.note,
             )
-        except AuditStorageError:
-            logger.error("audit append failed; running degraded")
+        except Exception:  # storage, or a record that cannot be encoded
+            logger.exception("audit append failed; running degraded")
             self.degraded = True
             return
         self.records_written += 1
@@ -405,12 +424,9 @@ class AuditPump:
         self._archived_order.append(key)
         if len(self._archived_order) > _ARCHIVE_WINDOW:
             self._archived.remove(self._archived_order.popleft())
-        # The kernel's canonical trace bytes, spliced in as they are: sorted
-        # keys put "trace" before "trace_digest", so this line equals
-        # canonical_bytes({"trace_digest": d, "trace": trace.to_plain()}).
         try:
-            self._trace_fh.write(b'{"trace":%s,"trace_digest":"%s"}\n' % (
-                event.trace_bytes, event.trace_digest.encode("ascii")))
+            self._trace_fh.write(_archive_line(event.trace_bytes,
+                                               event.trace_digest))
             self._trace_fh.flush()
         except OSError as exc:
             logger.error("trace archive write failed (%s); archiving stopped",
@@ -420,26 +436,33 @@ class AuditPump:
                 self._trace_fh.close()
 
 
+def _archive_line(trace_bytes: bytes, trace_digest: str) -> bytes:
+    """A trace's archive line: the kernel's canonical trace bytes spliced in
+    as they are. Sorted keys put "trace" before "trace_digest", so the line
+    is canonical_bytes({"trace_digest": d, "trace": trace.to_plain()})."""
+    return b'{"trace":%s,"trace_digest":"%s"}\n' % (
+        trace_bytes, trace_digest.encode("ascii"))
+
+
 def load_archived_bindings(path: str, trace_digest: str, env) -> dict:
     """The bindings archived under this trace digest, decoded under the
-    concepts of `env`: {} when there are none. A line that is not JSON, or
-    whose trace is damaged, is skipped and hides no later one. A binding
-    that `env` does not declare, or that does not decode as its concept's
-    kind, is left out, so a notice shows it as unavailable."""
+    concepts of `env`: {} when there are none. An entry counts only when
+    its trace, written again by `canonical_bytes`, gives back its whole
+    line and hashes to `trace_digest`; any other line is skipped and hides
+    no later one. A binding that `env` does not declare, or that does not
+    decode as its concept's kind, is left out, so a notice shows it as
+    unavailable."""
     plain: dict = {}
     try:
         with open(path, "rb") as fh:
             for line in fh:
                 try:
-                    doc = json.loads(line)
-                except ValueError:
+                    trace = json.loads(line)["trace"]
+                    trace_bytes = canonical_bytes(trace)
+                except (KeyError, TypeError, ValueError):
                     continue
-                if not isinstance(doc, dict) \
-                        or doc.get("trace_digest") != trace_digest:
-                    continue
-                trace = doc.get("trace")
-                if isinstance(trace, dict) \
-                        and isinstance(trace.get("bindings"), dict):
+                if sha256_hex(trace_bytes) == trace_digest \
+                        and _archive_line(trace_bytes, trace_digest) == line:
                     plain = trace["bindings"]
                     break
     except OSError:
@@ -450,5 +473,5 @@ def load_archived_bindings(path: str, trace_digest: str, env) -> dict:
             try:
                 bindings[decl.symbol] = value_from_plain(plain[decl.symbol], decl)
             except (ArithmeticError, KeyError, TypeError, ValueError):
-                pass  # damaged, or another environment's kind
+                pass  # another environment's kind
     return bindings

@@ -11,12 +11,10 @@ from __future__ import annotations
 import platform
 import time
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .compiler import PolicyEnvironment
 from .kernel import ActionRequest, SystemState, verify
-
-Workload = Callable[[int], tuple[ActionRequest, SystemState]]
 
 
 class InsufficientSamplesError(ValueError):
@@ -67,27 +65,19 @@ def _hardware_note() -> str:
     return f"{uname.machine} {uname.system}, python {platform.python_version()}"
 
 
-def bench(
-    env: PolicyEnvironment,
-    workload: Workload,
-    samples: int,
-    *,
-    warmup: int | None = None,
-) -> LatencyReport:
-    """Time `samples` verifications of workload-generated (request, state)
-    pairs against one shared environment."""
+def bench(env: PolicyEnvironment, request: ActionRequest, state: SystemState,
+          samples: int) -> LatencyReport:
+    """Time `samples` verifications of one call against one environment."""
     if samples < 1:
         raise InsufficientSamplesError(f"samples must be >= 1, got {samples}")
-    warmup = min(1000, max(16, samples // 10)) if warmup is None else warmup
+    warmup = min(1000, max(16, samples // 10))
 
-    for i in range(warmup):
-        request, state = workload(i)
+    for _ in range(warmup):
         verify(request, state, env)
 
     timings = []
     clock = time.perf_counter_ns
-    for i in range(samples):
-        request, state = workload(i)
+    for _ in range(samples):
         t0 = clock()
         verify(request, state, env)
         timings.append(clock() - t0)
@@ -103,10 +93,3 @@ def bench(
         warmup_discarded=warmup,
         hardware_note=_hardware_note(),
     )
-
-
-def fixed_workload(request: ActionRequest, state: SystemState) -> Workload:
-    def workload(_: int) -> tuple[ActionRequest, SystemState]:
-        return request, state
-
-    return workload

@@ -44,6 +44,18 @@ def plain_value(value: object) -> object:
 json_string = encode_basestring
 
 
+def encodable(text: str) -> bool:
+    """Whether `text` can be written as UTF-8: it holds no lone surrogate,
+    which a JSON escape can spell."""
+    if text.isascii():
+        return True
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def pair_json(pair: tuple) -> str:
     """Canonical JSON text of an exact value held as ints: (n, d) is the
     rational n/d and (n, d, ccy) is money of n/d minor units, each reduced
@@ -54,28 +66,6 @@ def pair_json(pair: tuple) -> str:
     if d == 1:
         return '{"ccy":%s,"minor":%d}' % (encode_basestring(ccy), n)
     return '{"ccy":%s,"minor":"%d/%d"}' % (encode_basestring(ccy), n, d)
-
-
-_VALUE_JSON = {
-    bool: lambda b: "true" if b else "false",
-    str: encode_basestring,
-    type(None): lambda _: "null",
-}
-
-
-def value_json(value: object) -> str:
-    """Canonical JSON text of plain_value(value), written without building
-    the plain form: the bytes canonical_bytes gives for it."""
-    t = type(value)
-    if t is Fraction:
-        return pair_json((value.numerator, value.denominator))
-    if t is Money:
-        minor = value.minor
-        return pair_json((minor.numerator, minor.denominator, value.ccy))
-    encode = _VALUE_JSON.get(t)
-    if encode is None:
-        return canonical_bytes(plain_value(value)).decode("utf-8")
-    return encode(value)
 
 
 def value_from_plain(plain: object, decl) -> object:

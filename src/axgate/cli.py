@@ -155,7 +155,7 @@ def _cmd_bench(args) -> int:
 
     request = ActionRequest("bench", args.tool, params)
     state = SystemState(facts)
-    report = bench(env, lambda _i: (request, state), args.samples)
+    report = bench(env, request, state, args.samples)
     sample = verify(request, state, env)
     print(report.render())
     print(f"decision under benchmarked bindings: {sample.decision}")

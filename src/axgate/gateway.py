@@ -33,7 +33,7 @@ from typing import Mapping
 from urllib.parse import urlsplit
 
 from .audit import AuditEvent, AuditPump
-from .canonical import ZERO_DIGEST
+from .canonical import ZERO_DIGEST, encodable
 from .compiler import PolicyEnvironment, compile_file
 from .diagnostics import Diagnostic
 from .kernel import REFUTED, ActionRequest, SystemState, verify
@@ -712,6 +712,8 @@ def _parse_tool_call(raw: bytes):
         return "malformed-request-id"
     if not isinstance(tool, str) or not tool:
         return "missing-tool"
+    if not encodable(tool):  # no trace or audit record could hold it
+        return "malformed-tool"
     if not isinstance(params, dict):
         return "malformed-params"
     return request_id, tool, params

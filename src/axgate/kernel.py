@@ -28,11 +28,11 @@ from typing import Mapping
 
 from .canonical import (
     canonical_bytes,
+    encodable,
     json_string,
     pair_json,
     plain_value,
     sha256_hex,
-    value_json,
 )
 from .compiler import PolicyEnvironment
 from .syntax import (
@@ -227,8 +227,19 @@ def _obj(value):
 
 
 def _text(value) -> str:
-    """Canonical JSON text of a walk value."""
-    return pair_json(value) if type(value) is tuple else value_json(value)
+    """Canonical JSON text of a walk value. _EvalFault for one that cannot
+    be written: a number past Python's int-to-string digit limit, or a
+    string that is not valid Unicode."""
+    if type(value) is tuple:
+        try:
+            return pair_json(value)
+        except ValueError:
+            raise _EvalFault("too many digits to write") from None
+    if type(value) is bool:
+        return "true" if value else "false"
+    if not encodable(value):
+        raise _EvalFault("not valid Unicode")
+    return json_string(value)
 
 
 # Binding ---------------------------------------------------------------------
@@ -276,24 +287,30 @@ def _bind(request: ActionRequest, state: SystemState, env: PolicyEnvironment,
             if not _kind_matches(value, registry.get(symbol)):
                 failures.append((symbol, DETAIL_KIND))
                 continue
+            try:
+                text = _text(value)
+            except _EvalFault:  # of its kind, but it cannot be written
+                failures.append((symbol, DETAIL_KIND))
+                continue
             provenance[symbol] = origin
-            bound[symbol] = (value, _text(value))
+            bound[symbol] = (value, text)
 
     for symbol in plan.derived_symbols:  # dependency order
         decl = registry.get(symbol)
         try:
             # only the value: the hole texts are dropped
             value = _walk(decl.derived, bound, [])
+            if not _kind_matches(value, decl):  # only a hand-built definition
+                failures.append((symbol, DETAIL_KIND))
+                continue
+            text = _text(value)
         except KeyError:
             continue  # an input did not bind; its failure is already recorded
         except _EvalFault:
             failures.append((symbol, DETAIL_EVAL))
             continue
-        if not _kind_matches(value, decl):  # only a hand-built definition
-            failures.append((symbol, DETAIL_KIND))
-            continue
         provenance[symbol] = "derived"
-        bound[symbol] = (value, _text(value))
+        bound[symbol] = (value, text)
 
     return provenance, bound, tuple(failures)
 
@@ -469,7 +486,7 @@ def _template(expr: Expr) -> str:
         text = _literal(json_string(expr.atom))
         return '{"op":"%s","ref":%s,"value":%s}' % (op_name(expr), text, text)
     return '{"op":"%s","value":%s}' % (op_name(expr),
-                                       _literal(value_json(expr.value)))
+                                       _literal(_text(_pair(expr.value))))
 
 
 def _tree(expr: Expr, bound) -> ValNode:
@@ -686,7 +703,7 @@ def verify(
 
     The trace bytes are written while the conditions are evaluated; they
     equal `result.trace.canonical()`."""
-    if type(request.tool) is not str:
+    if type(request.tool) is not str or not encodable(request.tool):
         return _unnamed_tool(env)
     plan = plan_for(env, request.tool)
     provenance, bound, failures = _bind(request, state, env, plan)
@@ -746,7 +763,8 @@ def verify(
 
 
 def _unnamed_tool(env: PolicyEnvironment) -> VerificationResult:
-    """A call whose tool is not a string names no tool, so no axiom can be
+    """A call whose tool is not a string, or not valid Unicode, names no
+    tool that a trace can record, so no axiom can be
     evaluated for it: it is refused with an evaluation failure, under an
     empty trace that records the tool as ""."""
     trace = ProofTrace(env.version_digest, "", (), {}, {})

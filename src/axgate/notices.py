@@ -110,7 +110,11 @@ def render_notice_from_parts(
     def render(symbol: str) -> str:
         text = rendered.get(symbol)
         if text is None:
-            text = rendered[symbol] = render_value(bindings[symbol])
+            try:
+                text = render_value(bindings[symbol])
+            except ValueError:  # more digits than Python writes as a string
+                text = f"<{_display(env, symbol)}: unavailable>"
+            rendered[symbol] = text
         return text
 
     lines: list[str] = []

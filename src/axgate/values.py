@@ -163,18 +163,7 @@ def render_value(value: Value) -> str:
     if isinstance(value, Fraction):
         return render_decimal(value)
     if isinstance(value, Money):
-        return f"{_render_minor(value.minor)} {value.ccy}"
+        major = render_decimal(value.minor / MINOR_UNITS_PER_MAJOR,
+                               max_places=4)
+        return f"{major} {value.ccy}"
     return str(value)
-
-
-def _render_minor(minor: Fraction) -> str:
-    """A minor-unit amount in major units, as render_decimal writes
-    minor / MINOR_UNITS_PER_MAJOR with max_places=4: exact when it
-    terminates, with trailing zeros dropped."""
-    if minor.denominator != 1:  # only scaled intermediates
-        return render_decimal(minor / MINOR_UNITS_PER_MAJOR, max_places=4)
-    major, cents = divmod(abs(minor.numerator), MINOR_UNITS_PER_MAJOR)
-    sign = "-" if minor.numerator < 0 else ""
-    if cents == 0:
-        return f"{sign}{major}"
-    return f"{sign}{major}.{cents:02d}".rstrip("0")

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from axgate import ActionRequest, SystemState, compile_source, verify
 from axgate.audit import AuditWriter, verify_chain_lines
-from axgate.bench import bench, fixed_workload
+from axgate.bench import bench
 from axgate.gateway import Gateway, GatewayConfig
 from axgate.kernel import REFUTED, plan_for
 from axgate.notices import render_notice, rendered_trace_values
@@ -150,10 +150,9 @@ def test_criterion_4_latency():
     request = ActionRequest("lat", "execute_trade",
                             {"trade_value": Fraction(10_000_000)})
     state = SystemState({"capital_limit": Fraction(50_000_000)})
-    workload = fixed_workload(request, state)
 
-    one = bench(_arith_env(1), workload, 100_000)
-    ten = bench(_arith_env(10), workload, 100_000)
+    one = bench(_arith_env(1), request, state, 100_000)
+    ten = bench(_arith_env(10), request, state, 100_000)
 
     def us(ns):
         return ns / 1000.0

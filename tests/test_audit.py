@@ -352,3 +352,145 @@ def test_golden_log_bytes(tmp_path):
     assert data.count(b"\n") == 200
     assert verify_chain(str(log)).ok
     assert hashlib.sha256(data).hexdigest() == GOLDEN_LOG_SHA256
+
+
+def _flip_request_id(path, k):
+    """Record k with its request id edited in place ("r" -> "s"): the line
+    still parses, and its stored digest no longer recomputes."""
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[k] = lines[k].replace(b'"request_id":"r', b'"request_id":"s', 1)
+    path.write_bytes(b"".join(lines))
+
+
+@pytest.mark.parametrize("k", [0, 4, 9])
+def test_readers_see_only_the_chain_that_verifies(tmp_path, k):
+    """iter_records and find_record walk the log as verify_chain does: a
+    record is read only once it and every record before it verify. Before,
+    a lenient parse read an edited record as genuine."""
+    log = tmp_path / "audit.log"
+    _append_n(log, 10)
+    _flip_request_id(log, k)
+    report = verify_chain(str(log))
+    assert (report.ok, report.bad_index, report.cause) == \
+        (False, k, "digest-mismatch")
+
+    records = iter_records(str(log))
+    assert [next(records).seq for _ in range(k)] == list(range(k))
+    with pytest.raises(ValueError) as info:
+        next(records)
+    assert f"line {k + 1} fails verification: digest-mismatch" in \
+        str(info.value)
+    for j in range(10):
+        if j < k:
+            assert find_record(str(log), seq=j).request_id == f"r{j}"
+        else:
+            with pytest.raises(ValueError, match=f"line {k + 1} "):
+                find_record(str(log), seq=j)
+    with pytest.raises(ValueError, match="digest-mismatch"):
+        find_record(str(log), request_id=f"s{k}")
+
+
+def test_readers_name_the_verifier_cause_and_line(tmp_path):
+    """Each way a log fails is reported by the readers with the cause and
+    the 1-based line verify_chain gives it."""
+    log = tmp_path / "audit.log"
+    _append_n(log, 4)
+    lines = log.read_bytes().splitlines(keepends=True)
+    for damaged, line, cause in (
+        (lines[:2] + [b"\n"] + lines[2:], 3, "parse-error"),
+        (lines[:1] + lines[2:], 2, "link-mismatch"),
+        (lines[:3] + [lines[3][:-1]], 4, "parse-error"),
+    ):
+        log.write_bytes(b"".join(damaged))
+        report = verify_chain(str(log))
+        assert (report.bad_index, report.cause) == (line - 1, cause)
+        with pytest.raises(ValueError,
+                           match=f"line {line} fails verification: {cause}"):
+            list(iter_records(str(log)))
+
+
+def test_pump_survives_a_record_it_cannot_encode(tmp_path):
+    """Any failure to append degrades the pump and keeps its consumer
+    running. Before, a tool with a lone surrogate raised UnicodeEncodeError
+    out of the consumer, which died, so no later record was written and
+    submit() blocked once the queue filled."""
+    import threading
+
+    from axgate.audit import AuditEvent, AuditPump
+
+    def event(request_id, tool):
+        return AuditEvent(request_id=request_id, tool=tool,
+                          env_version="e" * 64, decision="Refuted",
+                          trace_digest=ZERO_DIGEST, refusal_causes=(),
+                          enforced=False)
+
+    log = tmp_path / "audit.log"
+    pump = AuditPump(str(log), fsync=False)
+    try:
+        pump.submit(event("a", "\ud800"))
+        pump.submit(event("b", "execute_trade"))
+        drained = threading.Thread(target=pump.drain, daemon=True)
+        drained.start()
+        drained.join(5)
+        assert not drained.is_alive()
+        assert pump.degraded and pump.records_written == 1
+        assert pump._thread.is_alive()
+    finally:
+        pump.close()
+    assert [r.request_id for r in iter_records(str(log))] == ["b"]
+
+
+def test_pump_closes_its_log_when_the_archive_cannot_be_opened(tmp_path):
+    """Before, the writer's file stayed open when the archive failed to
+    open; collecting it warns, and the ResourceWarning filter fails that."""
+    import gc
+
+    from axgate.audit import AuditPump
+
+    (tmp_path / "audit.log.traces").mkdir()
+    with pytest.raises(IsADirectoryError):
+        AuditPump(str(tmp_path / "audit.log"), fsync=False)
+    gc.collect()
+
+
+def test_archived_bindings_count_only_under_their_own_digest(tmp_path):
+    """An archive entry is read only when its trace, written again
+    canonically, gives back its line and hashes to the record's digest. An
+    entry whose binding was edited under the same digest is not read."""
+    from axgate.audit import AuditEvent, AuditPump, load_archived_bindings
+    from axgate.compiler import compile_source
+    from axgate.kernel import ActionRequest, SystemState, verify
+
+    env = compile_source(
+        'concept volume : quantity from request "Order volume (shares)"\n'
+        "axiom ordinary permit execute_trade when volume > 0\n").environment
+    result = verify(ActionRequest("r", "execute_trade",
+                                  {"volume": Fraction(7)}),
+                    SystemState({}), env)
+    archive = tmp_path / "audit.log.traces"
+    pump = AuditPump(str(tmp_path / "audit.log"), fsync=False)
+    try:
+        pump.submit(AuditEvent(
+            request_id="r", tool="execute_trade",
+            env_version=env.version_digest, decision=result.decision,
+            trace_digest=result.trace_digest, refusal_causes=(),
+            enforced=False, trace_bytes=result.trace_bytes))
+        pump.drain()
+    finally:
+        pump.close()
+    good = archive.read_bytes()
+    assert load_archived_bindings(str(archive), result.trace_digest, env) == \
+        {"volume": Fraction(7)}
+
+    doc = json.loads(good)
+    doc["trace"]["bindings"]["volume"] = "9/1"
+    edited = canonical_bytes(doc) + b"\n"
+    spaced = json.dumps(json.loads(good)).encode() + b"\n"
+    for lines, expected in (
+        (edited, {}),
+        (spaced, {}),  # the right trace, but not the line its encoder writes
+        (edited + spaced + good, {"volume": Fraction(7)}),
+    ):
+        archive.write_bytes(lines)
+        assert load_archived_bindings(str(archive), result.trace_digest,
+                                      env) == expected

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from axgate import compile_source
-from axgate.bench import InsufficientSamplesError, bench, fixed_workload
+from axgate.bench import InsufficientSamplesError, bench
 from axgate.kernel import ActionRequest, SystemState
 
 
@@ -16,15 +16,13 @@ def _env(axioms: int):
     return result.environment
 
 
-def _workload():
-    return fixed_workload(
-        ActionRequest("b", "execute_trade", {"x": Fraction(10**6)}),
-        SystemState({}),
-    )
+def _call():
+    return (ActionRequest("b", "execute_trade", {"x": Fraction(10**6)}),
+            SystemState({}))
 
 
 def test_report_percentiles_ordered():
-    report = bench(_env(1), _workload(), 2000)
+    report = bench(_env(1), *_call(), 2000)
     assert report.p50_ns <= report.p90_ns <= report.p99_ns <= report.max_ns
     assert report.samples == 2000
     assert report.axiom_count == 1
@@ -33,12 +31,12 @@ def test_report_percentiles_ordered():
 
 def test_zero_samples_rejected():
     with pytest.raises(InsufficientSamplesError):
-        bench(_env(1), _workload(), 0)
+        bench(_env(1), *_call(), 0)
 
 
 def test_scaling_with_axiom_count_is_monotone_and_bounded():
-    small = bench(_env(1), _workload(), 3000)
-    large = bench(_env(100), _workload(), 3000)
+    small = bench(_env(1), *_call(), 3000)
+    large = bench(_env(100), *_call(), 3000)
     assert large.p50_ns >= small.p50_ns
     # at most linear in in-scope axiom count, within a 2x allowance
     assert large.p50_ns <= small.p50_ns * 100 * 2
@@ -55,7 +53,7 @@ def test_bench_never_touches_audit(monkeypatch):
         return original(self, **fields)
 
     monkeypatch.setattr(audit_mod.AuditWriter, "append", counting_append)
-    bench(_env(1), _workload(), 500)
+    bench(_env(1), *_call(), 500)
     assert calls["n"] == 0
 
 

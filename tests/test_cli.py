@@ -246,7 +246,7 @@ def test_audit_cli_reports_a_line_that_is_not_a_record(tmp_path, capsys):
                   "--policy", str(tmp_path / "unused.pol")]):
         assert main(argv) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "line 2" in err
+        assert err.startswith("error: ") and "line 1" in err
 
 
 def test_audit_cli_explain_skips_damaged_archive_lines(policy_file, tmp_path,
@@ -267,8 +267,7 @@ def test_audit_cli_explain_skips_damaged_archive_lines(policy_file, tmp_path,
         (entry % b"5", unavailable),
         (entry % b'{"bindings": 5}', unavailable),
         (entry % b'{"bindings": {"volume": "1/0", "max_order_size": 100}}',
-         ["Order volume <Order volume (shares): unavailable> exceeds the "
-          "maximum order size 100."]),
+         unavailable),
         # a damaged entry hides no later one
         (entry % b"5" + good, lines),
     ):
@@ -277,6 +276,62 @@ def test_audit_cli_explain_skips_damaged_archive_lines(policy_file, tmp_path,
         assert main(["audit", "explain", str(log), "--request-id",
                      "blocked-1", "--policy", str(policy_file)]) == 0, damaged
         assert capsys.readouterr().out.splitlines() == expected, damaged
+
+
+def test_audit_cli_show_prints_only_a_verified_chain_prefix(tmp_path,
+                                                            capsys):
+    """With one byte flipped in record k, `audit verify` reports it as
+    before, `audit show` prints every record before it and exits 1 on it
+    and after it, naming the line and the verifier's cause."""
+    from axgate.audit import AuditWriter
+
+    log = tmp_path / "audit.log"
+    with AuditWriter(str(log), fsync=False) as writer:
+        for i in range(10):
+            writer.append(ts_ns=i, request_id=f"r{i}", tool="execute_trade",
+                          env_version="e" * 64, decision="Refuted",
+                          trace_digest="t" * 64, refusal_causes=(),
+                          enforced=True)
+    k = 6
+    lines = log.read_bytes().splitlines(keepends=True)
+    lines[k] = lines[k].replace(b'"request_id":"r6"', b'"request_id":"s6"')
+    log.write_bytes(b"".join(lines))
+
+    assert main(["audit", "verify", str(log)]) == 1
+    assert capsys.readouterr().out == \
+        f"bad record at index {k}: digest-mismatch\n"
+    for j in range(10):
+        code = main(["audit", "show", str(log), "--seq", str(j)])
+        captured = capsys.readouterr()
+        if j < k:
+            assert code == 0
+            assert json.loads(captured.out)["request_id"] == f"r{j}"
+        else:
+            assert (code, captured.out) == (1, "")
+            assert f"line {k + 1} fails verification: digest-mismatch" in \
+                captured.err
+
+
+def test_audit_cli_explain_ignores_an_entry_edited_under_its_digest(
+        policy_file, tmp_path, capsys):
+    """An archive entry rewritten canonically with another binding, under
+    the record's trace digest, is not the trace that digest names: its
+    values render as unavailable instead of as the edited figures."""
+    from axgate.canonical import canonical_bytes
+
+    log, lines = _refuse_through_gateway(
+        policy_file, {"max_order_size": 100}, {"volume": 99999}, "blocked-1",
+        tmp_path / "gw")
+    archive = tmp_path / "gw" / "audit.log.traces"
+    doc = json.loads(archive.read_bytes())
+    doc["trace"]["bindings"]["volume"] = "50/1"
+    archive.write_bytes(canonical_bytes(doc) + b"\n")
+    capsys.readouterr()
+    assert main(["audit", "explain", str(log), "--request-id", "blocked-1",
+                 "--policy", str(policy_file)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "Order volume <Order volume (shares): unavailable> exceeds the "
+        "maximum order size <Maximum order size (shares): unavailable>."]
 
 
 def test_version_flag(capsys):

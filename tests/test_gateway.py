@@ -1532,3 +1532,61 @@ def test_reload_with_bad_framing_is_400_and_publishes_nothing(workspace):
             assert gw.snapshot.env.version_digest == original, framing
         gw.pump.drain()
         assert gw.pump.records_written == 0
+
+
+def test_tool_that_is_not_valid_unicode_is_400_and_keeps_the_pump(workspace):
+    """A JSON escape can spell a lone surrogate in valid UTF-8. Before,
+    verify() raised writing the trace, the 500's record with that tool
+    killed the audit pump's thread, and /v1/healthz still said ok."""
+    config = make_config(workspace, "http://127.0.0.1:9/none")
+    with Gateway(config) as gw:
+        status, data, _ = post(
+            gw, "/v1/verify",
+            body=b'{"request_id":"a","tool":"\\ud800","params":{}}')
+        assert (status, json.loads(data)) == (400, {"error": "malformed-tool"})
+        status, _, _ = post(gw, "/v1/verify", tool_call("b", 10))
+        assert status == 200
+        gw.pump.drain()
+        assert gw.pump._thread.is_alive() and not gw.pump.degraded
+        assert get(gw, "/v1/healthz")[0] == 200
+        records = list(iter_records(config.audit_log_path))
+    assert [(r.request_id, r.tool, r.decision, r.note) for r in records] == [
+        ("", "", "Refuted", "malformed-tool"),
+        ("b", "execute_trade", "Proven", None)]
+
+
+@pytest.mark.parametrize("volume", ["1e4296", "1e4300", "1e-4300", 10**4299,
+                                    "9" * 4300 + "/2"],
+                         ids=["1e4296", "1e4300", "1e-4300", "10**4299",
+                              "4300-digit-half"])
+def test_values_too_large_to_write_are_refused_not_500(tmp_path, caplog,
+                                                      volume):
+    """Under the shipped policy each of these volumes, or the trade value
+    derived from it, has more digits than Python writes as a string. Before,
+    each call was a 500 `internal-error` with a logged traceback. The last
+    volume binds, but its decimal form in the notice would need 4,301
+    digits, so the notice shows it as unavailable."""
+    import logging
+    import shutil
+
+    caplog.set_level(logging.INFO, logger="axgate")
+    shutil.copy("src/axgate/policies/sec15c3_5.pol", tmp_path / "policy.pol")
+    (tmp_path / "state.json").write_text(json.dumps({"facts": {
+        "share_price": {"minor": 20000, "ccy": "USD"},
+        "daily_capital": {"minor": 5_000_000_000, "ccy": "USD"},
+        "max_order_size": 100000}}))
+    config = make_config(tmp_path, "http://127.0.0.1:9/none")
+    with Gateway(config) as gw:
+        status, data, _ = post(gw, "/v1/verify", tool_call("big", volume))
+        gw.pump.drain()
+        records = list(iter_records(config.audit_log_path))
+    doc = json.loads(data)
+    assert (status, doc["decision"]) == (200, "Refuted")
+    assert [(r.request_id, r.decision, r.note) for r in records] == \
+        [("big", "Refuted", None)]
+    assert not [r for r in caplog.records if r.exc_info]
+    if volume == "9" * 4300 + "/2":
+        assert doc["notice"]["lines"][0].startswith(
+            "Decision refused: the policy check could not be completed.")
+        assert "Order volume <Order volume (shares): unavailable> exceeds" \
+            in doc["notice"]["lines"][1]

@@ -1042,3 +1042,65 @@ def test_derived_value_of_the_wrong_kind_is_a_kind_mismatch():
         entry = result.trace.entries[0]
         assert entry.missing == (("v", "kind-mismatch"),)
         _assert_trace_bytes_identical(result)
+
+
+def _causes(result):
+    return [(c.reason, c.axiom_id, c.symbol) for c in result.refusal_causes]
+
+
+def test_values_too_large_to_write_fail_closed():
+    """Python writes no integer of more than 4,300 digits as a string, so
+    no trace can hold such a value. Before, verify() raised ValueError on
+    each call below. Now a bound param is a kind-mismatch, a derived value
+    an evaluation failure on its symbol, and an operator result an
+    evaluation failure of its axiom."""
+    from axgate.gateway import coerce_facts
+
+    env = shipped_env()
+    derived = [("evaluation-failure", "capital_threshold", "trade_value"),
+               ("forbid-fired", "max_order", None)]
+    bound = [("binding-failure", axiom, "volume") for axiom in
+             ("capital_threshold", "max_order", "ordinary_order")]
+    for raw, expected, missing in (
+            ("1e4296", derived, ("trade_value", "evaluation-failure")),
+            (10**4299, derived, ("trade_value", "evaluation-failure")),
+            ("1e4300", bound, ("volume", "kind-mismatch")),
+            ("1e-4300", bound, ("volume", "kind-mismatch"))):
+        params = coerce_facts({"volume": raw}, env, "request")
+        result = verify(ActionRequest("big", "execute_trade", params),
+                        trade_state(), env)
+        assert _causes(result) == expected, raw
+        assert result.trace.entries[0].missing == (missing,), raw
+        _assert_trace_bytes_identical(result)
+
+    scaled = compile_source(
+        'concept x : quantity from request "X"\n'
+        "axiom big forbid t when x * 10 > 1\n"
+        "axiom open permit t when x > 0\n").environment
+    result = verify(ActionRequest("sc", "t", {"x": Fraction(10**4299)}),
+                    SystemState({}), scaled)
+    assert _causes(result) == [("evaluation-failure", "big", None)]
+    _assert_trace_bytes_identical(result)
+
+
+def test_text_and_tools_that_are_not_valid_unicode_fail_closed():
+    """A JSON escape can spell a lone surrogate, which UTF-8 cannot encode.
+    Before, verify() raised UnicodeEncodeError writing the trace. A text
+    binding holding one is a kind-mismatch; a tool holding one names no
+    tool a trace can record, as a tool that is not a string."""
+    env = compile_source(
+        'concept memo : text from request "Memo"\n'
+        'axiom plain permit t when memo != "x"\n').environment
+    result = verify(ActionRequest("m", "t", {"memo": "a\ud800"}),
+                    SystemState({}), env)
+    assert _causes(result) == [("binding-failure", "plain", "memo")]
+    assert result.trace.entries[0].missing == (("memo", "kind-mismatch"),)
+    _assert_trace_bytes_identical(result)
+    assert verify(ActionRequest("m", "t", {"memo": "日"}), SystemState({}),
+                  env).proven
+
+    result = verify(ActionRequest("m", "t\udfff", {"memo": "a"}),
+                    SystemState({}), env)
+    assert _causes(result) == [("evaluation-failure", None, None)]
+    assert result.trace.tool == ""
+    _assert_trace_bytes_identical(result)

@@ -9,8 +9,8 @@ from axgate.canonical import (
     digest_of,
     plain_value,
     value_from_plain,
-    value_json,
 )
+from axgate.kernel import _pair, _text
 from axgate.registry import ConceptDecl
 from axgate.values import (
     Money,
@@ -122,7 +122,7 @@ def test_canonical_bytes_sorted_and_stable():
 ])
 def test_value_from_plain_inverts_plain_value(value, decl):
     plain = plain_value(value)
-    assert canonical_bytes(plain) == value_json(value).encode("utf-8")
+    assert canonical_bytes(plain) == _text(_pair(value)).encode("utf-8")
     plain = json.loads(json.dumps(plain))  # as read back from an archive
     decoded = value_from_plain(plain, decl)
     assert decoded == value
@@ -140,17 +140,25 @@ def test_canonical_bytes_refuses_a_typed_leaf(leaf):
 
 
 def test_render_value_money_on_integers_matches_the_fraction_path():
-    """Money renders from divmod on its minor units; the text is what
-    render_decimal gives for minor / 100."""
+    """Money renders in major units as render_decimal writes minor / 100.
+    On integral minor units that is the text of whole units and cents,
+    trailing zeros dropped, written here by divmod as a reference."""
     import random
+
+    def by_divmod(minor: int) -> str:
+        major, cents = divmod(abs(minor), 100)
+        sign = "-" if minor < 0 else ""
+        return f"{sign}{major}" if cents == 0 \
+            else f"{sign}{major}.{cents:02d}".rstrip("0")
 
     rng = random.Random(3)
     minors = [0, 1, -1, 5, -5, 10, -10, 99, -99, 100, -100, 101, 150, -150,
               1000, 10**30 + 1, -(10**30) - 50]
     minors += [rng.randint(-10**9, 10**9) for _ in range(2000)]
-    amounts = [Fraction(m) for m in minors]
-    amounts += [Fraction(m, d) for m in minors[:40] for d in (3, 8, 7, 200)]
-    for minor in amounts:
+    for minor in minors:
+        assert render_value(Money(Fraction(minor), "USD")) == \
+            f"{by_divmod(minor)} USD", minor
+    for minor in [Fraction(m, d) for m in minors[:40] for d in (3, 8, 7, 200)]:
         money = Money(minor, "USD")
         want = f"{render_decimal(minor / 100, max_places=4)} USD"
         assert render_value(money) == want, minor
