@@ -114,7 +114,13 @@ class AuditStorageError(OSError):
 
 class AuditWriter:
     """The single appender: assigns sequence numbers, chains digests, and
-    flushes each record before acknowledging it."""
+    writes each record through before acknowledging it.
+
+    An append lands its whole line or none of it: after a failed write or
+    fsync the log is truncated back to the end of the last whole record.
+    The handle is unbuffered, since a buffer would keep the failed bytes
+    and write them with the next record. If that truncation fails too, the
+    writer appends nothing more."""
 
     def __init__(self, path: str, *, fsync: bool = True) -> None:
         self.path = path
@@ -122,7 +128,9 @@ class AuditWriter:
         self._seq = 0
         self._prev = ZERO_DIGEST
         self._recover_tail()
-        self._fh: IO[bytes] = open(path, "ab")
+        self._fh: IO[bytes] = open(path, "ab", buffering=0)
+        self._end = self._fh.seek(0, os.SEEK_END)  # of the last whole record
+        self._broken: str | None = None
 
     def _recover_tail(self) -> None:
         """Resume the chain from the last record of an existing log.
@@ -161,17 +169,27 @@ class AuditWriter:
         return self._seq
 
     def append(self, **fields) -> AuditRecord:
+        if self._broken is not None:
+            raise AuditStorageError(self._broken)
         record = AuditRecord(seq=self._seq, prev_digest=self._prev, **fields)
         payload = canonical_bytes(record.payload())
         record = dataclasses.replace(record, record_digest=sha256_hex(payload))
         line = _line(payload, record.record_digest)
         try:
-            self._fh.write(line)
-            self._fh.flush()
+            written = 0
+            while written < len(line):  # a raw write may land part of it
+                written += self._fh.write(line[written:])
             if self._fsync:
                 os.fsync(self._fh.fileno())
         except OSError as exc:
+            try:
+                self._fh.truncate(self._end)
+            except OSError as undo:
+                self._broken = (f"{self.path}: a failed append left bytes "
+                                f"past byte {self._end} that could not be "
+                                f"truncated ({undo}); refusing to append")
             raise AuditStorageError(str(exc)) from exc
+        self._end += len(line)
         self._seq += 1
         self._prev = record.record_digest
         return record

@@ -31,6 +31,7 @@ defines NUMBER, IDENT and STRING.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 
 from .diagnostics import Diagnostic, E_SYNTAX, Span, error, has_errors
@@ -53,6 +54,10 @@ from .syntax import (
 # Bounds both the parser's recursion and the height of every expression tree
 # (a leaf is 0), so no later pass over a tree can blow the stack.
 MAX_EXPR_DEPTH = 200
+
+# A literal's reduced numerator and denominator must each be below this:
+# at most 4,300 digits, the most Python converts between int and str.
+_LITERAL_LIMIT = 10 ** 4300
 
 
 @dataclass(frozen=True, slots=True)
@@ -301,7 +306,7 @@ class _Parser:
             self.expect("RPAREN", "')'")
             return inner
         if kind == "NUMBER":
-            leaf = Lit(Fraction(tok.text), span=tok.span)
+            leaf = Lit(_literal(tok), span=tok.span)
         elif kind == "STRING":
             leaf = StrLit(tok.text, span=tok.span)
         elif kind == "true" or kind == "false":
@@ -313,6 +318,16 @@ class _Parser:
             raise _ParseError(tok.span, f"expected an expression, found {shown!r}")
         self.advance()
         return leaf, 0
+
+
+def _literal(tok: Token) -> Fraction:
+    """The exact value of a NUMBER token. Decimal reads any number of
+    digits, where int() and Fraction() stop at 4,300."""
+    numerator, denominator = Decimal(tok.text).as_integer_ratio()
+    if numerator >= _LITERAL_LIMIT or denominator >= _LITERAL_LIMIT:
+        raise _ParseError(tok.span, "number literal has more than 4300 digits "
+                          "in its reduced numerator or denominator")
+    return Fraction(numerator, denominator)
 
 
 def decode_source(data: bytes) -> tuple[str, Diagnostic | None]:

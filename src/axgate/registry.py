@@ -18,6 +18,7 @@ from .diagnostics import (
     E_DUPLICATE_AXIOM,
     E_DUPLICATE_SYMBOL,
     E_EMPTY_DISPLAY,
+    E_SYNTAX,
     E_UNIT_MISMATCH,
     E_UNREGISTERED_SYMBOL,
     W_UNUSED_CONCEPT,
@@ -25,7 +26,8 @@ from .diagnostics import (
     has_errors,
     warning,
 )
-from .syntax import ConceptDecl, Expr, Name, PolicyAst, walk_names
+from .parser import MAX_EXPR_DEPTH
+from .syntax import ConceptDecl, Expr, Name, PolicyAst, children, walk_names
 
 TEMPLATE_SLOT = re.compile(r"\{([A-Za-z_][A-Za-z0-9_]*)\}")
 
@@ -153,11 +155,14 @@ def build_registry(ast: PolicyAst) -> RegistryResult:
                               f"unregistered symbol '{slot}'")
                     )
 
-    for cycle in order_derivations(registry)[1]:
+    order, cycles = order_derivations(registry)
+    for cycle in cycles:
         diagnostics.append(
             error(E_CYCLIC_DERIVATION, concepts[cycle[-2]].span,
                   "derived concepts form a cycle: " + " -> ".join(cycle))
         )
+    if not cycles:
+        diagnostics.extend(_check_substituted_heights(registry, order, ast))
 
     for symbol, decl in concepts.items():
         if symbol not in used and decl.origin != "derived":
@@ -208,6 +213,47 @@ def order_derivations(
                 done.add(path[-1])
                 order.append(path.pop())
     return tuple(order), list(cycles.values())
+
+
+def _check_substituted_heights(registry: ConceptRegistry,
+                               order: tuple[str, ...],
+                               ast: PolicyAst) -> list[Diagnostic]:
+    """Each derived definition and each condition, with every derived
+    concept it reads replaced by that concept's definition, must be at most
+    MAX_EXPR_DEPTH high. The name of a derived concept counts one level
+    above its definition, so a chain of bare aliases is bounded too. The
+    parser bounds each tree alone; this bounds any evaluator that recurses
+    through the definitions, as the oracle does. A diagnostic marks where
+    the bound is first passed, not everything that reads past it."""
+    heights: dict[str, int] = {}  # substituted height of each definition
+    diagnostics: list[Diagnostic] = []
+
+    def check(expr: Expr, span, where: str) -> int:
+        height = _substituted_height(expr, heights)
+        if height > MAX_EXPR_DEPTH and all(
+                heights.get(ref.ident, 0) <= MAX_EXPR_DEPTH
+                for ref in walk_names(expr)):
+            diagnostics.append(error(
+                E_SYNTAX, span, "expression nesting too deep once derived "
+                f"concepts are substituted ({where})"))
+        return height
+
+    for symbol in order:
+        decl = registry.get(symbol)
+        heights[symbol] = check(decl.derived, decl.span,
+                                f"derived definition of '{symbol}'")
+    for node in ast.axioms:
+        check(node.condition, node.span, f"axiom '{node.id}'")
+    return diagnostics
+
+
+def _substituted_height(expr: Expr, heights: dict[str, int]) -> int:
+    kids = children(expr)
+    if kids:
+        return 1 + max(_substituted_height(kid, heights) for kid in kids)
+    if isinstance(expr, Name) and expr.ident in heights:
+        return 1 + heights[expr.ident]
+    return 0
 
 
 def _ref_name(ref) -> str:

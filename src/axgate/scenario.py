@@ -21,6 +21,10 @@ Replay compares actual against expected decisions step by step; in gateway
 mode it also runs a stub upstream and asserts the forwarding contract
 (enforce: refuted requests never reach upstream; shadow: every well-formed
 request arrives byte-identically).
+
+This module is also the harness for a live gateway, shared by replay and the
+tests: `StubUpstream`, the client `request` and the config builder
+`gateway_config`.
 """
 
 from __future__ import annotations
@@ -32,9 +36,11 @@ import tempfile
 import threading
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from typing import Mapping
 
+from .audit import iter_records
 from .compiler import PolicyEnvironment, compile_source
-from .gateway import Gateway, GatewayConfig, coerce_facts
+from .gateway import SERVE_POLL_SECS, Gateway, GatewayConfig, coerce_facts
 from .kernel import ActionRequest, SystemState, verify
 
 
@@ -214,7 +220,8 @@ class StubUpstream:
         self.bodies: list[bytes] = []
         self._server.record = self._record  # type: ignore[attr-defined]
         self._thread = threading.Thread(
-            target=self._server.serve_forever, daemon=True
+            target=self._server.serve_forever, args=(SERVE_POLL_SECS,),
+            daemon=True,
         )
 
     def _record(self, body: bytes) -> None:
@@ -240,6 +247,56 @@ class StubUpstream:
 
     def __exit__(self, *exc) -> None:
         self.stop()
+
+
+# Client and config ------------------------------------------------------------
+
+
+def request(address: tuple[str, int], method: str, path: str,
+            body: bytes | None = None,
+            headers: Mapping[str, str] | None = None,
+            timeout: float = 10.0) -> tuple[int, dict[str, str], bytes]:
+    """One request on a fresh connection to `address`, closed after the
+    reply: (status, headers, body). `headers` defaults to a JSON content
+    type."""
+    if headers is None:
+        headers = {"Content-Type": "application/json"}
+    conn = http.client.HTTPConnection(*address, timeout=timeout)
+    try:
+        conn.request(method, path, body=body, headers=dict(headers))
+        resp = conn.getresponse()
+        return resp.status, dict(resp.getheaders()), resp.read()
+    finally:
+        conn.close()
+
+
+def gateway_config(workdir, policy_source: str, facts: Mapping[str, object],
+                   upstream_url: str, **overrides) -> GatewayConfig:
+    """Write `policy.pol` and the state file `state.json`, `{"facts": ...}`,
+    into `workdir`, and return the config of a gateway that reads them and
+    logs to `audit.log` there. It listens on a free loopback port, polls no
+    state (callers refresh it) and skips fsync; `overrides` set any field."""
+    policy_path = os.path.join(workdir, "policy.pol")
+    with open(policy_path, "w", encoding="utf-8") as fh:
+        fh.write(policy_source)
+    state_path = os.path.join(workdir, "state.json")
+    _write_state(state_path, facts)
+    fields = dict(
+        listen_address="127.0.0.1:0",
+        upstream_url=upstream_url,
+        policy_path=policy_path,
+        state_path=state_path,
+        state_refresh_secs=0,
+        audit_log_path=os.path.join(workdir, "audit.log"),
+        audit_fsync=False,
+    )
+    fields.update(overrides)
+    return GatewayConfig(**fields)
+
+
+def _write_state(path: str, facts: Mapping[str, object]) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump({"facts": dict(facts)}, fh)
 
 
 # Replay -----------------------------------------------------------------------
@@ -333,88 +390,53 @@ def replay_kernel(scenario: Scenario) -> ReplayReport:
 
 
 def replay_gateway(scenario: Scenario, gateway_mode: str = "enforce") -> ReplayReport:
-    from .audit import iter_records
-
     results: list[StepResult] = []
-    with tempfile.TemporaryDirectory(prefix="axgate-replay-") as tmp:
-        policy_path = os.path.join(tmp, "policy.pol")
-        with open(policy_path, "w", encoding="utf-8") as fh:
-            fh.write(scenario.policy_source)
-        state_path = os.path.join(tmp, "state.json")
-        state_doc = dict(scenario.initial_state)
-        with open(state_path, "w", encoding="utf-8") as fh:
-            json.dump({"facts": state_doc}, fh)
-        audit_path = os.path.join(tmp, "audit.log")
+    sent: list[bytes] = []
+    state_doc = dict(scenario.initial_state)
+    with tempfile.TemporaryDirectory(prefix="axgate-replay-") as tmp, \
+            StubUpstream() as upstream:
+        config = gateway_config(tmp, scenario.policy_source, state_doc,
+                                upstream.url, mode=gateway_mode)
+        with Gateway(config) as gateway:
+            for index, rid, step, mutation in _expand(scenario):
+                sent.append(json.dumps({
+                    "request_id": rid, "tool": step.tool,
+                    "params": step.params,
+                }).encode("utf-8"))
+                actual = _decision(*request(gateway.address, "POST",
+                                            "/v1/execute", sent[-1]))
+                results.append(StepResult(
+                    index, rid, step.tool, step.expect, actual,
+                    actual == step.expect,
+                ))
+                if mutation:
+                    state_doc.update(mutation)
+                    _write_state(config.state_path, state_doc)
+                    gateway.refresh_state()
+            gateway.pump.drain()
+            audited: dict[str, int] = {}
+            for record in iter_records(config.audit_log_path):
+                audited[record.decision] = audited.get(record.decision, 0) + 1
 
-        with StubUpstream() as upstream:
-            config = GatewayConfig(
-                listen_address="127.0.0.1:0",
-                upstream_url=upstream.url,
-                mode=gateway_mode,
-                policy_path=policy_path,
-                state_path=state_path,
-                state_refresh_secs=0,  # replay refreshes explicitly
-                audit_log_path=audit_path,
-                audit_fsync=False,
-            )
-            with Gateway(config) as gateway:
-                host, port = gateway.address
-                for index, rid, step, mutation in _expand(scenario):
-                    body = json.dumps({
-                        "request_id": rid, "tool": step.tool,
-                        "params": step.params,
-                    }).encode("utf-8")
-                    actual = _post_decision(host, port, body)
-                    results.append(StepResult(
-                        index, rid, step.tool, step.expect, actual,
-                        actual == step.expect,
-                    ))
-                    if mutation:
-                        state_doc.update(mutation)
-                        with open(state_path, "w", encoding="utf-8") as fh:
-                            json.dump({"facts": state_doc}, fh)
-                        gateway.refresh_state()
-                gateway.pump.drain()
-                audited: dict[str, int] = {}
-                for record in iter_records(audit_path):
-                    audited[record.decision] = audited.get(record.decision, 0) + 1
-
-            sent = [json.dumps({
-                "request_id": rid, "tool": step.tool, "params": step.params,
-            }).encode("utf-8") for _, rid, step, _ in _expand(scenario)]
-            if gateway_mode == "shadow":
-                bytes_ok = upstream.bodies == sent
-            else:
-                proven = {r.request_id for r in results if r.actual == "Proven"}
-                expected_bodies = [b for b in sent
-                                   if json.loads(b)["request_id"] in proven]
-                bytes_ok = upstream.bodies == expected_bodies
-            hits = len(upstream.bodies)
-
+    # enforce forwards only Proven calls; shadow forwards every call
+    forwarded = sent if gateway_mode == "shadow" else [
+        body for body, r in zip(sent, results) if r.actual == "Proven"]
     return ReplayReport(
         scenario.name, "gateway", gateway_mode, tuple(results),
-        upstream_hits=hits, upstream_bytes_ok=bytes_ok,
+        upstream_hits=len(upstream.bodies),
+        upstream_bytes_ok=upstream.bodies == forwarded,
         audited=tuple(sorted(audited.items())),
     )
 
 
-def _post_decision(host: str, port: int, body: bytes) -> str:
-    conn = http.client.HTTPConnection(host, port, timeout=10)
+def _decision(status: int, headers: dict[str, str], body: bytes) -> str:
+    """The decision a gateway reply carries, or `http-<status>`."""
+    if "X-Axgate-Decision" in headers:
+        return headers["X-Axgate-Decision"]
     try:
-        conn.request("POST", "/v1/execute", body=body,
-                     headers={"Content-Type": "application/json"})
-        resp = conn.getresponse()
-        data = resp.read()
-        header = resp.getheader("X-Axgate-Decision")
-        if header:
-            return header
-        try:
-            doc = json.loads(data)
-            return doc.get("decision", f"http-{resp.status}")
-        except ValueError:
-            return f"http-{resp.status}"
-    finally:
-        conn.close()
+        return json.loads(body).get("decision", f"http-{status}")
+    except ValueError:
+        return f"http-{status}"
 
 
 def replay(scenario: Scenario, mode: str = "kernel",

@@ -14,12 +14,17 @@ from fractions import Fraction
 from axgate import ActionRequest, SystemState, compile_source, verify
 from axgate.audit import AuditWriter, verify_chain_lines
 from axgate.bench import bench
-from axgate.gateway import Gateway, GatewayConfig
+from axgate.gateway import Gateway
 from axgate.kernel import REFUTED, plan_for
 from axgate.notices import render_notice, rendered_trace_values
 from axgate.oracle import oracle_verify
 from axgate.randgen import PolicyGenerator, iter_instances
-from axgate.scenario import StubUpstream, load_scenario
+from axgate.scenario import (
+    StubUpstream,
+    gateway_config,
+    load_scenario,
+    request,
+)
 
 NUMERAL = re.compile(
     r"(?<![\w.])≈?-?\d+(?:\.\d+)?(?: [A-Z]{3})?(?!\w)(?!\.\d)"
@@ -212,19 +217,6 @@ def test_criterion_5_concurrent_determinism():
 # 6 ---------------------------------------------------------------------------
 
 
-def _post(host, port, body):
-    import http.client
-
-    conn = http.client.HTTPConnection(host, port, timeout=30)
-    try:
-        conn.request("POST", "/v1/execute", body=body,
-                     headers={"Content-Type": "application/json"})
-        resp = conn.getresponse()
-        return resp.status, resp.read()
-    finally:
-        conn.close()
-
-
 def _burst_bodies(scenario):
     bodies = []
     step = scenario.steps[0]
@@ -236,23 +228,6 @@ def _burst_bodies(scenario):
     return bodies
 
 
-def _burst_gateway(tmp_path, scenario, mode, upstream_url):
-    policy_path = tmp_path / f"{mode}.pol"
-    policy_path.write_text(scenario.policy_source, encoding="utf-8")
-    state_path = tmp_path / f"{mode}-state.json"
-    state_path.write_text(json.dumps({"facts": scenario.initial_state}))
-    return GatewayConfig(
-        listen_address="127.0.0.1:0",
-        upstream_url=upstream_url,
-        mode=mode,
-        policy_path=str(policy_path),
-        state_path=str(state_path),
-        state_refresh_secs=0,
-        audit_log_path=str(tmp_path / f"{mode}-audit.log"),
-        audit_fsync=False,
-    )
-
-
 def test_criterion_6_interception_completeness(tmp_path):
     """knight_burst: enforce blocks all 1,000 oversize orders before the
     upstream; shadow forwards all 1,000 byte-identically and audits them."""
@@ -262,14 +237,20 @@ def test_criterion_6_interception_completeness(tmp_path):
     bodies = _burst_bodies(scenario)
     assert len(bodies) == 1000
 
+    def burst_config(mode, upstream_url):
+        log = str(tmp_path / f"{mode}-audit.log")
+        return gateway_config(tmp_path, scenario.policy_source,
+                              scenario.initial_state, upstream_url, mode=mode,
+                              audit_log_path=log)
+
     with StubUpstream() as upstream:
-        config = _burst_gateway(tmp_path, scenario, "enforce", upstream.url)
+        config = burst_config("enforce", upstream.url)
         with Gateway(config) as gw:
-            host, port = gw.address
             statuses = []
             notices = 0
             for body in bodies:
-                status, data = _post(host, port, body)
+                status, _, data = request(gw.address, "POST", "/v1/execute",
+                                          body, timeout=30)
                 statuses.append(status)
                 doc = json.loads(data)
                 if doc.get("notice", {}).get("lines"):
@@ -281,11 +262,11 @@ def test_criterion_6_interception_completeness(tmp_path):
     assert enforce_hits == 0
 
     with StubUpstream() as upstream:
-        config = _burst_gateway(tmp_path, scenario, "shadow", upstream.url)
+        config = burst_config("shadow", upstream.url)
         with Gateway(config) as gw:
-            host, port = gw.address
             for body in bodies:
-                status, _ = _post(host, port, body)
+                status, _, _ = request(gw.address, "POST", "/v1/execute",
+                                       body, timeout=30)
                 assert status == 200
             gw.pump.drain()
             records = list(iter_records(config.audit_log_path))

@@ -1,3 +1,4 @@
+import errno
 import json
 import time
 from fractions import Fraction
@@ -230,6 +231,62 @@ def test_pump_cites_no_record_after_a_failed_append(tmp_path, monkeypatch):
     assert [(r.seq, r.request_id, r.duplicate_of)
             for r in iter_records(str(log))] == \
         [(0, "other", None), (1, "lost", None)]
+
+
+class _TornWrite:
+    """A log handle that lands half of each write and then fails as on a
+    full disk; with `stuck`, truncating it fails too."""
+
+    def __init__(self, fh, stuck=False):
+        self.fh, self.stuck = fh, stuck
+
+    def write(self, data):
+        self.fh.write(data[:len(data) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def truncate(self, size):
+        if self.stuck:
+            raise OSError(errno.EIO, "Input/output error")
+        return self.fh.truncate(size)
+
+
+_FIELDS = dict(ts_ns=1, request_id="r", tool="t", env_version="e" * 64,
+               decision="Proven", trace_digest="t" * 64, refusal_causes=(),
+               enforced=False)
+
+
+def test_a_failed_append_leaves_no_partial_bytes(tmp_path):
+    """A write that lands half a line and fails is truncated away, and the
+    next append chains on the last whole record. Before, the half line
+    stayed (a buffered handle wrote it out with the next record), so
+    verify_chain reported parse-error at index 1 and no writer could start
+    on the log."""
+    log = tmp_path / "audit.log"
+    _append_n(log, 1)
+    size = log.stat().st_size
+    with AuditWriter(str(log), fsync=True) as writer:
+        fh, writer._fh = writer._fh, _TornWrite(writer._fh)
+        with pytest.raises(AuditStorageError):
+            writer.append(**_FIELDS)
+        assert log.stat().st_size == size
+        writer._fh = fh
+        assert writer.append(**_FIELDS).seq == 1
+    report = verify_chain(str(log))
+    assert (report.ok, report.records) == (True, 2)
+    AuditWriter(str(log)).close()
+
+
+def test_a_writer_that_cannot_truncate_appends_nothing_more(tmp_path):
+    log = tmp_path / "audit.log"
+    with AuditWriter(str(log), fsync=False) as writer:
+        fh, writer._fh = writer._fh, _TornWrite(writer._fh, stuck=True)
+        with pytest.raises(AuditStorageError):
+            writer.append(**_FIELDS)
+        torn = log.read_bytes()
+        writer._fh = fh
+        with pytest.raises(AuditStorageError, match="refusing to append"):
+            writer.append(**_FIELDS)
+    assert torn and log.read_bytes() == torn
 
 
 def test_archived_bindings_decode_only_under_their_own_kinds(tmp_path):

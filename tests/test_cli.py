@@ -47,42 +47,26 @@ def test_difftest_cli(capsys):
     assert "mismatches: 0" in out
 
 
-def test_replay_cli(tmp_path, capsys):
+def _replay_one_step(tmp_path, expect):
+    """`axgate replay` in kernel mode of one call that the policy proves,
+    with `expect` as the expected decision."""
     scn = tmp_path / "s.scn"
     scn.write_text(
-        "name = tiny\n"
-        "policy = policy.pol\n"
-        "[state]\n"
-        "max_order_size = 100\n"
-        "[step]\n"
-        "tool = execute_trade\n"
-        "expect = Proven\n"
-        'params = {"volume": 5}\n',
-        encoding="utf-8",
-    )
+        "name = tiny\npolicy = policy.pol\n[state]\nmax_order_size = 100\n"
+        f"[step]\ntool = execute_trade\nexpect = {expect}\n"
+        'params = {"volume": 5}\n', encoding="utf-8")
     (tmp_path / "policy.pol").write_text(POLICY, encoding="utf-8")
-    code = main(["replay", str(scn), "--mode", "kernel"])
-    assert code == 0
+    return main(["replay", str(scn), "--mode", "kernel"])
+
+
+def test_replay_cli(tmp_path, capsys):
+    assert _replay_one_step(tmp_path, "Proven") == 0
     out = capsys.readouterr().out
     assert "passed: 1" in out and "failed: 0" in out
 
 
 def test_replay_cli_mismatch_exit_code(tmp_path, capsys):
-    scn = tmp_path / "s.scn"
-    scn.write_text(
-        "name = tiny\n"
-        "policy = policy.pol\n"
-        "[state]\n"
-        "max_order_size = 100\n"
-        "[step]\n"
-        "tool = execute_trade\n"
-        "expect = Refuted\n"
-        'params = {"volume": 5}\n',
-        encoding="utf-8",
-    )
-    (tmp_path / "policy.pol").write_text(POLICY, encoding="utf-8")
-    code = main(["replay", str(scn), "--mode", "kernel"])
-    assert code == 1
+    assert _replay_one_step(tmp_path, "Refuted") == 1
     assert "first divergent step: 0" in capsys.readouterr().err
 
 
@@ -128,37 +112,21 @@ def test_bench_cli_refuses_params_that_are_not_an_object(policy_file, params,
 def _refuse_through_gateway(policy_path, facts, params, request_id, workdir):
     """Send one refused /v1/execute through a real gateway; return the audit
     log path and the notice lines of the 403 response."""
-    import http.client
+    from pathlib import Path
 
-    from axgate.gateway import Gateway, GatewayConfig
+    from axgate.gateway import Gateway
+    from axgate.scenario import gateway_config, request
 
     workdir.mkdir(exist_ok=True)
-    state = workdir / "state.json"
-    state.write_text(json.dumps({"facts": facts}))
-    log = workdir / "audit.log"
-    config = GatewayConfig(
-        listen_address="127.0.0.1:0",
-        upstream_url="http://127.0.0.1:9/none",
-        mode="enforce",
-        policy_path=str(policy_path),
-        state_path=str(state),
-        state_refresh_secs=0,
-        audit_log_path=str(log),
-        audit_fsync=False,
-    )
+    source = Path(policy_path).read_text(encoding="utf-8")
+    config = gateway_config(workdir, source, facts, "http://127.0.0.1:9/none")
+    body = json.dumps({"request_id": request_id, "tool": "execute_trade",
+                       "params": params}).encode()
     with Gateway(config) as gw:
-        host, port = gw.address
-        conn = http.client.HTTPConnection(host, port, timeout=10)
-        body = json.dumps({"request_id": request_id, "tool": "execute_trade",
-                           "params": params}).encode()
-        conn.request("POST", "/v1/execute", body=body,
-                     headers={"Content-Type": "application/json"})
-        resp = conn.getresponse()
-        assert resp.status == 403
-        lines = json.loads(resp.read())["notice"]["lines"]
-        conn.close()
+        status, _, data = request(gw.address, "POST", "/v1/execute", body)
         gw.pump.drain()
-    return log, lines
+    assert status == 403
+    return Path(config.audit_log_path), json.loads(data)["notice"]["lines"]
 
 
 def test_audit_cli_verify_show_explain(policy_file, tmp_path, capsys):

@@ -407,21 +407,76 @@ def test_chains_across_parentheses_and_precedence_levels_share_the_bound():
     assert [d.message for d in result.diagnostics] == ["expression nesting too deep"]
 
 
+def _derived_chain(links, condition="d0 > 1", step=" + 1"):
+    """`links` derived concepts, each defined by the next one (the last by
+    `x`) followed by `step`, and an axiom on the first of them."""
+    return 'concept x : quantity from request "X"\n' + "".join(
+        f'concept d{i} : quantity from derived = '
+        f'{f"d{i + 1}" if i < links - 1 else "x"}{step} "D{i}"\n'
+        for i in range(links)) + f"axiom a permit t when {condition}\n"
+
+
 def test_long_chain_of_derived_definitions_compiles():
     """1,200 derived concepts, each read by the one declared before it:
-    the derivation walk keeps its own stack."""
+    the derivation walk keeps its own stack. Substituted, the chain is far
+    taller than MAX_EXPR_DEPTH, so it gets one located diagnostic where it
+    first passes the bound, and not a RecursionError in the oracle."""
+    from axgate.registry import ConceptRegistry, order_derivations
+
+    n = 1200
+    source = _derived_chain(n)
+    registry = ConceptRegistry({d.symbol: d for d in parse(source).ast.concepts})
+    assert order_derivations(registry)[0] == \
+        tuple(f"d{i}" for i in reversed(range(n)))
+    [diag] = compile_source(source).diagnostics
+    assert (diag.code, diag.span.line) == ("syntax", 1101)
+    assert "derived definition of 'd1099'" in diag.message
+
+
+@pytest.mark.parametrize("source, line", [
+    # each link is two levels (the name and its `+`): 2 * 99 + 2 = 200
+    (_derived_chain(99, "d0 + 0 > 1"), None),
+    (_derived_chain(99, "d0 + 0 + 0 > 1"), 101),
+    (_derived_chain(100), 102),
+    # 20 definitions of height 60: no chain is long, the sum is tall
+    (_derived_chain(20, step=" + 1" * 60), 18),
+    (_derived_chain(400, step=""), 200),  # bare aliases: each name a level
+], ids=["at-the-bound", "one-past", "one-link-past", "20x60", "aliases"])
+def test_substituted_height_is_bounded(source, line):
+    """A condition or derived definition, with the derived concepts it
+    reads substituted, is at most MAX_EXPR_DEPTH high. At the bound the
+    oracle, which recurses through every definition, agrees with verify();
+    past it, one located diagnostic names where the bound was passed."""
     from fractions import Fraction
 
     from axgate import ActionRequest, SystemState, verify
+    from axgate.oracle import oracle_verify
 
-    n = 1200
-    source = 'concept x : quantity from request "X"\n' + "".join(
-        f'concept d{i} : quantity from derived = {f"d{i + 1}" if i < n - 1 else "x"}'
-        f' + 1 "D{i}"\n' for i in range(n)) + "axiom a forbid t when d0 > 1300\n"
-    env = compile_source(source).environment
-    assert env is not None
-    assert env.derivation_order == tuple(f"d{i}" for i in reversed(range(n)))
-    request = ActionRequest("r", "t", {"x": Fraction(99)})
-    result = verify(request, SystemState(None), env)
-    assert result.bindings["d0"] == Fraction(99 + n)
-    assert not result.proven
+    result = compile_source(source)
+    if line is not None:
+        [diag] = result.diagnostics
+        assert (diag.code, diag.span.line) == ("syntax", line)
+        assert "once derived concepts are substituted" in diag.message
+        return
+    for x in (-500, 5):
+        request = ActionRequest("r", "t", {"x": Fraction(x)})
+        assert verify(request, SystemState(None), result.environment).decision \
+            == oracle_verify(request, SystemState(None), result.environment)
+
+
+@pytest.mark.parametrize("literal, ok", [
+    ("9" * 4300, True), ("9" * 4301, False),
+    ("0." + "9" * 4299, True), ("0." + "9" * 4300, False),  # 10**4300 below
+    ("0" * 5000 + "1", True), ("1." + "0" * 5000, True),
+], ids=["4300-digits", "4301-digits", "4300-digit-denominator",
+        "4301-digit-denominator", "leading-zeros", "trailing-zeros"])
+def test_literal_digits_are_bounded_after_reduction(literal, ok):
+    """A literal whose reduced numerator or denominator has more than 4,300
+    digits is a located syntax diagnostic. Before, compile_source raised
+    ValueError from the int-to-string limit."""
+    result = compile_source('concept x : quantity from request "X"\n'
+                            f"axiom a forbid t when x > {literal}\n")
+    assert result.ok is ok
+    if not ok:
+        [diag] = result.diagnostics
+        assert (diag.code, diag.span.line, diag.span.col) == ("syntax", 2, 27)

@@ -13,7 +13,7 @@ from axgate.gateway import (
     GatewayStartupError,
     load_config,
 )
-from axgate.scenario import StubUpstream
+from axgate.scenario import StubUpstream, gateway_config, request
 
 POLICY = """\
 concept volume : quantity from request "Order volume (shares)"
@@ -24,54 +24,27 @@ axiom ordinary permit execute_trade when volume > 0
 """
 
 
+FACTS = {"max_order_size": 10000}
+
+
 @pytest.fixture()
 def workspace(tmp_path):
-    policy = tmp_path / "policy.pol"
-    policy.write_text(POLICY, encoding="utf-8")
-    state = tmp_path / "state.json"
-    state.write_text(json.dumps({"facts": {"max_order_size": 10000}}))
+    """The directory `gateway_config` writes a test gateway's files to."""
     return tmp_path
 
 
 def make_config(workspace, upstream_url, **overrides):
-    defaults = dict(
-        listen_address="127.0.0.1:0",
-        upstream_url=upstream_url,
-        mode="enforce",
-        policy_path=str(workspace / "policy.pol"),
-        state_path=str(workspace / "state.json"),
-        state_refresh_secs=0,
-        audit_log_path=str(workspace / "audit.log"),
-        audit_fsync=False,
-    )
-    defaults.update(overrides)
-    return GatewayConfig(**defaults)
+    return gateway_config(workspace, POLICY, FACTS, upstream_url, **overrides)
 
 
-def post(gateway, path, doc=None, body=None, timeout=10):
-    host, port = gateway.address
-    conn = http.client.HTTPConnection(host, port, timeout=timeout)
-    try:
-        payload = body if body is not None else json.dumps(doc).encode()
-        conn.request("POST", path, body=payload,
-                     headers={"Content-Type": "application/json"})
-        resp = conn.getresponse()
-        data = resp.read()
-        headers = dict(resp.getheaders())
-        return resp.status, data, headers
-    finally:
-        conn.close()
+def post(gateway, path, doc=None, body=None):
+    return request(gateway.address, "POST", path,
+                   json.dumps(doc).encode() if body is None else body)
 
 
-def get(gateway, path):
-    host, port = gateway.address
-    conn = http.client.HTTPConnection(host, port, timeout=10)
-    try:
-        conn.request("GET", path)
-        resp = conn.getresponse()
-        return resp.status, json.loads(resp.read())
-    finally:
-        conn.close()
+def drained_records(gateway):
+    gateway.pump.drain()
+    return list(iter_records(gateway.config.audit_log_path))
 
 
 def tool_call(request_id, volume):
@@ -82,7 +55,7 @@ def tool_call(request_id, volume):
 def test_enforce_refuted_blocks_and_never_contacts_upstream(workspace):
     with StubUpstream() as upstream:
         with Gateway(make_config(workspace, upstream.url)) as gw:
-            status, data, _ = post(gw, "/v1/execute", tool_call("r1", 99999))
+            status, _, data = post(gw, "/v1/execute", tool_call("r1", 99999))
             assert status == 403
             doc = json.loads(data)
             assert doc["decision"] == "Refuted"
@@ -96,7 +69,7 @@ def test_enforce_proven_forwards_original_bytes(workspace):
     with StubUpstream() as upstream:
         with Gateway(make_config(workspace, upstream.url)) as gw:
             body = json.dumps(tool_call("r2", 10)).encode()
-            status, data, headers = post(gw, "/v1/execute", body=body)
+            status, headers, data = post(gw, "/v1/execute", body=body)
             assert status == 200
             assert json.loads(data) == {"ok": True}
             assert headers["X-Axgate-Decision"] == "Proven"
@@ -109,13 +82,12 @@ def test_shadow_mode_forwards_refuted_and_audits(workspace):
         config = make_config(workspace, upstream.url, mode="shadow")
         with Gateway(config) as gw:
             body = json.dumps(tool_call("r3", 99999)).encode()
-            status, data, headers = post(gw, "/v1/execute", body=body)
+            status, headers, data = post(gw, "/v1/execute", body=body)
             assert status == 200  # upstream response relayed
             assert json.loads(data) == {"ok": True}
             assert headers["X-Axgate-Decision"] == "Refuted"
             assert headers["X-Axgate-Enforced"] == "false"
-            gw.pump.drain()
-            records = list(iter_records(config.audit_log_path))
+            records = drained_records(gw)
         assert upstream.bodies == [body]
     assert len(records) == 1
     assert records[0].decision == "Refuted"
@@ -125,7 +97,7 @@ def test_shadow_mode_forwards_refuted_and_audits(workspace):
 def test_verify_endpoint_never_forwards(workspace):
     with StubUpstream() as upstream:
         with Gateway(make_config(workspace, upstream.url)) as gw:
-            status, data, _ = post(gw, "/v1/verify", tool_call("r4", 5))
+            status, _, data = post(gw, "/v1/verify", tool_call("r4", 5))
             assert status == 200
             doc = json.loads(data)
             assert doc["decision"] == "Proven"
@@ -142,8 +114,7 @@ def test_malformed_body_is_400_and_audited_refuted(workspace):
         assert status == 400
         status, _, _ = post(gw, "/v1/execute", doc={"tool": "t"})
         assert status == 400
-        gw.pump.drain()
-        records = list(iter_records(config.audit_log_path))
+        records = drained_records(gw)
     assert len(records) == 2
     assert all(r.decision == "Refuted" for r in records)
     assert all(("binding-failure", None, None) in
@@ -157,8 +128,7 @@ def test_oversize_body_is_413_and_audited(workspace):
         big = json.dumps(tool_call("big", 1)).encode() + b" " * 500
         status, _, _ = post(gw, "/v1/execute", body=big)
         assert status == 413
-        gw.pump.drain()
-        records = list(iter_records(config.audit_log_path))
+        records = drained_records(gw)
     assert len(records) == 1
     assert records[0].note == "oversize-body"
     assert records[0].decision == "Refuted"
@@ -177,8 +147,7 @@ def test_oversize_body_keeps_the_connection(workspace):
             b"\r\n\r\n%s" % (len(big), big)) + (
             b"POST /v1/verify HTTP/1.1\r\nHost: x\r\nConnection: close\r\n"
             b"Content-Length: %d\r\n\r\n%s" % (len(after), after)))
-        gw.pump.drain()
-        records = list(iter_records(config.audit_log_path))
+        records = drained_records(gw)
     assert reply is not None
     assert reply.startswith(b"HTTP/1.1 413 ")
     assert reply.count(b"HTTP/1.1 200 ") == 1
@@ -189,11 +158,10 @@ def test_oversize_body_keeps_the_connection(workspace):
 def test_upstream_unreachable_is_502_and_audited(workspace):
     config = make_config(workspace, "http://127.0.0.1:1/unreachable")
     with Gateway(config) as gw:
-        status, data, _ = post(gw, "/v1/execute", tool_call("r5", 10))
+        status, _, data = post(gw, "/v1/execute", tool_call("r5", 10))
         assert status == 502
         assert json.loads(data)["error"] == "upstream-unreachable"
-        gw.pump.drain()
-        records = list(iter_records(config.audit_log_path))
+        records = drained_records(gw)
     assert len(records) == 1
     assert records[0].decision == "Proven"
     assert records[0].note == "upstream-unreachable"
@@ -204,53 +172,48 @@ def test_unreadable_state_fails_closed(workspace):
     with Gateway(config) as gw:
         os.remove(config.state_path)
         gw.refresh_state()
-        status, data, _ = post(gw, "/v1/execute", tool_call("r6", 10))
+        status, _, data = post(gw, "/v1/execute", tool_call("r6", 10))
         assert status == 403
         doc = json.loads(data)
         assert doc["decision"] == "Refuted"
-        gw.pump.drain()
-        records = list(iter_records(config.audit_log_path))
+        records = drained_records(gw)
     causes = tuple(tuple(c) for c in records[0].refusal_causes)
     assert any(c[0] == "binding-failure" and c[2] == "max_order_size"
                for c in causes)
 
 
 def test_startup_fails_fast_on_bad_policy(tmp_path):
-    bad = tmp_path / "bad.pol"
-    bad.write_text("axiom broken forbid t when undeclared > 1\n")
-    config = GatewayConfig(
-        policy_path=str(bad), upstream_url="http://127.0.0.1:9/none",
-        audit_log_path=str(tmp_path / "a.log"),
-    )
-    with pytest.raises(GatewayStartupError) as err:
-        Gateway(config)
-    assert err.value.diagnostics
+    # The second, a literal of 4,301 digits, made the compiler raise a
+    # ValueError, which Gateway() let out bare.
+    for bad in ("axiom broken forbid t when undeclared > 1\n",
+                POLICY.replace("volume > 0", "volume > " + "9" * 4301)):
+        config = gateway_config(tmp_path, bad, FACTS, "http://127.0.0.1:9/none")
+        with pytest.raises(GatewayStartupError) as err:
+            Gateway(config)
+        assert err.value.diagnostics
 
 
 def test_startup_fails_fast_on_unreadable_state(tmp_path):
     """A missing file is unreadable, and so is any document but
     {"facts": {...}}: a bare object of facts among them."""
-    policy = tmp_path / "p.pol"
-    policy.write_text(POLICY, encoding="utf-8")
     (tmp_path / "bare.json").write_text(json.dumps({"max_order_size": 10}))
     for state in ("missing.json", "bare.json"):
-        config = GatewayConfig(
-            policy_path=str(policy), upstream_url="http://127.0.0.1:9/none",
-            state_path=str(tmp_path / state),
-            audit_log_path=str(tmp_path / "a.log"),
-        )
+        config = make_config(tmp_path, "http://127.0.0.1:9/none",
+                             state_path=str(tmp_path / state))
         with pytest.raises(GatewayStartupError, match="state source"):
             Gateway(config)
 
 
 def test_policy_and_health_endpoints(workspace):
     with Gateway(make_config(workspace, "http://127.0.0.1:9/none")) as gw:
-        status, doc = get(gw, "/v1/policy")
+        status, _, data = request(gw.address, "GET", "/v1/policy")
+        doc = json.loads(data)
         assert status == 200
         assert doc["axiom_count"] == 2
         assert doc["mode"] == "enforce"
         assert doc["env_version"] == gw.snapshot.env.version_digest
-        status, health = get(gw, "/v1/healthz")
+        status, _, data = request(gw.address, "GET", "/v1/healthz")
+        health = json.loads(data)
         assert status == 200
         assert health["status"] == "ok"
         assert health["audit_degraded"] is False
@@ -275,7 +238,8 @@ def test_health_is_degraded_while_state_or_audit_is_untrustworthy(
         gw.refresh_state()
         state.write_text(json.dumps({"max_order_size": 10000}))  # bare
         gw.refresh_state()
-        status, health = get(gw, "/v1/healthz")
+        status, _, data = request(gw.address, "GET", "/v1/healthz")
+        health = json.loads(data)
         assert status == 503
         assert health["status"] == "degraded"
         assert health["reasons"] == ["state-unreadable"]
@@ -285,7 +249,8 @@ def test_health_is_degraded_while_state_or_audit_is_untrustworthy(
 
         state.write_text(readable)
         gw.refresh_state()
-        status, health = get(gw, "/v1/healthz")
+        status, _, data = request(gw.address, "GET", "/v1/healthz")
+        health = json.loads(data)
         assert (status, health["status"], health["reasons"]) == (200, "ok", [])
 
         def failing_append(**fields):
@@ -295,7 +260,8 @@ def test_health_is_degraded_while_state_or_audit_is_untrustworthy(
         status, _, _ = post(gw, "/v1/verify", tool_call("h1", 10))
         assert status == 200
         gw.pump.drain()
-        status, health = get(gw, "/v1/healthz")
+        status, _, data = request(gw.address, "GET", "/v1/healthz")
+        health = json.loads(data)
         assert status == 503
         assert health["reasons"] == ["audit-degraded"]
         assert health["audit_degraded"] is True
@@ -341,7 +307,8 @@ def test_failed_archive_write_degrades_archiving_not_the_log(workspace,
     try:
         assert gw.pump.records_written == n
         assert archive.closed
-        status, health = get(gw, "/v1/healthz")
+        status, _, data = request(gw.address, "GET", "/v1/healthz")
+        health = json.loads(data)
         assert status == 503
         assert health["reasons"] == ["archive-degraded"]
         assert health["archive_degraded"] is True
@@ -373,6 +340,16 @@ def test_reload_policy_success_and_failure(workspace):
         assert any("unregistered-symbol" in line for line in doc["diagnostics"])
         assert gw.snapshot.env.version_digest == original
 
+        # so is a literal of 4,301 digits: the compiler used to raise, and
+        # the connection closed with no reply
+        (workspace / "policy.pol").write_text(
+            POLICY.replace("volume > 0", "volume > " + "9" * 4301),
+            encoding="utf-8")
+        status, doc = _reload(gw)
+        assert status == 422
+        assert doc["diagnostics"][0].startswith("error syntax 5:")
+        assert gw.snapshot.env.version_digest == original
+
         # a valid new policy publishes a new digest
         (workspace / "policy.pol").write_text(
             POLICY + "\naxiom extra permit transfer when volume >= 0\n",
@@ -386,7 +363,7 @@ def test_reload_policy_success_and_failure(workspace):
 
 def _reload(gateway):
     """Reload the configured policy: an empty body."""
-    status, data, _ = post(gateway, "/v1/policy/reload", body=b"")
+    status, _, data = post(gateway, "/v1/policy/reload", body=b"")
     return status, json.loads(data)
 
 
@@ -398,8 +375,8 @@ def test_reload_body_naming_the_audit_descriptor_is_refused(workspace):
     with Gateway(config) as gw:
         original = gw.snapshot.env.version_digest
         fd = gw.pump._writer._fh.fileno()
-        status, doc = _post_json(gw, "/v1/policy/reload", {"path": fd})
-        assert (status, doc) == (400, {"error": "malformed-body"})
+        status, _, data = post(gw, "/v1/policy/reload", {"path": fd})
+        assert (status, json.loads(data)) == (400, {"error": "malformed-body"})
         status, _, _ = post(gw, "/v1/execute", tool_call("after", 99999))
         assert status == 403
         gw.pump.drain()
@@ -415,8 +392,6 @@ def test_reload_rejects_bad_bodies_and_unreadable_files(workspace,
     """A reload re-reads the configured policy_path and nothing else: any
     body, one that names another policy file included, is refused and
     publishes nothing."""
-    import socket
-
     import axgate.gateway as gateway_module
 
     monkeypatch.setattr(gateway_module, "_CLIENT_TIMEOUT_SECS", 0.5)
@@ -429,7 +404,7 @@ def test_reload_rejects_bad_bodies_and_unreadable_files(workspace,
                          max_body_bytes=128)
     with Gateway(config) as gw:
         original = gw.snapshot.env.version_digest
-        status, data, _ = post(gw, "/v1/verify", tool_call("before", 99999))
+        status, _, data = post(gw, "/v1/verify", tool_call("before", 99999))
         assert (status, json.loads(data)["decision"]) == (200, "Refuted")
         named = b'{"path": "%s"}' % str(other).encode()
         cases = [
@@ -442,20 +417,14 @@ def test_reload_rejects_bad_bodies_and_unreadable_files(workspace,
             (b" ", 400, "malformed-body"),
         ]
         for body, status, error in cases:
-            got, data, _ = post(gw, "/v1/policy/reload", body=body)
+            got, _, data = post(gw, "/v1/policy/reload", body=body)
             assert (got, json.loads(data)["error"]) == (status, error), body
             assert gw.snapshot.env.version_digest == original, body
-        status, data, _ = post(gw, "/v1/verify", tool_call("after", 99999))
+        status, _, data = post(gw, "/v1/verify", tool_call("after", 99999))
         assert (status, json.loads(data)["decision"]) == (200, "Refuted")
 
-        stalled = socket.create_connection(gw.address, timeout=10)
-        try:
-            stalled.sendall(b"POST /v1/policy/reload HTTP/1.1\r\nHost: x\r\n"
-                            b"Content-Length: 100\r\n\r\n{")
-            stalled.settimeout(5)
-            reply = stalled.recv(4096)
-        finally:
-            stalled.close()
+        reply = _exchange(gw, b"POST /v1/policy/reload HTTP/1.1\r\nHost: x\r\n"
+                          b"Content-Length: 100\r\n\r\n{", wait=5)
         assert reply.startswith(b"HTTP/1.1 408 ")
         assert gw.snapshot.env.version_digest == original
 
@@ -470,11 +439,6 @@ def test_reload_rejects_bad_bodies_and_unreadable_files(workspace,
         policy.rmdir()
         policy.write_text(text, encoding="utf-8")
         assert _reload(gw) == (200, {"env_version": original})
-
-
-def _post_json(gateway, path, doc):
-    status, data, _ = post(gateway, path, doc)
-    return status, json.loads(data)
 
 
 def test_one_request_one_record_under_parallel_load(workspace):
@@ -494,8 +458,7 @@ def test_one_request_one_record_under_parallel_load(workspace):
             with ThreadPoolExecutor(max_workers=32) as pool:
                 statuses = list(pool.map(worker, range(n)))
             assert len(statuses) == n
-            gw.pump.drain()
-            records = list(iter_records(config.audit_log_path))
+            records = drained_records(gw)
             assert gw.requests_received == n
         assert len(records) == n
         seqs = sorted(r.seq for r in records)
@@ -510,8 +473,7 @@ def test_duplicate_request_id_noted(workspace):
     with Gateway(config) as gw:
         post(gw, "/v1/verify", tool_call("dup", 99999))
         post(gw, "/v1/verify", tool_call("dup", 99999))
-        gw.pump.drain()
-        records = list(iter_records(config.audit_log_path))
+        records = drained_records(gw)
     assert records[0].duplicate_of is None
     assert records[1].duplicate_of == 0
     assert records[0].decision == records[1].decision
@@ -525,11 +487,10 @@ def test_huge_wire_exponent_is_refused_at_once(workspace):
     config = make_config(workspace, "http://127.0.0.1:9/none")
     with Gateway(config) as gw:
         start = time.process_time()
-        status, data, _ = post(gw, "/v1/verify",
+        status, _, data = post(gw, "/v1/verify",
                                tool_call("exp", "1e10000000"))
         cpu_s = time.process_time() - start
-        gw.pump.drain()
-        records = list(iter_records(config.audit_log_path))
+        records = drained_records(gw)
     assert (status, json.loads(data)["decision"]) == (200, "Refuted")
     assert cpu_s < 0.5
     assert len(records) == 1
@@ -545,7 +506,7 @@ def test_state_override_is_ignored(workspace):
     with Gateway(config) as gw:
         for override in ({"max_order_size": 50000}, 5):
             call = {**tool_call("so1", 20000), "state_override": override}
-            status, data, _ = post(gw, "/v1/verify", call)
+            status, _, data = post(gw, "/v1/verify", call)
             assert (status, json.loads(data)["decision"]) == (200, "Refuted")
 
 
@@ -572,7 +533,7 @@ def test_snapshot_isolation_under_concurrent_reloads(workspace):
             decisions = []
             try:
                 for i in range(100):
-                    status, data, _ = post(gw, "/v1/verify",
+                    status, _, data = post(gw, "/v1/verify",
                                            tool_call(f"iso{i}", 10))
                     decisions.append(json.loads(data))
             finally:
@@ -592,9 +553,6 @@ def test_snapshot_isolation_under_concurrent_reloads(workspace):
 def test_backpressure_returns_429_and_audits(workspace):
     # max_in_flight=1 and a slow upstream: concurrent calls must shed.
     import time as _time
-
-    class SlowHandler(StubUpstream):
-        pass
 
     with StubUpstream() as upstream:
         config = make_config(workspace, upstream.url, max_in_flight=1)
@@ -624,8 +582,7 @@ def test_backpressure_returns_429_and_audits(workspace):
             gate.set()
             for t in threads:
                 t.join()
-            gw.pump.drain()
-            records = list(iter_records(config.audit_log_path))
+            records = drained_records(gw)
         assert statuses.count(429) >= 1
         assert len(records) == 4  # every request audited, shed or not
         shed = [r for r in records if r.note == "backpressure"]
@@ -693,24 +650,14 @@ def test_replayability_from_audit_records(workspace):
 def test_client_reset_before_response_gets_one_record(workspace):
     """A client that resets the connection right after sending is still
     audited exactly once: the lost response is not a second decision."""
-    import socket
-    import struct
-
     config = make_config(workspace, "http://127.0.0.1:9/none")
     with Gateway(config) as gw:
-        host, port = gw.address
         for i in range(20):
             payload = json.dumps(tool_call(f"reset-{i}", 99999)).encode()
-            sock = socket.create_connection((host, port), timeout=10)
-            sock.sendall(
-                b"POST /v1/execute HTTP/1.1\r\nHost: x\r\n"
-                b"Content-Type: application/json\r\n"
-                + f"Content-Length: {len(payload)}\r\n\r\n".encode() + payload
-            )
-            # linger on, timeout 0: close() sends RST instead of FIN
-            sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
-                            struct.pack("ii", 1, 0))
-            sock.close()
+            _exchange(gw, b"POST /v1/execute HTTP/1.1\r\nHost: x\r\n"
+                      b"Content-Type: application/json\r\nContent-Length: "
+                      b"%d\r\n\r\n%s" % (len(payload), payload),
+                      wait=0, reset=True)
         # a normal request afterwards proves the gateway still serves
         status, _, _ = post(gw, "/v1/execute", tool_call("after-reset", 99999))
         assert status == 403
@@ -768,7 +715,7 @@ def _golden_run(workspace, mode, upstream_url):
         for path in ("/v1/execute", "/v1/verify"):
             for kind in GOLDEN_KINDS:
                 doc = _golden_call(kind, f"{name}{path}/{kind}")
-                status, data, headers = post(gw, path, doc)
+                status, headers, data = post(gw, path, doc)
                 body = json.loads(data, object_pairs_hook=OrderedDict)
                 body.pop("latency_ns", None)
                 replies.append({
@@ -822,41 +769,19 @@ def test_malformed_upstream_reply_is_502_with_the_real_decision(workspace):
     """An upstream that took the body but answered with something that is
     not HTTP is handled like an unreachable one: the call was decided
     Proven and forwarded, so the record must say so."""
-    import socket
-
     from axgate.canonical import ZERO_DIGEST
 
-    listener = socket.create_server(("127.0.0.1", 0))
-    received = []
+    def garbage(conn, n):
+        conn.sendall(b"GARBAGE NOT HTTP\r\n\r\n")
+        return False
 
-    def garbage_upstream():
-        conn, _ = listener.accept()
-        with conn:
-            data = b""
-            while b"\r\n\r\n" not in data:
-                data += conn.recv(65536)
-            head, _, body = data.partition(b"\r\n\r\n")
-            length = int([line.split(b":", 1)[1] for line in head.split(b"\r\n")
-                          if line.lower().startswith(b"content-length:")][0])
-            while len(body) < length:
-                body += conn.recv(65536)
-            received.append(body)
-            conn.sendall(b"GARBAGE NOT HTTP\r\n\r\n")
-
-    thread = threading.Thread(target=garbage_upstream)
-    thread.start()
-    host, port = listener.getsockname()
-    config = make_config(workspace, f"http://{host}:{port}/execute")
-    try:
+    with _RawUpstream(garbage) as upstream:
+        config = make_config(workspace, upstream.url)
         with Gateway(config) as gw:
             body = json.dumps(tool_call("garbled", 10)).encode()
-            status, data, _ = post(gw, "/v1/execute", body=body)
-            gw.pump.drain()
-            records = list(iter_records(config.audit_log_path))
-    finally:
-        thread.join(10)
-        listener.close()
-    assert received == [body]
+            status, _, data = post(gw, "/v1/execute", body=body)
+            records = drained_records(gw)
+        assert upstream.bodies == [body]
     assert status == 502
     doc = json.loads(data)
     assert doc["error"] == "upstream-unreachable"
@@ -973,8 +898,7 @@ def test_reply_failure_after_the_record_does_not_audit_twice(workspace,
                 post(gw, "/v1/execute", tool_call("fails", 10))
             status, _, _ = post(gw, "/v1/execute", tool_call("after", 10))
             assert status == 200
-            gw.pump.drain()
-            records = list(iter_records(config.audit_log_path))
+            records = drained_records(gw)
         assert len(upstream.bodies) == 2
     assert failed
     assert [(r.request_id, r.decision, r.note) for r in records] == \
@@ -989,10 +913,9 @@ def test_request_id_outside_printable_ascii_is_400(workspace, request_id):
     with StubUpstream() as upstream:
         config = make_config(workspace, upstream.url)
         with Gateway(config) as gw:
-            status, data, headers = post(gw, "/v1/execute",
+            status, headers, data = post(gw, "/v1/execute",
                                          tool_call(request_id, 10))
-            gw.pump.drain()
-            records = list(iter_records(config.audit_log_path))
+            records = drained_records(gw)
         assert upstream.bodies == []
     assert status == 400
     assert json.loads(data) == {"error": "malformed-request-id"}
@@ -1200,8 +1123,7 @@ def test_upstream_that_closes_after_each_reply_gets_no_resend(workspace):
                 sent.append(json.dumps(tool_call(f"close-{i}", 10)).encode())
                 statuses.append(post(gw, "/v1/execute", body=sent[-1])[0])
                 assert upstream.closed.acquire(timeout=10)
-            gw.pump.drain()
-            records = list(iter_records(config.audit_log_path))
+            records = drained_records(gw)
         assert statuses == [200] * 10
         assert upstream.bodies == sent
         assert upstream.accepted == 10
@@ -1247,12 +1169,11 @@ def test_reset_after_the_body_arrived_is_502_and_never_resent(workspace):
             sent = [json.dumps(tool_call(f"rst-{i}", 10)).encode()
                     for i in range(3)]
             replies = [post(gw, "/v1/execute", body=body) for body in sent]
-            gw.pump.drain()
-            records = list(iter_records(config.audit_log_path))
+            records = drained_records(gw)
         assert upstream.bodies == sent
         assert upstream.accepted == 2
     assert [status for status, _, _ in replies] == [200, 502, 200]
-    doc = json.loads(replies[1][1])
+    doc = json.loads(replies[1][2])
     assert doc["error"] == "upstream-unreachable"
     assert doc["decision"] == "Proven"
     assert [(r.decision, r.note) for r in records] == [
@@ -1319,27 +1240,17 @@ def test_stalled_body_times_out_with_one_record(workspace, monkeypatch):
     """A client that declares a Content-Length and stops sending gets one
     `read-timeout` record and loses its connection; the slot is free for
     the next client."""
-    import socket
-    import time
-
     import axgate.gateway as gateway_module
     from axgate.canonical import ZERO_DIGEST
 
     monkeypatch.setattr(gateway_module, "_CLIENT_TIMEOUT_SECS", 0.5)
     config = make_config(workspace, "http://127.0.0.1:9/none")
     with Gateway(config) as gw:
-        stalled = socket.create_connection(gw.address, timeout=10)
-        try:
-            stalled.sendall(b"POST /v1/execute HTTP/1.1\r\nHost: x\r\n"
-                            b"Content-Length: 100\r\n\r\n0123456789")
-            deadline = time.monotonic() + 5
-            while gw.pump.records_written < 1 and time.monotonic() < deadline:
-                time.sleep(0.05)
-        finally:
-            stalled.close()
+        reply = _exchange(gw, b"POST /v1/execute HTTP/1.1\r\nHost: x\r\n"
+                          b"Content-Length: 100\r\n\r\n0123456789", wait=5)
         status, _, _ = post(gw, "/v1/execute", tool_call("next", 99999))
-        gw.pump.drain()
-        records = list(iter_records(config.audit_log_path))
+        records = drained_records(gw)
+    assert reply.startswith(b"HTTP/1.1 408 ")
     assert status == 403
     assert [(r.decision, r.trace_digest, r.note) for r in records] == [
         ("Refuted", ZERO_DIGEST, "read-timeout"),
@@ -1352,19 +1263,13 @@ def test_reset_before_the_request_line_is_logged_not_printed(workspace,
     """A reset while the request line is read used to reach socketserver's
     default handler, which prints a traceback to stderr."""
     import logging
-    import socket
-    import struct
-    import time
 
     caplog.set_level(logging.INFO, logger="axgate.gateway")
     config = make_config(workspace, "http://127.0.0.1:9/none")
     with Gateway(config) as gw:
         for _ in range(3):
-            sock = socket.create_connection(gw.address, timeout=10)
-            time.sleep(0.05)  # let the handler thread block in its read
-            sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
-                            struct.pack("ii", 1, 0))
-            sock.close()
+            # the pause lets the handler thread block in its read
+            _exchange(gw, b"", wait=0.05, reset=True)
         status, _, _ = post(gw, "/v1/execute", tool_call("after", 99999))
     assert status == 403
     assert "Traceback" not in capfd.readouterr().err
@@ -1396,14 +1301,25 @@ def test_startup_on_a_torn_audit_log_fails_and_closes_the_listener(
 # Request framing ----------------------------------------------------------------
 
 
-def _exchange(gateway, data, wait=3.0):
+def _exchange(gateway, data, wait=3.0, reset=False):
     """The bytes the gateway sends back for `data` on one connection, up
-    to its close; None when it keeps the connection open past `wait`."""
+    to its close; None when it keeps the connection open past `wait`. With
+    `reset`, the connection is reset `wait` seconds after sending instead,
+    and None is returned."""
     import socket
+    import struct
+    import time
 
-    sock = socket.create_connection(gateway.address, timeout=wait)
+    sock = socket.create_connection(gateway.address, timeout=10)
     try:
         sock.sendall(data)
+        if reset:
+            time.sleep(wait)
+            # linger on, timeout 0: close() sends RST instead of FIN
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                            struct.pack("ii", 1, 0))
+            return None
+        sock.settimeout(wait)
         received = b""
         while True:
             try:
@@ -1469,8 +1385,7 @@ def test_bad_framing_is_refused_once_and_the_body_is_never_a_request(
                 assert reply.count(b"HTTP/1.1 ") == 1, framing
                 assert json.loads(reply.split(b"\r\n\r\n", 1)[1]) == \
                     {"error": error}, framing
-            gw.pump.drain()
-            records = list(iter_records(config.audit_log_path))
+            records = drained_records(gw)
         assert upstream.bodies == []
     assert [(r.request_id, r.decision, r.trace_digest, r.note)
             for r in records] == [("", "Refuted", ZERO_DIGEST, error)
@@ -1540,7 +1455,7 @@ def test_tool_that_is_not_valid_unicode_is_400_and_keeps_the_pump(workspace):
     killed the audit pump's thread, and /v1/healthz still said ok."""
     config = make_config(workspace, "http://127.0.0.1:9/none")
     with Gateway(config) as gw:
-        status, data, _ = post(
+        status, _, data = post(
             gw, "/v1/verify",
             body=b'{"request_id":"a","tool":"\\ud800","params":{}}')
         assert (status, json.loads(data)) == (400, {"error": "malformed-tool"})
@@ -1548,7 +1463,7 @@ def test_tool_that_is_not_valid_unicode_is_400_and_keeps_the_pump(workspace):
         assert status == 200
         gw.pump.drain()
         assert gw.pump._thread.is_alive() and not gw.pump.degraded
-        assert get(gw, "/v1/healthz")[0] == 200
+        assert request(gw.address, "GET", "/v1/healthz")[0] == 200
         records = list(iter_records(config.audit_log_path))
     assert [(r.request_id, r.tool, r.decision, r.note) for r in records] == [
         ("", "", "Refuted", "malformed-tool"),
@@ -1567,19 +1482,18 @@ def test_values_too_large_to_write_are_refused_not_500(tmp_path, caplog,
     volume binds, but its decimal form in the notice would need 4,301
     digits, so the notice shows it as unavailable."""
     import logging
-    import shutil
+    import pathlib
 
     caplog.set_level(logging.INFO, logger="axgate")
-    shutil.copy("src/axgate/policies/sec15c3_5.pol", tmp_path / "policy.pol")
-    (tmp_path / "state.json").write_text(json.dumps({"facts": {
+    shipped = pathlib.Path("src/axgate/policies/sec15c3_5.pol").read_text(
+        encoding="utf-8")
+    config = gateway_config(tmp_path, shipped, {
         "share_price": {"minor": 20000, "ccy": "USD"},
         "daily_capital": {"minor": 5_000_000_000, "ccy": "USD"},
-        "max_order_size": 100000}}))
-    config = make_config(tmp_path, "http://127.0.0.1:9/none")
+        "max_order_size": 100000}, "http://127.0.0.1:9/none")
     with Gateway(config) as gw:
-        status, data, _ = post(gw, "/v1/verify", tool_call("big", volume))
-        gw.pump.drain()
-        records = list(iter_records(config.audit_log_path))
+        status, _, data = post(gw, "/v1/verify", tool_call("big", volume))
+        records = drained_records(gw)
     doc = json.loads(data)
     assert (status, doc["decision"]) == (200, "Refuted")
     assert [(r.request_id, r.decision, r.note) for r in records] == \
