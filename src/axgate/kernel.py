@@ -21,10 +21,10 @@ from __future__ import annotations
 
 import operator
 import threading
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Mapping
 
 from .canonical import (
     canonical_bytes,
@@ -212,7 +212,7 @@ def _pair(value):
     if t is Money:
         minor = value.minor
         if type(minor) is Fraction:
-            return (minor.numerator, minor.denominator, value.ccy)
+            return minor.as_integer_ratio() + (value.ccy,)
         return None
     return value if t is bool or t is str else None
 
@@ -245,74 +245,110 @@ def _text(value) -> str:
 # Binding ---------------------------------------------------------------------
 
 
-def _kind_matches(value: object, decl) -> bool:
-    """Whether a walk value has the symbol's declared kind."""
+def _is_quantity(value) -> bool:
+    return type(value) is tuple and len(value) == 2
+
+
+def _is_flag(value) -> bool:
+    return type(value) is bool
+
+
+def _is_text(value) -> bool:
+    return type(value) is str
+
+
+def _is_nothing(value) -> bool:
+    """No value has a kind no compiled policy declares."""
+    return False
+
+
+def _kind_check(decl):
+    """The check that a walk value has the concept's declared kind: one
+    function per kind, closed over the currency or the atoms it needs."""
     kind = decl.kind
-    if kind == "quantity":
-        return type(value) is tuple and len(value) == 2
     if kind == "money":
-        return type(value) is tuple and len(value) == 3 and value[2] == decl.ccy
-    if kind == "flag":
-        return type(value) is bool
+        ccy = decl.ccy
+        return lambda value: (type(value) is tuple and len(value) == 3
+                              and value[2] == ccy)
     if kind == "enum":
-        return type(value) is str and value in decl.atoms
-    return kind == "text" and type(value) is str
+        atoms = decl.atoms
+        return lambda value: type(value) is str and value in atoms
+    return _KIND_CHECKS.get(kind, _is_nothing)
 
 
-def _bind(request: ActionRequest, state: SystemState, env: PolicyEnvironment,
-          plan: Plan):
+_KIND_CHECKS = {"quantity": _is_quantity, "flag": _is_flag, "text": _is_text}
+
+
+class _Concept:
+    """A concept as the plans that need it hold it, built once per
+    environment: its declaration, its kind check on the walk form, the JSON
+    text of its name, and its `"name":"origin"` provenance text."""
+
+    __slots__ = ("symbol", "decl", "check", "name", "provenance")
+
+    def __init__(self, decl) -> None:
+        self.symbol = decl.symbol
+        self.decl = decl
+        self.check = _kind_check(decl)
+        self.name = json_string(decl.symbol)
+        self.provenance = self.name + ":" + json_string(decl.origin)
+
+
+_ABSENT = object()
+_NO_SOURCE: Mapping[str, object] = {}
+
+
+def _bind(request: ActionRequest, state: SystemState, plan: Plan):
     """Resolve every needed symbol from its declared origin only.
 
     Unregistered request params and state facts are never consulted: the
-    plan's symbol lists come from the registry, so injected context simply
-    does not exist as far as the kernel is concerned.
+    plan's concepts come from the registry, so injected context simply does
+    not exist as far as the kernel is concerned. A source that is not a
+    mapping binds nothing, as an unreadable state does.
 
     Each value is converted to its walk form, kind-checked and encoded
     once: `bound` maps a bound symbol to its walk value and that value's
-    canonical JSON text, and `provenance` maps it to its origin.
+    canonical JSON text, in binding order, and `failures` maps a symbol that
+    did not bind to its name text and its detail.
     """
-    provenance: dict[str, str] = {}
     bound: dict[str, tuple] = {}
-    failures: list[tuple[str, str]] = []
-    registry = env.registry
+    failures: dict[str, tuple[str, str]] = {}
 
-    for symbols, source, origin in (
-            (plan.request_symbols, request.params, "request"),
-            (plan.state_symbols, state.facts, "state")):
-        for symbol in symbols:
-            if source is None or symbol not in source:
-                failures.append((symbol, DETAIL_MISSING))
-                continue
-            value = _pair(source[symbol])
-            if not _kind_matches(value, registry.get(symbol)):
-                failures.append((symbol, DETAIL_KIND))
-                continue
-            try:
-                text = _text(value)
-            except _EvalFault:  # of its kind, but it cannot be written
-                failures.append((symbol, DETAIL_KIND))
-                continue
-            provenance[symbol] = origin
-            bound[symbol] = (value, text)
+    for concepts, source in ((plan.request, request.params),
+                             (plan.state, state.facts)):
+        if type(source) is not dict and not isinstance(source, Mapping):
+            source = _NO_SOURCE
+        for concept in concepts:
+            value = source.get(concept.symbol, _ABSENT)
+            if value is _ABSENT:
+                detail = DETAIL_MISSING
+            else:
+                value = _pair(value)
+                if concept.check(value):
+                    try:
+                        bound[concept.symbol] = (value, _text(value))
+                        continue
+                    except _EvalFault:  # of its kind, but it cannot be written
+                        pass
+                detail = DETAIL_KIND
+            failures[concept.symbol] = (concept.name, detail)
 
-    for symbol in plan.derived_symbols:  # dependency order
-        decl = registry.get(symbol)
+    for concept in plan.derived:  # dependency order
         try:
             # only the value: the hole texts are dropped
-            value = _walk(decl.derived, bound, [])
-            if not _kind_matches(value, decl):  # only a hand-built definition
-                failures.append((symbol, DETAIL_KIND))
+            value = _walk(concept.decl.derived, bound, [])
+            if not concept.check(value):  # only a hand-built definition
+                detail = DETAIL_KIND
+            else:
+                bound[concept.symbol] = (value, _text(value))
                 continue
-            text = _text(value)
         except KeyError:
             continue  # an input did not bind; its failure is already recorded
         except _EvalFault:
-            failures.append((symbol, DETAIL_EVAL))
-            continue
-        provenance[symbol] = "derived"
-        bound[symbol] = (value, text)
+            detail = DETAIL_EVAL
+        failures[concept.symbol] = (concept.name, detail)
 
-    return provenance, bound, tuple(failures)
+    return bound, failures
 
 
 # Evaluation ------------------------------------------------------------------
@@ -406,10 +442,35 @@ def _walk_compare(expr: Compare, bound, holes):
 
 def _walk_binary(expr: Binary, bound, holes):
     left, right = expr.left, expr.right
-    value = _arith(expr.op, _WALK[type(left)](left, bound, holes),
-                   _WALK[type(right)](right, bound, holes))
-    holes.append(_text(value))
-    return value
+    left_value = _WALK[type(left)](left, bound, holes)
+    right_value = _WALK[type(right)](right, bound, holes)
+    if type(left_value) is not tuple or type(right_value) is not tuple \
+            or len(left_value) != 2 or len(right_value) != 2:
+        value = _arith(expr.op, left_value, right_value)  # money, or ill-typed
+        holes.append(_text(value))
+        return value
+    # rational op rational, as _on_ints, written as pair_json writes it
+    n, d = left_value
+    m, e = right_value
+    op = expr.op
+    if op == "+":
+        n, d = n * e + m * d, d * e
+    elif op == "-":
+        n, d = n * e - m * d, d * e
+    elif op == "*":
+        n, d = n * m, d * e
+    elif m == 0:
+        raise _EvalFault("division by zero")
+    else:
+        n, d = (n * e, d * m) if m > 0 else (-n * e, -d * m)
+    g = gcd(n, d)
+    n //= g
+    d //= g
+    try:
+        holes.append('"%d/%d"' % (n, d))
+    except ValueError:
+        raise _EvalFault("too many digits to write") from None
+    return (n, d)
 
 
 def _walk_boolop(expr: BoolOp, bound, holes):
@@ -593,23 +654,25 @@ class _Step:
 
 
 class Plan:
-    """A tool's steps, in environment order, and the symbols they need:
+    """A tool's steps, in environment order, and the concepts they need:
     request and state ones in declaration order, derived ones in dependency
-    order."""
+    order, and all of them sorted by symbol, the order of the trace's
+    bindings and provenance."""
 
-    __slots__ = ("steps", "request_symbols", "state_symbols",
-                 "derived_symbols")
+    __slots__ = ("steps", "request", "state", "derived", "trailer")
 
-    def __init__(self, steps: tuple[_Step, ...], env: PolicyEnvironment) -> None:
+    def __init__(self, steps: tuple[_Step, ...], env: PolicyEnvironment,
+                 concepts: Mapping[str, _Concept]) -> None:
         needed = frozenset().union(*(step.symbols for step in steps))
-        registry = env.registry
         self.steps = steps
-        self.request_symbols, self.state_symbols = (
-            tuple(symbol for symbol in registry.symbols() if symbol in needed
-                  and registry.get(symbol).origin == origin)
+        self.request, self.state = (
+            tuple(concepts[decl.symbol] for decl in env.registry
+                  if decl.symbol in needed and decl.origin == origin)
             for origin in ("request", "state"))
-        self.derived_symbols = tuple(symbol for symbol in env.derivation_order
-                                     if symbol in needed)
+        self.derived = tuple(concepts[symbol] for symbol in env.derivation_order
+                             if symbol in needed)
+        self.trailer = tuple(sorted(self.request + self.state + self.derived,
+                                    key=lambda c: c.symbol))
 
 
 _PLANS_LOCK = threading.Lock()
@@ -617,16 +680,25 @@ _PLANS_LOCK = threading.Lock()
 
 def plans(env: PolicyEnvironment) -> Mapping[str, Plan]:
     """The environment's plans by tool, "*" for the shared one. The first
-    call builds them all, under a lock so that they are built once."""
+    call builds them all, and the concept entries they hold, under a lock
+    so that they are built once."""
     built = getattr(env, "_kernel_plans", None)
     if built is None:
         with _PLANS_LOCK:
             built = getattr(env, "_kernel_plans", None)
             if built is None:
-                steps = [_Step(axiom, env.registry) for axiom in env.axioms]
+                registry = env.registry
+                steps = [_Step(axiom, registry) for axiom in env.axioms]
+                # one entry per registered symbol some step needs, shared
+                concepts = {
+                    symbol: _Concept(registry.get(symbol))
+                    for symbol in frozenset().union(
+                        *(step.symbols for step in steps))
+                    if symbol in registry}
                 built = env._kernel_plans = {
                     tool: Plan(tuple(step for step in steps
-                                     if step.axiom.matches_tool(tool)), env)
+                                     if step.axiom.matches_tool(tool)),
+                               env, concepts)
                     for tool in {"*", *(axiom.tool for axiom in env.axioms)}}
     return built
 
@@ -661,16 +733,14 @@ class _Walk:
     """What verify() recorded: enough to decide, and to build the ProofTrace
     (valuation trees included) only when someone reads it."""
 
-    __slots__ = ("env_version", "tool", "entries", "provenance", "steps",
-                 "bound", "_bindings")
+    __slots__ = ("env_version", "tool", "entries", "plan", "bound",
+                 "_bindings")
 
-    def __init__(self, env_version, tool, entries, provenance, steps,
-                 bound) -> None:
+    def __init__(self, env_version, tool, entries, plan, bound) -> None:
         self.env_version = env_version
         self.tool = tool
         self.entries = entries
-        self.provenance = provenance
-        self.steps = steps  # the plan's steps, one per entry
+        self.plan = plan  # its steps give one entry each
         self.bound = bound  # the walk values the conditions were walked under
         self._bindings = None
 
@@ -679,10 +749,16 @@ class _Walk:
         """The bound values as Fractions and Money, built on first read."""
         bindings = self._bindings
         if bindings is None:
-            bound = self.bound
             bindings = self._bindings = {
-                symbol: _obj(bound[symbol][0]) for symbol in self.provenance}
+                symbol: _obj(value) for symbol, (value, _) in self.bound.items()}
         return bindings
+
+    @property
+    def provenance(self) -> dict[str, str]:
+        """Each bound symbol's origin, built when read."""
+        bound = self.bound
+        return {c.symbol: c.decl.origin for c in self.plan.trailer
+                if c.symbol in bound}
 
     def materialise(self) -> ProofTrace:
         entries = tuple(
@@ -690,7 +766,7 @@ class _Walk:
                        None if o.value is None
                        else _tree(step.axiom.condition, self.bound),
                        o.missing)
-            for step, o in zip(self.steps, self.entries))
+            for step, o in zip(self.plan.steps, self.entries))
         return ProofTrace(self.env_version, self.tool, entries,
                           self.bindings, self.provenance)
 
@@ -706,8 +782,7 @@ def verify(
     if type(request.tool) is not str or not encodable(request.tool):
         return _unnamed_tool(env)
     plan = plan_for(env, request.tool)
-    provenance, bound, failures = _bind(request, state, env, plan)
-    failure_detail = dict(failures)
+    bound, failures = _bind(request, state, plan)
 
     outcomes: list[_Outcome] = []
     texts: list[str] = []
@@ -715,14 +790,15 @@ def verify(
         axiom = step.axiom
         # step.symbols covers base symbols and derived names, so this also
         # catches derived-evaluation faults recorded under the derived symbol.
-        blocked = failures and step.symbols & failure_detail.keys()
+        blocked = failures and step.symbols & failures.keys()
         if blocked:
-            missing = tuple(sorted((s, failure_detail[s]) for s in blocked))
-            outcomes.append(_Outcome(axiom.id, axiom.effect, None, missing))
+            blocked = sorted(blocked)
+            outcomes.append(_Outcome(
+                axiom.id, axiom.effect, None,
+                tuple([(s, failures[s][1]) for s in blocked])))
             texts.append('%s[%s],"tree":null,"value":null}' % (
-                step.head, ",".join(
-                "[%s,%s]" % (json_string(s), json_string(d))
-                for s, d in missing)))
+                step.head,
+                ",".join(['[%s,"%s"]' % failures[s] for s in blocked])))
             continue
         condition = axiom.condition
         holes: list[str] = []
@@ -740,15 +816,15 @@ def verify(
         holes.append("true" if value else "false")
         texts.append(step.template % tuple(holes))
 
-    walk = _Walk(env.version_digest, request.tool, outcomes, provenance,
-                 plan.steps, bound)
+    walk = _Walk(env.version_digest, request.tool, outcomes, plan, bound)
     decision, causes = decide(walk)
     bindings_text = []
     provenance_text = []
-    for symbol in sorted(provenance):  # the bound symbols
-        name = json_string(symbol)
-        bindings_text.append(name + ":" + bound[symbol][1])
-        provenance_text.append(name + ':"' + provenance[symbol] + '"')
+    for concept in plan.trailer:  # sorted by symbol; the bound ones
+        bound_value = bound.get(concept.symbol)
+        if bound_value is not None:
+            bindings_text.append(concept.name + ":" + bound_value[1])
+            provenance_text.append(concept.provenance)
     trace_bytes = (
         '{"bindings":{%s},"entries":[%s],"env":%s,"provenance":{%s},'
         '"tool":%s}' % (

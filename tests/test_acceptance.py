@@ -111,7 +111,7 @@ def test_criterion_3_fail_closed_fact_deletion():
     unnamed = 0
     for inst in proven:
         plan = plan_for(inst.env, inst.request.tool)
-        for symbol in plan.state_symbols:
+        for symbol in (concept.symbol for concept in plan.state):
             if symbol not in inst.state.facts:
                 continue
             facts = dict(inst.state.facts)

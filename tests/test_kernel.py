@@ -292,6 +292,29 @@ def test_verify_refuses_a_tool_that_is_not_a_string():
         _assert_trace_bytes_identical(result)
 
 
+def test_sources_that_are_not_mappings_bind_nothing():
+    """Params or facts that are not a mapping bind none of their symbols:
+    each is missing, as with an unreadable state, and verify() refuses
+    instead of raising TypeError."""
+    env = shipped_env()
+    params, facts = trade_request().params, trade_state().facts
+
+    def call(params, facts):
+        return verify(ActionRequest("n", "execute_trade", params),
+                      SystemState(facts), env)
+
+    cases = [((bad, facts), call({}, facts)) for bad in (["volume"], "volume", 5)]
+    cases += [((params, bad), call(params, None)) for bad in (["cap"], 7)]
+    for args, unbound in cases:
+        result = call(*args)
+        assert result.decision == "Refuted", args
+        assert result.refusal_causes == unbound.refusal_causes, args
+        assert {c.reason for c in result.refusal_causes} == {
+            "binding-failure"}
+        assert result.trace_bytes == unbound.trace_bytes, args
+        _assert_trace_bytes_identical(result)
+
+
 # Properties ------------------------------------------------------------------
 
 
@@ -359,7 +382,7 @@ def test_fail_closed_state_fact_deletion():
 
     for inst in proven:
         plan = plan_for(inst.env, inst.request.tool)
-        for symbol in plan.state_symbols:
+        for symbol in (concept.symbol for concept in plan.state):
             if symbol not in inst.state.facts:
                 continue
             facts = dict(inst.state.facts)
@@ -939,6 +962,70 @@ def test_unnamed_tools_share_one_plan_and_add_none():
     assert named == {"execute_trade"}
     assert len(plans(env)) == len(named) + 1
     assert plan_for(env, "unnamed_tool_7") is plans(env)["*"]
+
+
+def test_concept_entries_are_built_for_needed_symbols_only_and_shared():
+    """20,000 declared request concepts no axiom reads get no entry: the
+    plans hold one entry per symbol some axiom needs, and plans that need
+    the same concept hold the same entry."""
+    count = 20_000
+    source = "".join(f'concept c{i} : flag from request "C{i}"\n'
+                     for i in range(count))
+    source += (
+        'concept rate : quantity from request "Rate"\n'
+        'concept cap : quantity from state "Cap"\n'
+        'concept room : quantity from derived = cap - rate "Room"\n'
+        "axiom small permit buy when rate < 10\n"
+        "axiom roomy permit sell when room > 0\n"
+        "axiom capped forbid * when rate > cap\n")
+    env = compile_source(source).environment
+    result = verify(ActionRequest("e", "sell", {"rate": Fraction(3)}),
+                    SystemState({"cap": Fraction(5)}), env)
+    assert result.proven
+    _assert_trace_bytes_identical(result)
+    built = plans(env)
+    assert set(built) == {"*", "buy", "sell"}
+    entries = {id(c): c for plan in built.values()
+               for c in plan.request + plan.state + plan.derived}
+    assert sorted(c.symbol for c in entries.values()) == [
+        "cap", "rate", "room"]
+    rate = built["*"].request[0]
+    assert built["buy"].request == built["sell"].request == (rate,)
+    assert built["buy"].state[0] is built["sell"].state[0]
+    assert [c.symbol for c in built["sell"].trailer] == ["cap", "rate", "room"]
+    assert built["buy"].derived == ()
+
+
+def test_one_name_of_two_origins_keeps_each_environments_entries():
+    """Two environments declare `x`, one from the request and one from the
+    state; each writes its own provenance, however the calls interleave,
+    and compiling a policy again gives the new environment its own
+    entries."""
+    def env_of(origin):
+        return compile_source(
+            f'concept x : quantity from {origin} "X"\n'
+            "axiom positive permit t when x > 0\n").environment
+
+    one = Fraction(1)
+    calls = {
+        "request": (env_of("request"), ActionRequest("o", "t", {"x": one}),
+                    SystemState({})),
+        "state": (env_of("state"), ActionRequest("o", "t", {}),
+                  SystemState({"x": one})),
+    }
+    for _ in range(3):
+        for origin, (env, request, state) in calls.items():
+            result = verify(request, state, env)
+            assert result.proven, origin
+            assert b'"provenance":{"x":"%s"}' % origin.encode() \
+                in result.trace_bytes
+            assert result.trace.provenance == {"x": origin}
+            _assert_trace_bytes_identical(result)
+    reloaded = env_of("request")
+    assert reloaded.version_digest == calls["request"][0].version_digest
+    assert verify(*calls["request"][1:], reloaded).proven
+    assert plans(reloaded)["t"].request[0] \
+        is not plans(calls["request"][0])["t"].request[0]
 
 
 def test_concurrent_first_calls_build_the_plans_once():
