@@ -258,7 +258,7 @@ def _is_text(value) -> bool:
 
 
 def _is_nothing(value) -> bool:
-    """No value has a kind no compiled policy declares."""
+    """The check for a kind no compiled policy declares: nothing has it."""
     return False
 
 
