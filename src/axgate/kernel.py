@@ -212,7 +212,7 @@ def _pair(value):
     if t is Money:
         minor = value.minor
         if type(minor) is Fraction:
-            return minor.as_integer_ratio() + (value.ccy,)
+            return (minor.numerator, minor.denominator, value.ccy)
         return None
     return value if t is bool or t is str else None
 
@@ -364,43 +364,6 @@ def _bind(request: ActionRequest, state: SystemState, plan: Plan):
 # value of both sides, and totality is guaranteed by the compile-time rules.
 
 
-def _on_ints(op: str, n: int, d: int, m: int, e: int) -> tuple[int, int]:
-    """n/d op m/e with d, e > 0, reduced with a positive denominator."""
-    if op == "+":
-        n, d = n * e + m * d, d * e
-    elif op == "-":
-        n, d = n * e - m * d, d * e
-    elif op == "*":
-        n, d = n * m, d * e
-    elif m == 0:
-        raise _EvalFault("division by zero")
-    else:
-        n, d = (n * e, d * m) if m > 0 else (-n * e, -d * m)
-    g = gcd(n, d)
-    return (n // g, d // g)
-
-
-def _arith(op: str, left, right):
-    """`left op right` on walk values: rational op rational, money + or -
-    money in one currency, money * or / rational, and rational * money. The
-    typechecker admits no other operands, so any other mix faults."""
-    if type(left) is tuple and type(right) is tuple:
-        if len(left) == 2:
-            if len(right) == 2:
-                return _on_ints(op, left[0], left[1], right[0], right[1])
-            if op == "*":
-                return _on_ints(op, left[0], left[1], right[0], right[1]) \
-                    + (right[2],)
-        elif len(right) == 3:
-            if (op == "+" or op == "-") and left[2] == right[2]:
-                return _on_ints(op, left[0], left[1], right[0], right[1]) \
-                    + (left[2],)
-        elif op == "*" or op == "/":
-            return _on_ints(op, left[0], left[1], right[0], right[1]) \
-                + (left[2],)
-    raise _EvalFault(f"no {op} for these operands")
-
-
 _COMPARE = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
             ">=": operator.ge, "==": operator.eq, "!=": operator.ne}
 
@@ -441,18 +404,29 @@ def _walk_compare(expr: Compare, bound, holes):
 
 
 def _walk_binary(expr: Binary, bound, holes):
+    """`left op right` on ints: rational op rational, money + or - money in
+    one currency, money * or / rational, and rational * money, reduced with
+    a positive denominator. The typechecker admits no other operands, so
+    any other mix faults."""
     left, right = expr.left, expr.right
     left_value = _WALK[type(left)](left, bound, holes)
     right_value = _WALK[type(right)](right, bound, holes)
-    if type(left_value) is not tuple or type(right_value) is not tuple \
-            or len(left_value) != 2 or len(right_value) != 2:
-        value = _arith(expr.op, left_value, right_value)  # money, or ill-typed
-        holes.append(_text(value))
-        return value
-    # rational op rational, as _on_ints, written as pair_json writes it
-    n, d = left_value
-    m, e = right_value
     op = expr.op
+    if type(left_value) is not tuple or type(right_value) is not tuple:
+        raise _EvalFault(f"no {op} for these operands")
+    ccy = left_value[2:]  # () for a rational, (code,) for money
+    if len(right_value) == 2:
+        if ccy and op != "*" and op != "/":
+            raise _EvalFault(f"no {op} for these operands")
+    elif ccy:
+        if (op != "+" and op != "-") or ccy != right_value[2:]:
+            raise _EvalFault(f"no {op} for these operands")
+    elif op == "*":
+        ccy = right_value[2:]
+    else:
+        raise _EvalFault(f"no {op} for these operands")
+    n, d = left_value[0], left_value[1]
+    m, e = right_value[0], right_value[1]
     if op == "+":
         n, d = n * e + m * d, d * e
     elif op == "-":
@@ -464,13 +438,9 @@ def _walk_binary(expr: Binary, bound, holes):
     else:
         n, d = (n * e, d * m) if m > 0 else (-n * e, -d * m)
     g = gcd(n, d)
-    n //= g
-    d //= g
-    try:
-        holes.append('"%d/%d"' % (n, d))
-    except ValueError:
-        raise _EvalFault("too many digits to write") from None
-    return (n, d)
+    value = (n // g, d // g) + ccy
+    holes.append(_text(value))
+    return value
 
 
 def _walk_boolop(expr: BoolOp, bound, holes):

@@ -718,6 +718,8 @@ def test_operand_mixes_the_typechecker_rejects_fail_closed():
         (Binary("+", a, b), {"a": usd, "b": q}, "fault"),
         (Binary("/", a, b), {"a": q, "b": usd}, "fault"),
         (Binary("*", a, b), {"a": usd, "b": usd}, "fault"),
+        (Binary("-", a, b), {"a": usd, "b": Money(q, "EUR")}, "fault"),
+        (Binary("*", a, b), {"a": "x", "b": q}, "fault"),
         (Binary("+", a, b), {"a": True, "b": True}, "fault"),
         (Binary("*", a, b), {"a": usd, "b": True}, "fault"),
         (BoolOp("and", a, b), {"a": Fraction(0), "b": True}, "fault"),
