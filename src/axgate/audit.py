@@ -14,7 +14,6 @@ safe to run concurrently with the writer.
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import json
 import logging
 import os
@@ -53,23 +52,11 @@ class AuditRecord:
     note: str | None = None
 
     def payload(self) -> dict:
-        doc = {
-            "seq": self.seq,
-            "prev_digest": self.prev_digest,
-            "ts_ns": self.ts_ns,
-            "request_id": self.request_id,
-            "tool": self.tool,
-            "env_version": self.env_version,
-            "decision": self.decision,
-            "trace_digest": self.trace_digest,
-            "refusal_causes": [list(c) for c in self.refusal_causes],
-            "enforced": self.enforced,
-        }
-        if self.duplicate_of is not None:
-            doc["duplicate_of"] = self.duplicate_of
-        if self.note is not None:
-            doc["note"] = self.note
-        return doc
+        return _payload(self.seq, self.prev_digest, self.ts_ns,
+                        self.request_id, self.tool, self.env_version,
+                        self.decision, self.trace_digest,
+                        self.refusal_causes, self.enforced,
+                        self.duplicate_of, self.note)
 
     def line(self) -> bytes:
         return _line(canonical_bytes(self.payload()), self.record_digest)
@@ -93,6 +80,30 @@ class AuditRecord:
         )
 
 
+def _payload(seq, prev_digest, ts_ns, request_id, tool, env_version,
+             decision, trace_digest, refusal_causes, enforced,
+             duplicate_of=None, note=None) -> dict:
+    """The plain document a record's digest is taken over: every field but
+    record_digest, with duplicate_of and note left out when None."""
+    doc = {
+        "seq": seq,
+        "prev_digest": prev_digest,
+        "ts_ns": ts_ns,
+        "request_id": request_id,
+        "tool": tool,
+        "env_version": env_version,
+        "decision": decision,
+        "trace_digest": trace_digest,
+        "refusal_causes": [list(c) for c in refusal_causes],
+        "enforced": enforced,
+    }
+    if duplicate_of is not None:
+        doc["duplicate_of"] = duplicate_of
+    if note is not None:
+        doc["note"] = note
+    return doc
+
+
 def _line(payload: bytes, record_digest: str) -> bytes:
     """A record's log line: its canonical payload bytes with
     '"record_digest":"<d>",' spliced in, and a newline.
@@ -102,7 +113,8 @@ def _line(payload: bytes, record_digest: str) -> bytes:
     '"refusal_causes":' run. That run cannot occur inside a JSON string
     value, whose quotes are escaped, and only the top-level object has
     keys, so the first match is the key. The result is the canonical bytes
-    of the payload with the digest added."""
+    of the payload with the digest added; `_checked_record` cuts the digest
+    out at the same place."""
     at = payload.index(b'"refusal_causes":')
     return b'%s"record_digest":"%s",%s\n' % (
         payload[:at], record_digest.encode("ascii"), payload[at:])
@@ -156,13 +168,13 @@ class AuditWriter:
                 fh.seek(start)
                 tail = fh.read(step) + tail
         line = tail[tail.rfind(b"\n", 0, len(tail) - 1) + 1:]
-        record = _checked_record(line)
-        if isinstance(record, str):
+        doc = _checked_record(line)
+        if type(doc) is str:
             raise AuditStorageError(
                 f"{self.path}: the last line, at byte {end - len(line)}, is "
-                f"not a whole audit record ({record}); refusing to append")
-        self._seq = record.seq + 1
-        self._prev = record.record_digest
+                f"not a whole audit record ({doc}); refusing to append")
+        self._seq = doc["seq"] + 1
+        self._prev = doc["record_digest"]
 
     @property
     def next_seq(self) -> int:
@@ -171,9 +183,10 @@ class AuditWriter:
     def append(self, **fields) -> AuditRecord:
         if self._broken is not None:
             raise AuditStorageError(self._broken)
-        record = AuditRecord(seq=self._seq, prev_digest=self._prev, **fields)
-        payload = canonical_bytes(record.payload())
-        record = dataclasses.replace(record, record_digest=sha256_hex(payload))
+        payload = canonical_bytes(
+            _payload(seq=self._seq, prev_digest=self._prev, **fields))
+        record = AuditRecord(seq=self._seq, prev_digest=self._prev,
+                             record_digest=sha256_hex(payload), **fields)
         line = _line(payload, record.record_digest)
         try:
             written = 0
@@ -222,23 +235,72 @@ class ChainReport:
         return f"bad record at index {self.bad_index}: {self.cause}"
 
 
-def _checked_record(line: bytes) -> AuditRecord | str:
-    """The record one raw log line holds, or the cause it fails with: a
-    line without its newline or that does not parse is a parse-error; one
-    that is not the exact canonical bytes of its record, or whose stored
-    digest does not recompute, is a digest-mismatch."""
+_decode = json.JSONDecoder().decode
+# The fields AuditRecord.from_doc cannot read a record without, and those
+# the writer writes into every record.
+_REQUIRED = frozenset(("seq", "prev_digest", "ts_ns", "request_id", "tool",
+                       "env_version", "decision", "trace_digest", "enforced"))
+_WRITTEN = _REQUIRED | {"refusal_causes", "record_digest"}
+_SCALARS = (int, float, type(None))  # and bool, an int
+
+
+def _checked_record(line: bytes) -> dict | str:
+    """The record one raw log line holds, as its parsed document, or the
+    cause it fails with.
+
+    A line without its newline, or that is not UTF-8 or not JSON, is a
+    parse-error, and so is a document whose fields are not the writer's
+    as `_field_cause` says. Any other line must be the one the writer
+    writes for the record it holds, or it is a digest-mismatch: encoding
+    it again with `canonical_bytes` must give back the line byte for byte,
+    and the line with its '"record_digest":"<d>",' run cut out, where
+    `_line` splices it, must hash to <d>."""
     if not line.endswith(b"\n") or line == b"\n":
         return CAUSE_PARSE
     try:
-        record = AuditRecord.from_doc(json.loads(line))
-    except (ValueError, KeyError, TypeError):
+        doc = _decode(line.decode("utf-8"))
+    except (ValueError, RecursionError):
         return CAUSE_PARSE
-    payload = canonical_bytes(record.payload())
-    # The digest is checked first, so the splice only ever sees a hex one.
-    if sha256_hex(payload) != record.record_digest \
-            or _line(payload, record.record_digest) != line:
+    if type(doc) is not dict:
+        return CAUSE_PARSE
+    # The writer's fields: the ones it always writes, no other key but a
+    # duplicate_of or note that is not null, the causes a list of lists and
+    # the digest a string.
+    causes, digest = doc.get("refusal_causes"), doc.get("record_digest")
+    optional = (doc.get("duplicate_of") is not None) \
+        + (doc.get("note") is not None)
+    if not _WRITTEN <= doc.keys() or len(doc) != len(_WRITTEN) + optional \
+            or type(causes) is not list or type(digest) is not str:
+        return _field_cause(doc)
+    for cause in causes:
+        if type(cause) is not list:
+            return _field_cause(doc)
+    try:
+        if canonical_bytes(doc) + b"\n" != line:
+            return CAUSE_DIGEST
+    except (ValueError, RecursionError):  # a lone surrogate, say
         return CAUSE_DIGEST
-    return record
+    # The line is canonical, so it holds the key, and the run sits just
+    # before the key unless that first match is in an earlier field's value.
+    at = line.index(b'"refusal_causes":')
+    run = b'"record_digest":"%s",' % digest.encode()
+    if not line.endswith(run, 0, at) \
+            or sha256_hex(line[:at - len(run)] + line[at:-1]) != digest:
+        return CAUSE_DIGEST
+    return doc
+
+
+def _field_cause(doc: dict) -> str:
+    """The cause of a document whose fields are not the writer's: a
+    parse-error where AuditRecord.from_doc cannot read it, since a field
+    it needs is missing or the refusal causes are, or hold, a number, bool
+    or null, which it cannot read as tuples; otherwise a digest-mismatch."""
+    causes = doc.get("refusal_causes", [])
+    if not _REQUIRED <= doc.keys() or isinstance(causes, _SCALARS) \
+            or type(causes) is list \
+            and any(isinstance(c, _SCALARS) for c in causes):
+        return CAUSE_PARSE
+    return CAUSE_DIGEST
 
 
 class _ChainBreak(Exception):
@@ -246,22 +308,22 @@ class _ChainBreak(Exception):
     line's 0-based index and the verifier's cause."""
 
 
-def _chain(lines: Iterable[bytes]) -> Iterator[AuditRecord]:
-    """The one walk over a log: each record in order, checked by
+def _chain(lines: Iterable[bytes]) -> Iterator[dict]:
+    """The one walk over a log: each record's document in order, checked by
     `_checked_record` and linked to the one before it by prev_digest and
     seq. _ChainBreak at the first line that fails, so a reader only ever
     sees a chain that verifies up to the record it reads."""
     expected_prev = ZERO_DIGEST
     for index, line in enumerate(lines):
-        record = _checked_record(line)
-        if isinstance(record, str):
-            raise _ChainBreak(index, record)
-        if record.prev_digest != expected_prev:
+        doc = _checked_record(line)
+        if type(doc) is str:
+            raise _ChainBreak(index, doc)
+        if doc["prev_digest"] != expected_prev:
             raise _ChainBreak(index, CAUSE_LINK)
-        if record.seq != index:
+        if doc["seq"] != index:
             raise _ChainBreak(index, CAUSE_SEQ)
-        expected_prev = record.record_digest
-        yield record
+        expected_prev = doc["record_digest"]
+        yield doc
 
 
 def verify_chain_lines(
@@ -283,8 +345,8 @@ def verify_chain_lines(
     """
     head, records = ZERO_DIGEST, 0
     try:
-        for record in _chain(lines):
-            head, records = record.record_digest, records + 1
+        for doc in _chain(lines):
+            head, records = doc["record_digest"], records + 1
     except _ChainBreak as exc:
         index, cause = exc.args
         return ChainReport(False, index, index, cause)
@@ -304,7 +366,8 @@ def iter_records(path: str) -> Iterator[AuditRecord]:
     naming the 1-based line and the cause of the first line that fails."""
     with open(path, "rb") as fh:
         try:
-            yield from _chain(fh)
+            for doc in _chain(fh):
+                yield AuditRecord.from_doc(doc)
         except _ChainBreak as exc:
             index, cause = exc.args
             raise ValueError(f"{path}: line {index + 1} fails "

@@ -77,13 +77,18 @@ def value_from_plain(plain: object, decl) -> object:
     return plain  # flag, enum and text values are already plain
 
 
+# The encoder json.dumps(doc, sort_keys=True, separators=(",", ":"),
+# ensure_ascii=False) builds on every call, built once. It keeps no state
+# between calls.
+_ENCODER = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+
+
 def canonical_bytes(doc: object) -> bytes:
     """Serialize a plain document: dicts, lists, str, int, bool and None,
     with every typed leaf already mapped by plain_value. A typed leaf left
     in (a Fraction, a Money) raises TypeError."""
-    return json.dumps(
-        doc, sort_keys=True, separators=(",", ":"), ensure_ascii=False
-    ).encode("utf-8")
+    return _ENCODER.encode(doc).encode("utf-8")
 
 
 def sha256_hex(data: bytes) -> str:

@@ -1,6 +1,7 @@
 import errno
 import json
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -551,3 +552,150 @@ def test_archived_bindings_count_only_under_their_own_digest(tmp_path):
         archive.write_bytes(lines)
         assert load_archived_bindings(str(archive), result.trace_digest,
                                       env) == expected
+
+
+def _reference_checked_record(line):
+    """The checking reader as it was when it built an AuditRecord from each
+    line and encoded the record's payload again, kept unchanged as the
+    reference `_checked_record` is compared against."""
+    from axgate.audit import AuditRecord, _line
+
+    if not line.endswith(b"\n") or line == b"\n":
+        return "parse-error"
+    try:
+        record = AuditRecord.from_doc(json.loads(line))
+    except (ValueError, KeyError, TypeError):
+        return "parse-error"
+    payload = canonical_bytes(record.payload())
+    if sha256_hex(payload) != record.record_digest \
+            or _line(payload, record.record_digest) != line:
+        return "digest-mismatch"
+    return record
+
+
+def _sealed(doc):
+    """The line of `doc` with a record_digest that hashes what is left when
+    the digest run is cut out, as a forger who knows the scheme writes it."""
+    doc = {k: v for k, v in doc.items() if k != "record_digest"}
+    digest = sha256_hex(canonical_bytes(doc))
+    return canonical_bytes({**doc, "record_digest": digest}) + b"\n"
+
+
+def _crafted_lines(line):
+    """Lines built from one good line: each key missing, with and without
+    the digest recomputed, fields of the wrong shape or an extra key, other
+    top levels, and whitespace the parser forgives."""
+    doc = json.loads(line)
+    shapes = [{k: v for k, v in doc.items() if k != key} for key in doc]
+    shapes += [{**doc, "duplicate_of": None}, {**doc, "note": None},
+               {**doc, "x": 1}, {**doc, "red": 1},  # "red" sorts in the run
+               {**doc, "seq": 1.0}, {**doc, "seq": True},
+               {**doc, "duplicate_of": {"refusal_causes": 1}},
+               {**doc, "record_digest": 5}]
+    shapes += [{**doc, "refusal_causes": causes} for causes in (
+        "ab", 5, [5], [{"a": 1}], None, {}, "", [""], [["a"], 5],
+        [["a"], "bc"], [[1, None]])]
+    crafted = [canonical_bytes(shape) + b"\n" for shape in shapes]
+    crafted += [_sealed(shape) for shape in shapes]
+    at = line.index(b'"record_digest":"') + len(b'"record_digest":"')
+    crafted += [line[:at] + b"\\ud800" + line[at + 64:],  # cannot encode
+                b"[]\n", b'"x"\n', b"5\n", b"null\n", b"{}\n", b"\n", b"",
+                line[:-1], line[:-1] + b" \n", line[:-1] + b"\r\n",
+                b" " + line, line + line]
+    return crafted
+
+
+def _damaged_lines(line):
+    """Every single-byte flip (three masks), deletion and duplication."""
+    for i in range(len(line)):
+        for mask in (0x01, 0x20, 0x80):
+            flipped = bytearray(line)
+            flipped[i] ^= mask
+            yield bytes(flipped)
+        yield line[:i] + line[i + 1:]
+        yield line[:i + 1] + line[i:]
+
+
+def _outcome(checked):
+    return checked if isinstance(checked, str) else "ok"
+
+
+def test_reader_gives_the_reference_readers_causes(tmp_path):
+    """`_checked_record` reads each line as a document, with no record
+    object, and cuts the digest run out of the line to hash it. Over damaged
+    and crafted lines it gives the cause the reference reader gives, and
+    the same record for every line that checks."""
+    from axgate.audit import AuditRecord, _checked_record
+
+    log = tmp_path / "audit.log"
+    _golden_log(log)
+    golden = log.read_bytes().splitlines(keepends=True)
+    # plain; the two ids that spell keys, with notes that do; CJK and "\"
+    chosen = [golden[i] for i in (0, 41, 42, 43, 46)]
+    lines = [damaged for line in chosen for damaged in _damaged_lines(line)]
+    lines += [crafted for line in chosen for crafted in _crafted_lines(line)]
+    outcomes = Counter()
+    for line in lines:
+        reference, checked = _reference_checked_record(line), \
+            _checked_record(line)
+        assert _outcome(checked) == _outcome(reference), line
+        if not isinstance(checked, str):
+            assert AuditRecord.from_doc(checked) == reference
+        outcomes[_outcome(checked)] += 1
+    assert set(outcomes) == {"ok", "parse-error", "digest-mismatch"}
+
+    # Lines the reference reads otherwise: it raised on a lone surrogate
+    # and on deep nesting, and decoded a UTF-8 BOM and UTF-16 as JSON.
+    good = golden[46]
+    surrogate = json.loads(good)
+    surrogate["request_id"] = "\ud800"
+    raw = json.dumps(surrogate, sort_keys=True, separators=(",", ":"),
+                     ensure_ascii=False).encode("utf-8", "surrogatepass")
+    escaped = raw.replace(b"\xed\xa0\x80", b"\\ud800")
+    for line, before, after in (
+        (escaped + b"\n", UnicodeEncodeError, "digest-mismatch"),
+        (raw + b"\n", UnicodeEncodeError, "parse-error"),
+        (b"[" * 100_000 + b"\n", RecursionError, "parse-error"),
+        (b"\xef\xbb\xbf" + good, "digest-mismatch", "parse-error"),
+        (good.decode().encode("utf-16-be"), "digest-mismatch", "parse-error"),
+    ):
+        if isinstance(before, str):
+            assert _reference_checked_record(line) == before
+        else:
+            with pytest.raises(before):
+                _reference_checked_record(line)
+        assert _checked_record(line) == after
+
+
+@pytest.mark.parametrize("spelling, cause", [
+    (b"\\ud800", "digest-mismatch"),  # a JSON escape: parses, cannot encode
+    (b"\xed\xa0\x80", "parse-error"),  # a surrogate's bytes: not UTF-8
+], ids=["escaped", "bytes"])
+def test_a_lone_surrogate_is_a_cause_not_an_exception(tmp_path, capsys,
+                                                      spelling, cause):
+    """A line holding a lone surrogate fails with its cause and its line.
+    Before, every reader raised UnicodeEncodeError: `audit verify` printed
+    the codec's error without naming the line, and a writer on a log ending
+    in such a line raised it instead of refusing to append."""
+    from axgate.cli import main
+
+    log = tmp_path / "audit.log"
+    _append_n(log, 3)
+    data = log.read_bytes()
+    for index in (1, 2):
+        lines = data.splitlines(keepends=True)
+        lines[index] = lines[index].replace(
+            b'"request_id":"r', b'"request_id":"' + spelling, 1)
+        log.write_bytes(b"".join(lines))
+        report = verify_chain(str(log))
+        assert (report.ok, report.bad_index, report.cause) == \
+            (False, index, cause)
+        with pytest.raises(ValueError, match=f"line {index + 1} fails "
+                                             f"verification: {cause}"):
+            list(iter_records(str(log)))
+        assert main(["audit", "verify", str(log)]) == 1
+        assert capsys.readouterr().out.strip() == \
+            f"bad record at index {index}: {cause}"
+    with pytest.raises(AuditStorageError,
+                       match=f"byte {len(b''.join(lines[:2]))},.*{cause}"):
+        AuditWriter(str(log), fsync=False)
