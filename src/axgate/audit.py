@@ -540,8 +540,8 @@ def load_archived_bindings(path: str, trace_digest: str, env) -> dict:
                 try:
                     trace = json.loads(line)["trace"]
                     trace_bytes = canonical_bytes(trace)
-                except (KeyError, TypeError, ValueError):
-                    continue
+                except (KeyError, TypeError, ValueError, RecursionError):
+                    continue  # RecursionError: nested too deep to parse
                 if sha256_hex(trace_bytes) == trace_digest \
                         and _archive_line(trace_bytes, trace_digest) == line:
                     plain = trace["bindings"]

@@ -23,11 +23,13 @@ import json
 import logging
 import math
 import os
+import re
 import socket
 import sys
 import threading
 import time
 from dataclasses import dataclass
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Mapping
 from urllib.parse import urlsplit
@@ -181,12 +183,70 @@ def load_state_file(path: str, env: PolicyEnvironment) -> SystemState:
 # HTTP plumbing ------------------------------------------------------------------
 
 
+# http.client's limits, which BaseHTTPRequestHandler applies to request
+# heads too: bytes per line, and lines per head with the empty one ending it.
+_MAX_LINE = 65536
+_MAX_HEAD_LINES = 100
+
+# A field name as http.client's parser reads one: printable ASCII but the
+# space (a colon ends the name).
+_FIELD_NAME = re.compile(r"[!-~]+")
+
+
+class _Fields:
+    """The field lines of one HTTP head: each lower-cased name with its
+    values in order, spaces and tabs trimmed. A line that is not `name:
+    value` is dropped and sets `malformed`: one without a colon, with
+    whitespace in or before the name (an obs-fold line starts with SP or
+    HTAB), or with a bare CR. Such a head cannot be trusted to frame a
+    body (RFC 9112 §2.2, §5.1, §5.2)."""
+
+    __slots__ = ("_values", "malformed")
+
+    def __init__(self) -> None:
+        self._values: dict[str, list[str]] = {}
+        self.malformed = False
+
+    def get(self, name: str, default: str | None = None) -> str | None:
+        values = self._values.get(name.lower())
+        return values[0] if values else default
+
+    def get_all(self, name: str) -> list[str] | None:
+        return self._values.get(name.lower())
+
+    def __contains__(self, name: str) -> bool:
+        return name.lower() in self._values
+
+
+def _read_fields(rfile) -> _Fields:
+    """The field lines of a head, read through the empty line that ends it
+    (or the end of the stream, as http.client reads it). Past http.client's
+    limits, raises its LineTooLong or HTTPException."""
+    fields = _Fields()
+    values = fields._values
+    for _ in range(_MAX_HEAD_LINES):
+        line = rfile.readline(_MAX_LINE + 1)
+        if len(line) > _MAX_LINE:
+            raise http.client.LineTooLong("header line")
+        if line in (b"\r\n", b"\n", b""):
+            return fields
+        name, colon, value = line.decode("latin-1").partition(":")
+        value = value.strip(" \t\r\n")
+        if colon and _FIELD_NAME.fullmatch(name) and "\r" not in value:
+            values.setdefault(name.lower(), []).append(value)
+        else:
+            fields.malformed = True
+    raise http.client.HTTPException(
+        f"got more than {_MAX_HEAD_LINES} headers")
+
+
 class _Handler(BaseHTTPRequestHandler):
     server_version = "axgate"
     protocol_version = "HTTP/1.1"
-    # TCP_NODELAY on each accepted socket. The headers and the body go out
-    # as two writes; with Nagle on, the body of every keep-alive reply waits
-    # for the client's delayed ACK of the headers (about 40 ms on Linux).
+    # TCP_NODELAY on each accepted socket. A reply goes out in one write,
+    # but a 100 Continue or a send_error reply takes more than one; with
+    # Nagle on, a write after an unacknowledged one waits for the client's
+    # delayed ACK (about 40 ms on Linux).
     disable_nagle_algorithm = True
 
     def setup(self) -> None:
@@ -200,20 +260,96 @@ class _Handler(BaseHTTPRequestHandler):
     def log_message(self, fmt, *args):  # route through logging, not stderr
         logger.debug("%s " + fmt, self.client_address[0], *args)
 
+    def parse_request(self) -> bool:
+        """BaseHTTPRequestHandler.parse_request: the same request-line,
+        keep-alive and Expect rules and error replies, but the fields are
+        read by _read_fields, not by http.client.parse_headers, which
+        builds an email.message.Message for every request."""
+        self.command = None
+        self.request_version = version = self.default_request_version
+        self.close_connection = True
+        self.requestline = requestline = \
+            str(self.raw_requestline, "iso-8859-1").rstrip("\r\n")
+        words = requestline.split()
+        if not words:
+            return False
+        if len(words) >= 3:
+            version = words[-1]
+            try:
+                if not version.startswith("HTTP/"):
+                    raise ValueError
+                numbers = version[5:].split(".")
+                if len(numbers) != 2 or not all(
+                        n.isdigit() and len(n) <= 10 for n in numbers):
+                    raise ValueError
+                number = int(numbers[0]), int(numbers[1])
+            except ValueError:
+                self.send_error(HTTPStatus.BAD_REQUEST,
+                                "Bad request version (%r)" % version)
+                return False
+            if number >= (1, 1):
+                self.close_connection = False
+            if number >= (2, 0):
+                self.send_error(HTTPStatus.HTTP_VERSION_NOT_SUPPORTED,
+                                "Invalid HTTP version (%s)" % version[5:])
+                return False
+            self.request_version = version
+        if not 2 <= len(words) <= 3:
+            self.send_error(HTTPStatus.BAD_REQUEST,
+                            "Bad request syntax (%r)" % requestline)
+            return False
+        self.command, self.path = words[:2]
+        if len(words) == 2:
+            self.close_connection = True
+            if self.command != "GET":
+                self.send_error(HTTPStatus.BAD_REQUEST,
+                                "Bad HTTP/0.9 request type (%r)"
+                                % self.command)
+                return False
+        if self.path.startswith("//"):  # not an absolute URI (gh-87389)
+            self.path = "/" + self.path.lstrip("/")
+        try:
+            self.headers = _read_fields(self.rfile)
+        except http.client.LineTooLong as err:
+            self.send_error(HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE,
+                            "Line too long", str(err))
+            return False
+        except http.client.HTTPException as err:
+            self.send_error(HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE,
+                            "Too many headers", str(err))
+            return False
+        connection = self.headers.get("Connection", "").lower()
+        if connection == "close":
+            self.close_connection = True
+        elif connection == "keep-alive":
+            self.close_connection = False
+        if self.headers.get("Expect", "").lower() == "100-continue" \
+                and self.request_version >= "HTTP/1.1":
+            return self.handle_expect_100()
+        return True
+
     def _send_json(self, status: int, doc: dict) -> None:
         self._send_raw(status, json.dumps(doc).encode("utf-8"),
                        "application/json", {})
 
     def _send_raw(self, status: int, body: bytes, content_type: str,
                   headers: dict[str, str]) -> None:
+        """The reply in one write: the bytes send_response, send_header
+        and end_headers would write, then the body."""
+        self.log_request(status)
+        if self.request_version != "HTTP/0.9":
+            reason = self.responses[status][0] \
+                if status in self.responses else ""
+            lines = ["%s %d %s\r\nServer: %s\r\nDate: %s\r\n"
+                     "Content-Type: %s\r\nContent-Length: %d\r\n"
+                     % (self.protocol_version, status, reason,
+                        self.version_string(), self.date_time_string(),
+                        content_type or "application/octet-stream",
+                        len(body))]
+            lines.extend("%s: %s\r\n" % item for item in headers.items())
+            lines.append("\r\n")
+            body = "".join(lines).encode("latin-1") + body
         try:
-            self.send_response(status)
-            self.send_header("Content-Type",
-                             content_type or "application/octet-stream")
-            self.send_header("Content-Length", str(len(body)))
-            for key, value in headers.items():
-                self.send_header(key, value)
-            self.end_headers()
             self.wfile.write(body)
         except OSError:
             # The client reset or closed the connection. The request was
@@ -222,15 +358,23 @@ class _Handler(BaseHTTPRequestHandler):
             logger.info("client %s went away before the %d response",
                         self.client_address[0], status)
 
-    def _close_after_unread_body(self) -> None:
-        # The body of a request that nothing reads stays on the connection;
-        # it must not be parsed as the next request.
+    def _skip_body(self) -> bool:
+        """For a request whose body nothing reads. A head that cannot frame
+        a body is answered 400 here, and True returned. Otherwise a
+        declared body stays on the connection, which is marked to close:
+        it must not be parsed as the next request."""
+        if self.headers.malformed:
+            self.close_connection = True
+            self._send_json(400, {"error": "bad-framing"})
+            return True
         if "Content-Length" in self.headers \
                 or "Transfer-Encoding" in self.headers:
             self.close_connection = True
+        return False
 
     def do_GET(self) -> None:
-        self._close_after_unread_body()
+        if self._skip_body():
+            return
         if self.path == "/v1/healthz":
             doc = self.gateway.health_doc()
             self._send_json(200 if doc["status"] == "ok" else 503, doc)
@@ -246,8 +390,7 @@ class _Handler(BaseHTTPRequestHandler):
             self.gateway.handle_tool_call(self, forward=False)
         elif self.path == "/v1/policy/reload":
             self._handle_reload()
-        else:
-            self._close_after_unread_body()
+        elif not self._skip_body():
             self._send_json(404, {"error": "not-found"})
 
     def _handle_reload(self) -> None:
@@ -285,31 +428,40 @@ class _UnreadableBody(Exception):
         self.error = error
 
 
-def _content_length(headers) -> int:
+def _content_length(headers: _Fields) -> int:
     """The declared body length, 0 when none is declared.
 
-    One framing rule (RFC 9112 §6.3): every Content-Length value must be
-    ASCII digits and all of them equal, and any Transfer-Encoding is
-    refused, since it would decide the framing and no coding is read here.
+    One framing rule (RFC 9112 §6.3): the head must be well formed, every
+    Content-Length value must be ASCII digits and all of them equal, and
+    any Transfer-Encoding is refused, since it would decide the framing and
+    no coding is read here.
     """
+    if headers.malformed:
+        raise _UnreadableBody(400, "bad-framing")
     codings = headers.get_all("Transfer-Encoding")
     if codings:
         if any("chunked" in coding.lower() for coding in codings):
             raise _UnreadableBody(501, "unsupported-transfer-encoding")
         raise _UnreadableBody(400, "bad-framing")
+    try:
+        return max(_declared_length(headers), 0)
+    except ValueError:
+        raise _UnreadableBody(400, "bad-framing") from None
+
+
+def _declared_length(fields: _Fields) -> int:
+    """The Content-Length of a head, -1 when it declares none. Raises
+    ValueError unless every value is ASCII digits and all are equal."""
     values = {value.strip(" \t")
-              for field in headers.get_all("Content-Length") or ()
+              for field in fields.get_all("Content-Length") or ()
               for value in field.split(",")}
     if not values:
-        return 0
+        return -1
     if not all(value.isascii() and value.isdigit() for value in values):
-        raise _UnreadableBody(400, "bad-framing")
-    try:
-        lengths = {int(value) for value in values}
-    except ValueError:  # more digits than int() reads
-        raise _UnreadableBody(400, "bad-framing") from None
+        raise ValueError("Content-Length is not a number")
+    lengths = {int(value) for value in values}  # ValueError past int's limit
     if len(lengths) != 1:
-        raise _UnreadableBody(400, "bad-framing")
+        raise ValueError("Content-Length values differ")
     return lengths.pop()
 
 
@@ -365,6 +517,7 @@ class Gateway:
 
     def __init__(self, config: GatewayConfig) -> None:
         self.config = config
+        self._upstream = _upstream_target(config.upstream_url)
         result = compile_file(config.policy_path)
         if result.environment is None:
             raise GatewayStartupError("policy failed to compile",
@@ -390,7 +543,7 @@ class Gateway:
             raise
         # Idle keep-alive connections to the upstream, most recently used
         # last. It never holds more than the peak of concurrent forwards.
-        self._upstream_idle: list[http.client.HTTPConnection] = []
+        self._upstream_idle: list[_UpstreamConnection] = []
         self._upstream_lock = threading.Lock()
         self._inflight = threading.BoundedSemaphore(config.max_in_flight)
         self.requests_received = 0
@@ -625,16 +778,13 @@ class Gateway:
             self._inflight.release()
 
     def _forward(self, body: bytes, content_type: str | None):
-        parts = urlsplit(self.config.upstream_url)
-        if parts.scheme != "http" or not parts.netloc:
+        """(status, body, content type) of the upstream's reply to `body`,
+        or None when there is no reply to relay."""
+        if self._upstream is None:
             return None
-        path = parts.path or "/"
-        if parts.query:
-            path += "?" + parts.query
-        conn = self._idle_upstream() or http.client.HTTPConnection(
-            parts.hostname, parts.port or 80,
-            timeout=self.config.upstream_timeout_secs,
-        )
+        host, port, head = self._upstream
+        conn = self._idle_upstream() or _UpstreamConnection(
+            host, port, timeout=self.config.upstream_timeout_secs)
         try:
             if conn.sock is None:
                 conn.connect()
@@ -642,28 +792,26 @@ class Gateway:
             # exchange. A Nagle-on upstream holds its reply body until the
             # headers are ACKed; a delayed ACK would cost about 40 ms.
             _quickack(conn.sock)
-            conn.request("POST", path, body=body, headers={
-                "Content-Type": content_type or "application/json",
-                "Content-Length": str(len(body)),
-            })
+            conn.sock.sendall(b"%s%s\r\nContent-Length: %d\r\n\r\n%s" % (
+                head, (content_type or "application/json").encode("latin-1"),
+                len(body), body))
             _quickack(conn.sock)
-            resp = conn.getresponse()
-            data = resp.read()
-        except (OSError, http.client.HTTPException):
-            # Unreachable, reset, or an answer that is not HTTP (BadStatusLine,
-            # IncompleteRead): there is no upstream reply to relay. The body
-            # may have gone out and /v1/execute is not idempotent, so it is
-            # never sent again.
+            status, data, reply_type, keep = _read_reply(conn.reader)
+        except (OSError, ValueError, http.client.HTTPException):
+            # Unreachable, reset, or an answer that is not HTTP or not
+            # framed: there is no upstream reply to relay. The body may have
+            # gone out and /v1/execute is not idempotent, so it is never
+            # sent again.
             conn.close()
             return None
-        if _QUICKACK is None or resp.will_close:
+        if _QUICKACK is None or not keep:
             conn.close()
         else:
             with self._upstream_lock:
                 self._upstream_idle.append(conn)
-        return resp.status, data, resp.headers.get("Content-Type", "")
+        return status, data, reply_type
 
-    def _idle_upstream(self) -> http.client.HTTPConnection | None:
+    def _idle_upstream(self) -> _UpstreamConnection | None:
         """The most recently used idle upstream connection that the peer
         has not closed, or None."""
         while True:
@@ -671,9 +819,129 @@ class Gateway:
                 if not self._upstream_idle:
                     return None
                 conn = self._upstream_idle.pop()
-            if _still_idle(conn.sock):
+            if _still_idle(conn):
                 return conn
             conn.close()
+
+
+# The upstream hop ---------------------------------------------------------------
+
+
+def _upstream_target(url: str) -> tuple[str, int, bytes] | None:
+    """(host, port, the request head up to the Content-Type value) of an
+    http:// upstream URL, the head as http.client writes it; None when the
+    URL names no upstream http.client could send to: every forward is then
+    a 502."""
+    parts = urlsplit(url)
+    host = parts.hostname
+    path = parts.path or "/"
+    if parts.query:
+        path += "?" + parts.query
+    # http.client refuses control characters and spaces in both.
+    if parts.scheme != "http" or not host or " " in host + path \
+            or not (host + path).isprintable():
+        return None
+    try:
+        port = parts.port or 80
+        target = path.encode("ascii")
+        try:
+            host_bytes = host.encode("ascii")
+        except UnicodeEncodeError:
+            host_bytes = host.encode("idna")
+    except ValueError:  # no port number, or a name that does not encode
+        return None
+    if b":" in host_bytes:  # an IPv6 address
+        host_bytes = b"[%s]" % host_bytes
+    if port != 80:
+        host_bytes += b":%d" % port
+    return host, port, (b"POST %s HTTP/1.1\r\nHost: %s\r\n"
+                        b"Accept-Encoding: identity\r\nContent-Type: "
+                        % (target, host_bytes))
+
+
+class _UpstreamConnection(http.client.HTTPConnection):
+    """A keep-alive connection to the upstream. http.client opens it; each
+    request goes out in one sendall, and the replies are read through
+    `reader`, which lives and closes with the socket."""
+
+    reader = None
+
+    def connect(self) -> None:
+        super().connect()
+        self.reader = self.sock.makefile("rb")
+
+    def close(self) -> None:
+        reader, self.reader = self.reader, None
+        if reader is not None:
+            reader.close()
+        super().close()
+
+
+def _read_reply(reader) -> tuple[int, bytes, str, bool]:
+    """One upstream reply: (status, body, content type, whether the
+    connection can carry another request). Interim 1xx replies are
+    skipped; 204 and 304 have no body; otherwise the body is read by its
+    Content-Length, de-chunked, or read to the close. Raises
+    http.client.HTTPException or ValueError for a reply that cannot be
+    relayed."""
+    while True:
+        line = reader.readline(_MAX_LINE + 1)
+        words = line.split(None, 2)
+        try:
+            version, status = words[0], int(words[1])
+        except (IndexError, ValueError):
+            raise http.client.BadStatusLine(repr(line)) from None
+        if len(line) > _MAX_LINE or not version.startswith(b"HTTP/") \
+                or not 100 <= status <= 999 or status == 101:
+            raise http.client.BadStatusLine(repr(line))
+        fields = _read_fields(reader)
+        if fields.malformed:  # a 502, as RFC 9112 §5.2 allows for obs-fold
+            raise http.client.HTTPException("malformed reply head")
+        if status >= 200:
+            break
+    connection = fields.get("Connection", "").lower()
+    if version in (b"HTTP/1.0", b"HTTP/0.9"):
+        keep = "keep-alive" in connection or "Keep-Alive" in fields
+    elif version.startswith(b"HTTP/1."):
+        keep = "close" not in connection
+    else:
+        raise http.client.UnknownProtocol(repr(version))
+    codings = fields.get_all("Transfer-Encoding")
+    if status in (204, 304):
+        body = b""
+    elif codings:
+        if len(codings) != 1 or codings[0].lower() != "chunked":
+            raise http.client.HTTPException(f"transfer coding {codings}")
+        body = _read_chunked(reader)
+    else:
+        length = _declared_length(fields)
+        if length < 0:
+            body, keep = reader.read(), False
+        else:
+            body = reader.read(length)
+            if len(body) < length:
+                raise http.client.IncompleteRead(body, length - len(body))
+    return status, body, fields.get("Content-Type", ""), keep
+
+
+def _read_chunked(reader) -> bytes:
+    """A chunked body without its framing; the trailer fields are read and
+    dropped."""
+    chunks = []
+    while True:
+        line = reader.readline(_MAX_LINE + 1)
+        if len(line) > _MAX_LINE:
+            raise http.client.LineTooLong("chunk size")
+        size = int(line.split(b";", 1)[0], 16)
+        if size < 0:
+            raise ValueError(f"chunk size {size}")
+        if size == 0:
+            _read_fields(reader)
+            return b"".join(chunks)
+        chunk = reader.read(size + 2)
+        if len(chunk) < size + 2 or chunk[-2:] != b"\r\n":
+            raise http.client.IncompleteRead(chunk, size + 2 - len(chunk))
+        chunks.append(chunk[:-2])
 
 
 def _quickack(sock: socket.socket) -> None:
@@ -681,15 +949,17 @@ def _quickack(sock: socket.socket) -> None:
         sock.setsockopt(socket.IPPROTO_TCP, _QUICKACK, 1)
 
 
-def _still_idle(sock: socket.socket) -> bool:
+def _still_idle(conn: _UpstreamConnection) -> bool:
     """True when nothing is waiting to be read: no FIN, no reset and no
-    unsolicited bytes from the peer."""
+    unsolicited bytes from the peer, on the socket or in the reader."""
+    sock = conn.sock
     timeout = sock.gettimeout()
     sock.settimeout(0)  # with a timeout set, recv would wait for data first
     try:
         sock.recv(1, socket.MSG_PEEK)
     except BlockingIOError:
-        return True
+        # The socket is empty, so the peek returns only buffered bytes.
+        return not conn.reader.peek(1)
     except OSError:
         return False
     finally:

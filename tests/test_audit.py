@@ -548,6 +548,8 @@ def test_archived_bindings_count_only_under_their_own_digest(tmp_path):
         (edited, {}),
         (spaced, {}),  # the right trace, but not the line its encoder writes
         (edited + spaced + good, {"volume": Fraction(7)}),
+        # nested too deep to parse: skipped, not raised
+        (b"[" * 100_000 + b"\n" + good, {"volume": Fraction(7)}),
     ):
         archive.write_bytes(lines)
         assert load_archived_bindings(str(archive), result.trace_digest,

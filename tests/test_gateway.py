@@ -167,6 +167,22 @@ def test_upstream_unreachable_is_502_and_audited(workspace):
     assert records[0].note == "upstream-unreachable"
 
 
+@pytest.mark.parametrize("url", [
+    "http://127.0.0.1:port/x",  # was a 500: the port was read per call
+    "ftp://127.0.0.1/x",
+    "http://127.0.0.1:1/a b",
+    "http:///x",
+])
+def test_an_upstream_url_that_cannot_be_sent_to_is_502(workspace, url):
+    with Gateway(make_config(workspace, url)) as gw:
+        status, _, data = post(gw, "/v1/execute", tool_call("url", 10))
+        records = drained_records(gw)
+    assert (status, json.loads(data)["error"]) == \
+        (502, "upstream-unreachable")
+    assert [(r.decision, r.note) for r in records] == \
+        [("Proven", "upstream-unreachable")]
+
+
 def test_unreadable_state_fails_closed(workspace):
     config = make_config(workspace, "http://127.0.0.1:9/none")
     with Gateway(config) as gw:
@@ -1013,9 +1029,10 @@ UPSTREAM_OK = (b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
 
 class _RawUpstream:
     """A raw-socket upstream. It counts the connections it accepts, records
-    every body it reads, and answers each request with `reply(conn, n)`,
-    where n counts requests over all connections; a false return closes
-    the connection. `closed` is released after each connection closes."""
+    every request head and body it reads, and answers each request with
+    `reply(conn, n)`, where n counts requests over all connections; a false
+    return closes the connection. `closed` is released after each
+    connection closes."""
 
     def __init__(self, reply):
         import socket
@@ -1025,6 +1042,7 @@ class _RawUpstream:
         self._reply = reply
         self._stop = threading.Event()
         self.accepted = 0
+        self.heads = []
         self.bodies = []
         self.closed = threading.Semaphore(0)
         self._threads = [threading.Thread(target=self._accept)]
@@ -1054,7 +1072,8 @@ class _RawUpstream:
                 request = self._read_request(conn, rest)
                 if request is None:
                     break
-                body, rest = request
+                head, body, rest = request
+                self.heads.append(head)
                 self.bodies.append(body)
                 if not self._reply(conn, len(self.bodies)):
                     break
@@ -1062,11 +1081,13 @@ class _RawUpstream:
 
     @staticmethod
     def _read_request(conn, data):
-        """(body, bytes after it), or None when the peer closes first."""
+        """(head, body, bytes after it), or None when the peer closes
+        first. The head ends with its empty line."""
         length = None
         while length is None or len(data) < length:
             if length is None and b"\r\n\r\n" in data:
                 head, _, data = data.partition(b"\r\n\r\n")
+                head += b"\r\n\r\n"
                 length = int([
                     line.split(b":", 1)[1] for line in head.split(b"\r\n")
                     if line.lower().startswith(b"content-length:")][0])
@@ -1075,7 +1096,7 @@ class _RawUpstream:
             if not chunk:
                 return None
             data += chunk
-        return data[:length], data[length:]
+        return head, data[:length], data[length:]
 
     def close(self):
         self._stop.set()
@@ -1233,6 +1254,175 @@ def test_without_quick_ack_each_forward_gets_a_fresh_connection(
         assert upstream.accepted == 5
 
 
+# Upstream replies ----------------------------------------------------------------
+
+_CHUNKED = (b"HTTP/1.1 200 OK\r\nContent-Type: text/plain\r\n"
+            b"Transfer-Encoding: chunked\r\n\r\n5\r\nhello\r\n"
+            b"7;name=value\r\n, world\r\n0\r\nX-Trailer: t\r\n\r\n")
+_TO_CLOSE = (b"HTTP/1.1 200 OK\r\nContent-Type: text/plain\r\n\r\n"
+             b"hello, world")
+_NO_CONTENT = b"HTTP/1.1 204 No Content\r\nContent-Type: text/plain\r\n\r\n"
+_CONTINUE = b"HTTP/1.1 100 Continue\r\n\r\n" + UPSTREAM_OK
+# http.client took a 103 for the final reply, with no body
+_EARLY_HINTS = (b"HTTP/1.1 103 Early Hints\r\nLink: </a.css>; rel=preload"
+                b"\r\n\r\n" + UPSTREAM_OK)
+_HTTP10 = (b"HTTP/1.0 200 OK\r\nContent-Type: text/plain\r\n"
+           b"Content-Length: 12\r\n\r\nhello, world")
+_HTTP10_KEEP_ALIVE = _HTTP10.replace(b"\r\n\r\n",
+                                     b"\r\nConnection: keep-alive\r\n\r\n")
+
+
+# (upstream reply, whether the upstream closes after it, relayed status,
+# content type and body, whether the connection is reused)
+@pytest.mark.parametrize("reply, closes, status, content_type, body, reused", [
+    (_CHUNKED, False, 200, "text/plain", b"hello, world", True),
+    (_TO_CLOSE, True, 200, "text/plain", b"hello, world", False),
+    (_NO_CONTENT, False, 204, "text/plain", b"", True),
+    (_CONTINUE, False, 200, "application/json", b'{"ok": true}', True),
+    (_EARLY_HINTS, False, 200, "application/json", b'{"ok": true}', True),
+    (_HTTP10, False, 200, "text/plain", b"hello, world", False),
+    (_HTTP10_KEEP_ALIVE, False, 200, "text/plain", b"hello, world", True),
+], ids=["chunked", "read-to-close", "204", "100-continue", "103",
+        "http-1.0", "http-1.0-keep-alive"])
+def test_upstream_replies_are_relayed_and_pooled(
+        workspace, reply, closes, status, content_type, body, reused):
+    def answer(conn, n):
+        conn.sendall(reply)
+        return not closes
+
+    with _RawUpstream(answer) as upstream:
+        with Gateway(make_config(workspace, upstream.url)) as gw:
+            replies = [post(gw, "/v1/execute", tool_call(f"up-{i}", 10))
+                       for i in range(3)]
+            records = drained_records(gw)
+        assert len(upstream.bodies) == 3
+        assert (upstream.accepted == 1) == reused
+        assert upstream.accepted in (1, 3)
+    for got_status, headers, data in replies:
+        assert (got_status, headers["Content-Type"], data) == \
+            (status, content_type, body)
+        assert headers["Content-Length"] == str(len(body))
+        assert "Transfer-Encoding" not in headers
+        assert headers["X-Axgate-Decision"] == "Proven"
+    assert [(r.decision, r.note) for r in records] == [("Proven", None)] * 3
+
+
+def test_upstream_request_heads_are_http_clients_bytes(workspace):
+    """Each forward is one write of the head http.client wrote, then the
+    body; the Content-Type is the caller's, else JSON."""
+    with _RawUpstream(_keep_alive) as upstream:
+        url = upstream.url + "?desk=7"
+        with Gateway(make_config(workspace, url)) as gw:
+            body = json.dumps(tool_call("head", 10)).encode()
+            for headers in ({"Content-Type": "application/json"},
+                            {"Content-Type": "text/x-json; charset=utf-8"},
+                            {}):
+                status, _, _ = request(gw.address, "POST", "/v1/execute",
+                                       body, headers)
+                assert status == 200
+        host = url.split("/")[2]
+        assert upstream.heads == [
+            b"POST /execute?desk=7 HTTP/1.1\r\nHost: %s\r\n"
+            b"Accept-Encoding: identity\r\nContent-Type: %s\r\n"
+            b"Content-Length: %d\r\n\r\n" % (host.encode(), content_type,
+                                              len(body))
+            for content_type in (b"application/json",
+                                 b"text/x-json; charset=utf-8",
+                                 b"application/json")]
+        assert upstream.bodies == [body] * 3
+
+
+# Replies that cannot be relayed: the call was decided Proven and forwarded,
+# so each is a 502 with its real decision, and nothing is sent again.
+_UNRELAYABLE = [
+    UPSTREAM_OK.replace(b"Content-Length", b"Content-Length "),
+    UPSTREAM_OK.replace(b"\r\nContent-Length", b"\r\n Content-Length"),
+    UPSTREAM_OK.replace(b"12", b"12, 13"),
+    UPSTREAM_OK.replace(b"12", b"40"),  # the body ends at the close
+    _CHUNKED.replace(b"7;", b"seven;"),
+    _CHUNKED.replace(b"chunked", b"gzip"),
+    _CHUNKED[:-20],
+    b"HTTP/2.0 200 OK\r\nContent-Length: 0\r\n\r\n",
+    b"HTTP/1.1 101 Switching Protocols\r\n\r\n" + UPSTREAM_OK,
+]
+
+
+@pytest.mark.parametrize("reply", _UNRELAYABLE, ids=[
+    "space-before-colon", "obs-fold", "lengths-differ", "short-body",
+    "bad-chunk-size", "gzip", "chunks-cut-short", "http-2", "101"])
+def test_upstream_reply_that_cannot_be_relayed_is_502_once(workspace, reply):
+    def answer(conn, n):
+        conn.sendall(reply)
+        return False
+
+    with _RawUpstream(answer) as upstream:
+        with Gateway(make_config(workspace, upstream.url)) as gw:
+            body = json.dumps(tool_call("bad-reply", 10)).encode()
+            status, _, data = post(gw, "/v1/execute", body=body)
+            records = drained_records(gw)
+        assert upstream.bodies == [body]
+    assert status == 502
+    assert json.loads(data)["error"] == "upstream-unreachable"
+    assert [(r.decision, r.note) for r in records] == \
+        [("Proven", "upstream-unreachable")]
+
+
+def test_bytes_after_a_reply_retire_the_upstream_connection(workspace):
+    """Bytes the upstream sent after a whole reply were read ahead into the
+    connection's reader. They are not the next call's reply: the
+    connection is closed and the next call gets a fresh one."""
+    def reply_twice(conn, n):
+        conn.sendall(UPSTREAM_OK + UPSTREAM_OK.replace(b"true", b"fals"))
+        return True
+
+    with _RawUpstream(reply_twice) as upstream:
+        with Gateway(make_config(workspace, upstream.url)) as gw:
+            replies = [post(gw, "/v1/execute", tool_call(f"extra-{i}", 10))
+                       for i in range(3)]
+        assert upstream.accepted == 3
+    assert [(status, data) for status, _, data in replies] == \
+        [(200, b'{"ok": true}')] * 3
+
+
+def test_forwarded_and_refused_calls_do_not_use_http_client_heads(
+        workspace, monkeypatch):
+    """Neither the request head nor the upstream's reply head goes through
+    http.client.parse_headers, which builds an email.message.Message."""
+    def parse_headers(*args, **kwargs):
+        raise AssertionError("http.client.parse_headers was called")
+
+    with _RawUpstream(_keep_alive) as upstream:
+        with Gateway(make_config(workspace, upstream.url)) as gw:
+            monkeypatch.setattr(http.client, "parse_headers", parse_headers)
+            bodies = [json.dumps(tool_call(f"np-{volume}", volume)).encode()
+                      for volume in (10, 99999)]
+            replies = [_exchange(gw, b"POST /v1/execute HTTP/1.1\r\nHost: x"
+                                 b"\r\nConnection: close\r\nContent-Length: "
+                                 b"%d\r\n\r\n%s" % (len(body), body))
+                       for body in bodies]
+            records = drained_records(gw)
+        assert upstream.bodies == bodies[:1]
+    assert replies[0].startswith(b"HTTP/1.1 200 OK\r\n")
+    assert replies[0].endswith(b"\r\n\r\n{\"ok\": true}")
+    assert replies[1].startswith(b"HTTP/1.1 403 Forbidden\r\n")
+    assert [(r.decision, r.enforced) for r in records] == \
+        [("Proven", False), ("Refuted", True)]
+
+
+def test_expect_100_continue_gets_the_interim_reply_first(workspace):
+    with StubUpstream() as upstream:
+        with Gateway(make_config(workspace, upstream.url)) as gw:
+            body = json.dumps(tool_call("expect", 10)).encode()
+            reply = _exchange(gw, b"POST /v1/execute HTTP/1.1\r\nHost: x\r\n"
+                              b"Expect: 100-continue\r\nConnection: close\r\n"
+                              b"Content-Length: %d\r\n\r\n%s"
+                              % (len(body), body))
+        assert upstream.bodies == [body]
+    assert reply.startswith(b"HTTP/1.1 100 Continue\r\n\r\n"
+                            b"HTTP/1.1 200 OK\r\nServer: axgate ")
+    assert reply.endswith(b"\r\n\r\n{\"ok\": true}")
+
+
 # Slow and vanishing clients --------------------------------------------------
 
 
@@ -1361,6 +1551,11 @@ _BAD_FRAMING = [
     (b"Transfer-Encoding: gzip, chunked", 501,
      "unsupported-transfer-encoding"),
     (b"Transfer-Encoding: gzip", 400, "bad-framing"),
+    # a field line that is not `name: value` (RFC 9112 §5.1, §5.2): before,
+    # the Content-Length was not seen, and the body was read as a request
+    (b"Content-Length : 5", 400, "bad-framing"),
+    (b"Content-Length\t: 5", 400, "bad-framing"),
+    (b" Content-Length: 5", 400, "bad-framing"),  # an obs-fold of Host
 ]
 
 
@@ -1426,6 +1621,71 @@ def test_an_unread_body_closes_the_connection(workspace):
             gw.pump.drain()
             assert gw.pump.records_written == 0
         assert upstream.bodies == []
+
+
+def test_a_head_that_cannot_frame_a_body_is_400_on_every_path(workspace):
+    """The body declared by `Content-Length : 36` was a second request: it
+    got its own 200 reply after the 400."""
+    config = make_config(workspace, "http://127.0.0.1:9/none")
+    with Gateway(config) as gw:
+        inner = b"GET /v1/policy HTTP/1.1\r\nHost: x\r\n\r\n"
+        for line in (b"POST /v1/verify", b"GET /v1/healthz",
+                     b"POST /v1/nowhere"):
+            reply = _exchange(gw, line + b" HTTP/1.1\r\nHost: x\r\n"
+                              b"Content-Length : %d\r\n\r\n%s"
+                              % (len(inner), inner))
+            assert reply is not None and reply.count(b"HTTP/1.1 ") == 1, line
+            assert reply.startswith(b"HTTP/1.1 400 "), line
+            assert json.loads(reply.split(b"\r\n\r\n", 1)[1]) == \
+                {"error": "bad-framing"}, line
+        records = drained_records(gw)
+    assert [(r.decision, r.note) for r in records] == \
+        [("Refuted", "bad-framing")]
+
+
+# (request head, the first line of the reply, whether the connection stays
+# open): the request-line, head-limit and keep-alive rules of
+# BaseHTTPRequestHandler. A version it cannot read gets an HTTP/0.9 reply,
+# the error page alone.
+_HEADS = [
+    (b"GET /" + b"a" * 65536 + b" HTTP/1.1\r\n\r\n",
+     b"HTTP/1.1 414 Request-URI Too Long", False),
+    (b"BREW /v1/healthz HTTP/1.1\r\n\r\n",
+     b"HTTP/1.1 501 Unsupported method ('BREW')", False),
+    (b"GET /v1/healthz HTTP/2.0\r\n\r\n",
+     b"<p>Error code: 505</p>", False),
+    (b"GET /v1/healthz HTTP/1.x\r\n\r\n",
+     b"<p>Message: Bad request version ('HTTP/1.x').</p>", False),
+    (b"GET /v1/healthz now HTTP/1.1\r\n\r\n",
+     b"HTTP/1.1 400 Bad request syntax ('GET /v1/healthz now HTTP/1.1')",
+     False),
+    (b"GET /v1/healthz HTTP/1.1\r\nX: " + b"a" * 65536 + b"\r\n\r\n",
+     b"HTTP/1.1 431 Line too long", False),
+    (b"GET /v1/healthz HTTP/1.1\r\n" + b"X: a\r\n" * 100 + b"\r\n",
+     b"HTTP/1.1 431 Too many headers", False),
+    (b"GET /v1/healthz HTTP/1.1\r\n" + b"X: a\r\n" * 98
+     + b"Connection: close\r\n\r\n", b"HTTP/1.1 200 OK", False),
+    (b"GET /v1/healthz HTTP/1.1\r\nConnection: close\r\n\r\n",
+     b"HTTP/1.1 200 OK", False),
+    (b"GET /v1/healthz HTTP/1.0\r\n\r\n", b"HTTP/1.1 200 OK", False),
+    (b"GET /v1/healthz HTTP/1.0\r\nConnection: Keep-Alive\r\n\r\n",
+     b"HTTP/1.1 200 OK", True),
+]
+
+
+@pytest.mark.parametrize("head, first_line, stays_open", _HEADS, ids=[
+    "uri-too-long", "unknown-method", "http-2", "bad-version", "four-words",
+    "field-too-long", "100-fields", "99-fields", "close", "http-1.0",
+    "http-1.0-keep-alive"])
+def test_request_lines_and_head_limits_get_the_stdlib_replies(
+        workspace, head, first_line, stays_open):
+    with Gateway(make_config(workspace, "http://127.0.0.1:9/none")) as gw:
+        reply = _exchange(gw, head, wait=1.0)
+        if stays_open:
+            assert reply is None
+            reply = _exchange(gw, head.replace(b"\r\n", b"\r\nConnection: "
+                                               b"close\r\n", 1))
+    assert first_line in reply.partition(b"\r\n")[0]
 
 
 def test_reload_with_bad_framing_is_400_and_publishes_nothing(workspace):
