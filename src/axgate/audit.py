@@ -241,6 +241,9 @@ _decode = json.JSONDecoder().decode
 _REQUIRED = frozenset(("seq", "prev_digest", "ts_ns", "request_id", "tool",
                        "env_version", "decision", "trace_digest", "enforced"))
 _WRITTEN = _REQUIRED | {"refusal_causes", "record_digest"}
+# The fields the writer writes as strings.
+_TEXTS = ("prev_digest", "request_id", "tool", "env_version", "decision",
+          "trace_digest", "record_digest")
 _SCALARS = (int, float, type(None))  # and bool, an int
 
 
@@ -263,18 +266,31 @@ def _checked_record(line: bytes) -> dict | str:
         return CAUSE_PARSE
     if type(doc) is not dict:
         return CAUSE_PARSE
-    # The writer's fields: the ones it always writes, no other key but a
-    # duplicate_of or note that is not null, the causes a list of lists and
-    # the digest a string.
-    causes, digest = doc.get("refusal_causes"), doc.get("record_digest")
-    optional = (doc.get("duplicate_of") is not None) \
-        + (doc.get("note") is not None)
+    # The writer's fields, of the types it writes: the ones it always
+    # writes, no other key but a duplicate_of or note that is not null, seq
+    # and ts_ns ints (not bools), the texts strings, enforced a bool, each
+    # cause [str, str|null, str|null], duplicate_of an int and note a
+    # string.
+    causes = doc.get("refusal_causes")
+    duplicate_of, note = doc.get("duplicate_of"), doc.get("note")
+    optional = (duplicate_of is not None) + (note is not None)
     if not _WRITTEN <= doc.keys() or len(doc) != len(_WRITTEN) + optional \
-            or type(causes) is not list or type(digest) is not str:
+            or type(causes) is not list or type(doc["seq"]) is not int \
+            or type(doc["ts_ns"]) is not int \
+            or type(doc["enforced"]) is not bool \
+            or duplicate_of is not None and type(duplicate_of) is not int \
+            or note is not None and type(note) is not str:
         return _field_cause(doc)
-    for cause in causes:
-        if type(cause) is not list:
+    for key in _TEXTS:
+        if type(doc[key]) is not str:
             return _field_cause(doc)
+    for cause in causes:
+        if type(cause) is not list or len(cause) != 3 \
+                or type(cause[0]) is not str \
+                or cause[1] is not None and type(cause[1]) is not str \
+                or cause[2] is not None and type(cause[2]) is not str:
+            return _field_cause(doc)
+    digest = doc["record_digest"]
     try:
         if canonical_bytes(doc) + b"\n" != line:
             return CAUSE_DIGEST

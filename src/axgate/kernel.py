@@ -111,6 +111,11 @@ class TraceEntry:
     tree: ValNode | None
     missing: tuple[tuple[str, str], ...] = ()
 
+    @property
+    def causes(self) -> tuple[RefusalCause, ...]:
+        return _entry_causes(self.axiom_id, self.effect, self.value,
+                             self.missing)
+
     def to_plain(self) -> dict:
         return {
             "axiom": self.axiom_id,
@@ -282,9 +287,10 @@ _KIND_CHECKS = {"quantity": _is_quantity, "flag": _is_flag, "text": _is_text}
 class _Concept:
     """A concept as the plans that need it hold it, built once per
     environment: its declaration, its kind check on the walk form, the JSON
-    text of its name, and its `"name":"origin"` provenance text."""
+    text of its name, its `"name":"origin"` provenance text, and for a
+    derived one the definition as _bind walks it, folded."""
 
-    __slots__ = ("symbol", "decl", "check", "name", "provenance")
+    __slots__ = ("symbol", "decl", "check", "name", "provenance", "derived")
 
     def __init__(self, decl) -> None:
         self.symbol = decl.symbol
@@ -292,6 +298,12 @@ class _Concept:
         self.check = _kind_check(decl)
         self.name = json_string(decl.symbol)
         self.provenance = self.name + ":" + json_string(decl.origin)
+        self.derived = decl.derived
+        if decl.origin == "derived":
+            try:
+                self.derived = _fold(decl.derived)[0]
+            except (KeyError, _EvalFault):
+                pass  # walked as written: it faults or binds nothing
 
 
 _ABSENT = object()
@@ -336,7 +348,7 @@ def _bind(request: ActionRequest, state: SystemState, plan: Plan):
     for concept in plan.derived:  # dependency order
         try:
             # only the value: the hole texts are dropped
-            value = _walk(concept.decl.derived, bound, [])
+            value = _walk(concept.derived, bound, [])
             if not concept.check(value):  # only a hand-built definition
                 detail = DETAIL_KIND
             else:
@@ -355,9 +367,10 @@ def _bind(request: ActionRequest, state: SystemState, plan: Plan):
 #
 # One walk per condition gives each node's exact value. The text of a
 # valuation tree is fixed by its condition except for the values of its
-# `sym` and operator nodes, so each axiom has a template with one %s hole
-# per such node, in post-order (_Step). The walk appends each hole's
-# value text to `holes`, and the tree text is the template filled with them.
+# `sym` nodes and of the operator nodes the policy alone does not fix, so
+# each axiom has a template with one %s hole per such node, in post-order
+# (_Step, _fold). The walk appends each hole's value text to `holes`, and
+# the tree text is the template filled with them.
 #
 # Node texts have their keys in canonical (sorted) order: kids, op, ref,
 # value. Boolean connectives do not short-circuit: the trace carries the
@@ -483,6 +496,11 @@ def _walk_unresolved(expr: Expr, bound, holes):
     raise _EvalFault(f"unevaluable node {expr!r}")
 
 
+def _walk_held(value, bound, holes):
+    """A walk value the plan holds in place of a node (see _fold)."""
+    return value
+
+
 _WALK = {
     Lit: _walk_lit,
     Sym: _walk_sym,
@@ -494,7 +512,24 @@ _WALK = {
     StrLit: _walk_literal,
     Atom: _walk_atom,
     Name: _walk_unresolved,
+    tuple: _walk_held,
+    bool: _walk_held,
+    str: _walk_held,
 }
+
+# Folding ---------------------------------------------------------------------
+#
+# What the policy alone fixes is evaluated once, when the plans are built
+# (_fold): each literal and atom is held as its walk value, and so is each
+# operator node whose operands are all held, walked once. The walk returns a
+# held value as it is and appends no hole for it: its text, value included,
+# is already in the template. A constant node whose walk faults (a zero
+# divisor in a hand-built environment, a value too large to write) stays a
+# node, so its axiom is an evaluation failure on every call, as unfolded.
+# The materialised trace walks the condition as written, so the trace tests
+# check the folded walk against an unfolded one.
+
+_HELD = (tuple, bool, str)
 
 
 def _literal(text: str) -> str:
@@ -502,22 +537,42 @@ def _literal(text: str) -> str:
     return text.replace("%", "%%")
 
 
-def _template(expr: Expr) -> str:
-    """The canonical text of `expr`'s valuation tree, with a %s hole for
-    the value text of each `sym` and operator node, in post-order. KeyError
-    for an unresolved name."""
-    kids = children(expr)
-    if kids:
-        return '{"kids":[%s],"op":"%s","value":%%s}' % (
-            ",".join([_template(kid) for kid in kids]), op_name(expr))
-    if type(expr) is Sym:
-        return '{"op":"%s","ref":%s,"value":%%s}' % (
-            op_name(expr), _literal(json_string(expr.symbol)))
-    if type(expr) is Atom:
+def _fold(expr: Expr):
+    """`expr` with what the policy alone fixes held as walk values, and the
+    canonical text of its valuation tree as a template: a %s hole for the
+    value text of each `sym` node and each operator node left to the walk,
+    in post-order. One pass, bottom-up; a node none of whose kids changed is
+    `expr` itself. KeyError for an unresolved name or an unknown node; the
+    _EvalFault of a literal that cannot be written."""
+    name = op_name(expr)  # KeyError: a Name, or no node of the DSL
+    t = type(expr)
+    if t is Sym:
+        return expr, '{"op":"sym","ref":%s,"value":%%s}' % _literal(
+            json_string(expr.symbol))
+    if t is Atom:
         text = _literal(json_string(expr.atom))
-        return '{"op":"%s","ref":%s,"value":%s}' % (op_name(expr), text, text)
-    return '{"op":"%s","value":%s}' % (op_name(expr),
-                                       _literal(_text(_pair(expr.value))))
+        return expr.atom, '{"op":"atom","ref":%s,"value":%s}' % (text, text)
+    kids = children(expr)
+    if not kids:  # lit, bool or str
+        value = _pair(expr.value)
+        text = '{"op":"%s","value":%s}' % (name, _literal(_text(value)))
+        if t is Lit and type(expr.value) is not Fraction:
+            return expr, text  # hand-built: walked as it is
+        return value, text
+    folded, texts = zip(*[_fold(kid) for kid in kids])
+    head = '{"kids":[%s],"op":"%s","value":' % (",".join(texts), name)
+    # one kid or two: the first and the last
+    if type(folded[0]) in _HELD and type(folded[-1]) in _HELD:
+        node = t(expr.op, *folded)
+        holes: list[str] = []
+        try:
+            value = _WALK[t](node, None, holes)
+        except _EvalFault:
+            return node, head + "%s}"
+        return value, head + _literal(holes[0]) + "}"
+    if folded[0] is not kids[0] or folded[-1] is not kids[-1]:
+        expr = t(expr.op, *folded)
+    return expr, head + "%s}"
 
 
 def _tree(expr: Expr, bound) -> ValNode:
@@ -547,34 +602,44 @@ def eval_condition(
 # Decision --------------------------------------------------------------------
 
 
+def _entry_causes(axiom_id: str, effect: str, value: bool | None,
+                 missing: tuple[tuple[str, str], ...]
+                 ) -> tuple[RefusalCause, ...]:
+    """The causes one trace entry gives: for an unevaluated axiom, one per
+    symbol that did not bind and one for an evaluation failure; one for a
+    forbid that fired; none otherwise."""
+    if value is None:
+        return tuple([
+            RefusalCause(REASON_EVALUATION, axiom_id, symbol or None)
+            if detail == DETAIL_EVAL
+            else RefusalCause(REASON_BINDING, axiom_id, symbol)
+            for symbol, detail in missing])
+    if value and effect == "forbid":
+        return (RefusalCause(REASON_FORBID, axiom_id),)
+    return ()
+
+
 def decide(trace) -> tuple[str, tuple[RefusalCause, ...]]:
     """Deny-overrides, permit-required combination of a complete trace.
 
-    `trace` is a ProofTrace, or anything whose entries carry axiom_id,
-    effect, value and missing. Order of axioms never matters: any satisfied
-    forbid refutes, any unevaluated axiom refutes, and otherwise at least
-    one satisfied permit is required. An empty trace is therefore refuted.
+    `trace` is a ProofTrace, or anything whose entries carry effect, value
+    and causes (`_entry_causes` of the entry). Order of axioms never matters:
+    any satisfied forbid refutes, any unevaluated axiom refutes, and
+    otherwise at least one satisfied permit is required. An empty trace is
+    therefore refuted.
     """
     causes: list[RefusalCause] = []
     permit_satisfied = False
     any_unevaluated = False
 
     for entry in trace.entries:
+        causes += entry.causes  # a fired forbid's, an unevaluated axiom's
         if entry.value is None:
             any_unevaluated = True
-            for symbol, detail in entry.missing:
-                if detail == DETAIL_EVAL:
-                    causes.append(RefusalCause(REASON_EVALUATION, entry.axiom_id,
-                                               symbol or None))
-                else:
-                    causes.append(RefusalCause(REASON_BINDING, entry.axiom_id, symbol))
-            continue
-        if entry.effect == "forbid" and entry.value:
-            causes.append(RefusalCause(REASON_FORBID, entry.axiom_id))
         elif entry.effect == "permit" and entry.value:
             permit_satisfied = True
 
-    if causes or any_unevaluated:  # a fired forbid, or an unevaluated axiom
+    if causes or any_unevaluated:
         return REFUTED, tuple(causes)
     if permit_satisfied:
         return PROVEN, ()
@@ -582,6 +647,8 @@ def decide(trace) -> tuple[str, tuple[RefusalCause, ...]]:
 
 
 _NO_PERMIT = (RefusalCause(REASON_NO_PERMIT),)
+_EVAL_MISSING = (("", DETAIL_EVAL),)
+_EVAL_MISSING_TEXT = '[["",%s]]' % json_string(DETAIL_EVAL)
 
 
 # Plans -----------------------------------------------------------------------
@@ -593,12 +660,16 @@ _NO_PERMIT = (RefusalCause(REASON_NO_PERMIT),)
 
 class _Step:
     """One axiom, as every plan it is in holds it: the symbols its condition
-    needs (derived ones and all their inputs), and its entry's head and its
-    template: the text of the evaluated entry with the tree's holes, then one
-    for the entry's value. The template is empty for a condition with an
-    unresolved name, whose walk always faults."""
+    needs (derived ones and all their inputs), its condition folded (see
+    _fold), its entry's head and its template: the text of the evaluated
+    entry with the tree's holes, then one for the entry's value; and what
+    it gives decide(): its causes when it holds (a forbid's one) and its
+    cause when its walk faults. A condition with an unresolved name, or
+    that is no tree of the DSL, is held as a name, whose walk always
+    faults, and its template is empty."""
 
-    __slots__ = ("axiom", "symbols", "head", "template")
+    __slots__ = ("axiom", "symbols", "condition", "head", "template",
+                 "fired", "faulted")
 
     def __init__(self, axiom, registry) -> None:
         symbols: set[str] = set()
@@ -617,10 +688,17 @@ class _Step:
         self.head = '{"axiom":%s,"effect":%s,"missing":' % (
             json_string(axiom.id), json_string(axiom.effect))
         try:
+            self.condition, tree = _fold(axiom.condition)
             self.template = '%s[],"tree":%s,"value":%%s}' % (
-                _literal(self.head), _template(axiom.condition))
+                _literal(self.head), tree)
         except KeyError:
-            self.template = ""
+            self.condition, self.template = _UNRESOLVED, ""
+        self.fired = _entry_causes(axiom.id, axiom.effect, True, ())
+        (self.faulted,) = _entry_causes(axiom.id, axiom.effect, None,
+                                        _EVAL_MISSING)
+
+
+_UNRESOLVED = Name("")  # the condition of a step with no template
 
 
 class Plan:
@@ -685,18 +763,16 @@ def plan_for(env: PolicyEnvironment, tool: str) -> Plan:
 class _Outcome:
     """One axiom's result, as decide() reads a trace entry."""
 
-    __slots__ = ("axiom_id", "effect", "value", "missing")
+    __slots__ = ("axiom_id", "effect", "value", "missing", "causes")
 
     def __init__(self, axiom_id: str, effect: str, value: bool | None,
-                 missing: tuple[tuple[str, str], ...]) -> None:
+                 missing: tuple[tuple[str, str], ...],
+                 causes: tuple[RefusalCause, ...]) -> None:
         self.axiom_id = axiom_id
         self.effect = effect
         self.value = value
         self.missing = missing
-
-
-_EVAL_MISSING = (("", DETAIL_EVAL),)
-_EVAL_MISSING_TEXT = '[["",%s]]' % json_string(DETAIL_EVAL)
+        self.causes = causes
 
 
 class _Walk:
@@ -763,14 +839,15 @@ def verify(
         blocked = failures and step.symbols & failures.keys()
         if blocked:
             blocked = sorted(blocked)
+            missing = tuple([(s, failures[s][1]) for s in blocked])
             outcomes.append(_Outcome(
-                axiom.id, axiom.effect, None,
-                tuple([(s, failures[s][1]) for s in blocked])))
+                axiom.id, axiom.effect, None, missing,
+                _entry_causes(axiom.id, axiom.effect, None, missing)))
             texts.append('%s[%s],"tree":null,"value":null}' % (
                 step.head,
                 ",".join(['[%s,"%s"]' % failures[s] for s in blocked])))
             continue
-        condition = axiom.condition
+        condition = step.condition
         holes: list[str] = []
         try:
             value = _WALK[type(condition)](condition, bound, holes)
@@ -778,11 +855,12 @@ def verify(
                 raise _EvalFault("the condition is not a flag")
         except (_EvalFault, KeyError):  # KeyError: a symbol with no binding
             outcomes.append(_Outcome(axiom.id, axiom.effect, None,
-                                     _EVAL_MISSING))
+                                     _EVAL_MISSING, (step.faulted,)))
             texts.append(step.head + _EVAL_MISSING_TEXT
                          + ',"tree":null,"value":null}')
             continue
-        outcomes.append(_Outcome(axiom.id, axiom.effect, value, ()))
+        outcomes.append(_Outcome(axiom.id, axiom.effect, value, (),
+                                 step.fired if value else ()))
         holes.append("true" if value else "false")
         texts.append(step.template % tuple(holes))
 

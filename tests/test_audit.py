@@ -591,12 +591,11 @@ def _crafted_lines(line):
     shapes = [{k: v for k, v in doc.items() if k != key} for key in doc]
     shapes += [{**doc, "duplicate_of": None}, {**doc, "note": None},
                {**doc, "x": 1}, {**doc, "red": 1},  # "red" sorts in the run
-               {**doc, "seq": 1.0}, {**doc, "seq": True},
                {**doc, "duplicate_of": {"refusal_causes": 1}},
                {**doc, "record_digest": 5}]
     shapes += [{**doc, "refusal_causes": causes} for causes in (
         "ab", 5, [5], [{"a": 1}], None, {}, "", [""], [["a"], 5],
-        [["a"], "bc"], [[1, None]])]
+        [["a"], "bc"])]
     crafted = [canonical_bytes(shape) + b"\n" for shape in shapes]
     crafted += [_sealed(shape) for shape in shapes]
     at = line.index(b'"record_digest":"') + len(b'"record_digest":"')
@@ -605,6 +604,26 @@ def _crafted_lines(line):
                 line[:-1], line[:-1] + b" \n", line[:-1] + b"\r\n",
                 b" " + line, line + line]
     return crafted
+
+
+def _wrong_type_shapes(line):
+    """Documents built from one good line with one field of a type the
+    writer never writes; every other field is the writer's."""
+    doc = json.loads(line)
+    cause = ["forbid-fired", "ax", None]
+    shapes = [{**doc, "seq": 1.0}, {**doc, "seq": True}, {**doc, "seq": "1"},
+              {**doc, "ts_ns": False}, {**doc, "ts_ns": 1.5},
+              {**doc, "enforced": 1}, {**doc, "enforced": None},
+              {**doc, "duplicate_of": True}, {**doc, "duplicate_of": "3"},
+              {**doc, "note": 5}, {**doc, "note": ["n"]}]
+    shapes += [{**doc, key: value} for key in (
+        "prev_digest", "request_id", "tool", "env_version", "decision",
+        "trace_digest") for value in (5, None, True, ["x"])]
+    shapes += [{**doc, "refusal_causes": [c]} for c in (
+        [1, None], ["a"], ["a", "b"], cause + [None], [None, "ax", None],
+        ["forbid-fired", 5, None], ["forbid-fired", "ax", True],
+        ["forbid-fired", ["ax"], None])]
+    return shapes
 
 
 def _damaged_lines(line):
@@ -646,6 +665,17 @@ def test_reader_gives_the_reference_readers_causes(tmp_path):
         outcomes[_outcome(checked)] += 1
     assert set(outcomes) == {"ok", "parse-error", "digest-mismatch"}
 
+    # Fields of a type the writer never writes. The reference read each
+    # such line it could hash as a record (sealed, it reads "ok"); now each
+    # one is a digest-mismatch, sealed or not, as any line the writer
+    # cannot have written.
+    for line in chosen:
+        for shape in _wrong_type_shapes(line):
+            sealed = _sealed(shape)
+            assert _outcome(_reference_checked_record(sealed)) == "ok", shape
+            for wrong in (canonical_bytes(shape) + b"\n", sealed):
+                assert _checked_record(wrong) == "digest-mismatch", shape
+
     # Lines the reference reads otherwise: it raised on a lone surrogate
     # and on deep nesting, and decoded a UTF-8 BOM and UTF-16 as JSON.
     good = golden[46]
@@ -667,6 +697,31 @@ def test_reader_gives_the_reference_readers_causes(tmp_path):
             with pytest.raises(before):
                 _reference_checked_record(line)
         assert _checked_record(line) == after
+
+
+def test_a_resealed_line_of_types_the_writer_never_writes_breaks_the_chain(
+        tmp_path, capsys):
+    """The second of two records rewritten with `"seq":true` and `"tool":5`
+    and its digest recomputed. Before, `audit verify` printed "ok: 2
+    records, chain intact" (true == 1 passed the seq check) and
+    iter_records yielded seq=True, tool=5, a record the writer cannot
+    write."""
+    from axgate.cli import main
+
+    log = tmp_path / "audit.log"
+    _append_n(log, 2)
+    first, second = log.read_bytes().splitlines(keepends=True)
+    log.write_bytes(first + _sealed({**json.loads(second), "seq": True,
+                                     "tool": 5}))
+    report = verify_chain(str(log))
+    assert (report.ok, report.bad_index, report.cause) == \
+        (False, 1, "digest-mismatch")
+    with pytest.raises(ValueError,
+                       match="line 2 fails verification: digest-mismatch"):
+        list(iter_records(str(log)))
+    assert main(["audit", "verify", str(log)]) == 1
+    assert capsys.readouterr().out.strip() == \
+        "bad record at index 1: digest-mismatch"
 
 
 @pytest.mark.parametrize("spelling, cause", [

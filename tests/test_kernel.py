@@ -534,18 +534,29 @@ concept rate : quantity from request "Rate"
 concept größe : quantity from state "Größe \u2028 \\"quoted\\""
 concept share : money "USD" from derived = amount / 3 "Share"
 concept scaled : quantity from derived = rate * 2 "Scaled"
+concept third : quantity from derived = rate * (1 / 3) - -2 "Third"
 axiom note_check forbid * when note == "a\\"b\\\\c\\nd \u2028 é"
 axiom side_check permit execute_trade when side == café or side == buy
 axiom share_cap forbid execute_trade when share > amount * 0.5
 axiom negative permit execute_trade when -rate < größe - 1.5
 axiom scaled_cap forbid execute_trade when scaled / 3 > 100
 axiom anywhere permit * when not (rate == 0) and note != "x"
+axiom ratio_cap forbid execute_trade when rate * (681098 / 567713) > third
+axiom fixed permit * when (1 / 3 < 0.5 and true) and -rate < -(1.5)
+axiom percent forbid * when "50%" == "50%s" or note == "100% off" or 2 > 3
+axiom never forbid other_tool when 681098 / 567713 > 1.2 and side != café
 """
 
 
+# 10**2200 has 2,201 digits, within the 4,300 Python writes; its square
+# has 4,401, past them.
+_BIG = "1" + "0" * 2200
+
+
 def _zero_division_env():
-    """A condition and a derived definition dividing by zero: the compiler
-    refuses `/ 0`, so the environment is assembled by hand."""
+    """Conditions and derived definitions dividing by zero, and a constant
+    too large to write: the compiler refuses `/ 0`, so the environment is
+    assembled by hand."""
     import dataclasses
 
     from axgate.compiler import Axiom, PolicyEnvironment
@@ -555,14 +566,21 @@ def _zero_division_env():
     env = compile_source(
         'concept rate : quantity from request "Rate"\n'
         'concept half : quantity from derived = rate / 2 "Half"\n'
+        'concept fixed : quantity from derived = rate / 3 "Fixed"\n'
         "axiom ok permit t when rate > 0\n"
+        f"axiom too_big forbid t when rate > {_BIG} * {_BIG} - rate\n"
     ).environment
     by_zero = Binary("/", Sym("rate"), Lit(Fraction(0)))
+    one_by_zero = Binary("/", Lit(Fraction(1)), Lit(Fraction(0)))
     decls = {d.symbol: d for d in env.registry}
     decls["half"] = dataclasses.replace(decls["half"], derived=by_zero)
+    decls["fixed"] = dataclasses.replace(decls["fixed"], derived=one_by_zero)
     axioms = env.axioms + (
         Axiom("div_zero", "forbid", "t", Compare(">", by_zero, Lit(Fraction(1)))),
         Axiom("uses_half", "forbid", "t", Compare(">", Sym("half"), Lit(Fraction(1)))),
+        Axiom("const_zero", "forbid", "t",
+              Compare("<", Sym("rate"), Binary("*", Lit(Fraction(2)), one_by_zero))),
+        Axiom("uses_fixed", "permit", "t", Compare("!=", Sym("fixed"), Sym("rate"))),
     )
     return PolicyEnvironment(ConceptRegistry(decls), axioms)
 
@@ -611,6 +629,49 @@ def test_trace_bytes_equal_the_materialised_trace_on_a_hand_made_corpus():
     result = verify(ActionRequest("u", "unknown", {"rate": Fraction(1)}),
                     SystemState(None), _zero_division_env())
     assert result.trace.entries == ()
+
+
+def test_constants_that_fault_refuse_on_every_call():
+    """A constant the plans cannot fold, a hand-built `1 / 0` or a product
+    too large to write, is walked on every call and faults each time: its
+    axiom, or the derived symbol it defines, is an evaluation failure."""
+    env = _zero_division_env()
+    for _ in range(3):
+        for rate in (Fraction(5), Fraction(-1, 3), Fraction(0)):
+            result = verify(ActionRequest("z", "t", {"rate": rate}),
+                            SystemState(None), env)
+            assert result.decision == "Refuted"
+            causes = _causes(result)
+            for axiom in ("div_zero", "too_big", "const_zero"):
+                assert ("evaluation-failure", axiom, None) in causes, axiom
+            assert ("evaluation-failure", "uses_fixed", "fixed") in causes
+            _assert_trace_bytes_identical(result)
+
+
+def test_constant_subtrees_are_walked_once_per_environment(monkeypatch):
+    """`x > 1 / 3 * y` holds `1 / 3` as its value once the plans are built:
+    a call walks the product, one binary node, not the division too, and
+    writes the trace the unfolded walk writes."""
+    from axgate import kernel
+    from axgate.syntax import Binary
+
+    env = compile_source(
+        'concept x : quantity from request "X"\n'
+        'concept y : quantity from request "Y"\n'
+        "axiom third permit t when x > 1 / 3 * y\n").environment
+    request = ActionRequest("f", "t", {"x": Fraction(1), "y": Fraction(2)})
+    assert verify(request, SystemState({}), env).proven  # builds the plans
+    walked = []
+    walk_binary = kernel._WALK[Binary]
+
+    def counted(expr, bound, holes):
+        walked.append(expr.op)
+        return walk_binary(expr, bound, holes)
+
+    monkeypatch.setitem(kernel._WALK, Binary, counted)
+    result = verify(request, SystemState({}), env)
+    assert result.proven and walked == ["*"]
+    _assert_trace_bytes_identical(result)
 
 
 def test_trace_bytes_equal_the_materialised_trace_on_random_instances():
