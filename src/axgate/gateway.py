@@ -18,22 +18,27 @@ a LIFO of idle keep-alive connections to the upstream.
 
 from __future__ import annotations
 
+import html
 import http.client
 import json
 import logging
 import math
 import os
-import re
+import select
 import socket
+import socketserver
 import sys
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass
+from email.utils import formatdate
 from http import HTTPStatus
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import DEFAULT_ERROR_CONTENT_TYPE, DEFAULT_ERROR_MESSAGE
 from typing import Mapping
 from urllib.parse import urlsplit
 
+from . import http1
 from .audit import AuditEvent, AuditPump
 from .canonical import ZERO_DIGEST, encodable
 from .compiler import PolicyEnvironment, compile_file
@@ -46,9 +51,10 @@ logger = logging.getLogger("axgate.gateway")
 
 MODES = ("shadow", "enforce")
 
-# Seconds a client socket may sit idle in one read or write (request line,
-# headers, body, reply) before the gateway gives up on it. Without it, a
-# client that declares a Content-Length and stalls holds a thread forever.
+# Seconds a connection may wait for a request's first byte, and a reply
+# write may take. From that byte to the request's last body byte, the same
+# span is one deadline: a client that stalls or trickles cannot hold a
+# thread for longer.
 _CLIENT_TIMEOUT_SECS = 30.0
 
 # How often the accept loop checks for stop(), which waits out one poll.
@@ -183,150 +189,101 @@ def load_state_file(path: str, env: PolicyEnvironment) -> SystemState:
 # HTTP plumbing ------------------------------------------------------------------
 
 
-# http.client's limits, which BaseHTTPRequestHandler applies to request
-# heads too: bytes per line, and lines per head with the empty one ending it.
-_MAX_LINE = 65536
-_MAX_HEAD_LINES = 100
-
-# A field name as http.client's parser reads one: printable ASCII but the
-# space (a colon ends the name).
-_FIELD_NAME = re.compile(r"[!-~]+")
+_REASONS = {status.value: status.phrase for status in HTTPStatus}
+_SERVER = "axgate Python/" + sys.version.split()[0]
 
 
-class _Fields:
-    """The field lines of one HTTP head: each lower-cased name with its
-    values in order, spaces and tabs trimmed. A line that is not `name:
-    value` is dropped and sets `malformed`: one without a colon, with
-    whitespace in or before the name (an obs-fold line starts with SP or
-    HTAB), or with a bare CR. Such a head cannot be trusted to frame a
-    body (RFC 9112 §2.2, §5.1, §5.2)."""
-
-    __slots__ = ("_values", "malformed")
-
-    def __init__(self) -> None:
-        self._values: dict[str, list[str]] = {}
-        self.malformed = False
-
-    def get(self, name: str, default: str | None = None) -> str | None:
-        values = self._values.get(name.lower())
-        return values[0] if values else default
-
-    def get_all(self, name: str) -> list[str] | None:
-        return self._values.get(name.lower())
-
-    def __contains__(self, name: str) -> bool:
-        return name.lower() in self._values
-
-
-def _read_fields(rfile) -> _Fields:
-    """The field lines of a head, read through the empty line that ends it
-    (or the end of the stream, as http.client reads it). Past http.client's
-    limits, raises its LineTooLong or HTTPException."""
-    fields = _Fields()
-    values = fields._values
-    for _ in range(_MAX_HEAD_LINES):
-        line = rfile.readline(_MAX_LINE + 1)
-        if len(line) > _MAX_LINE:
-            raise http.client.LineTooLong("header line")
-        if line in (b"\r\n", b"\n", b""):
-            return fields
-        name, colon, value = line.decode("latin-1").partition(":")
-        value = value.strip(" \t\r\n")
-        if colon and _FIELD_NAME.fullmatch(name) and "\r" not in value:
-            values.setdefault(name.lower(), []).append(value)
-        else:
-            fields.malformed = True
-    raise http.client.HTTPException(
-        f"got more than {_MAX_HEAD_LINES} headers")
-
-
-class _Handler(BaseHTTPRequestHandler):
-    server_version = "axgate"
-    protocol_version = "HTTP/1.1"
-    # TCP_NODELAY on each accepted socket. A reply goes out in one write,
-    # but a 100 Continue or a send_error reply takes more than one; with
-    # Nagle on, a write after an unacknowledged one waits for the client's
-    # delayed ACK (about 40 ms on Linux).
-    disable_nagle_algorithm = True
+class _Handler(socketserver.BaseRequestHandler):
+    """One client connection: receive, feed the request reader, act on its
+    events, send. Each reply keeps the bytes `http.server` wrote."""
 
     def setup(self) -> None:
-        self.timeout = _CLIENT_TIMEOUT_SECS
-        super().setup()
+        # A 100 Continue and the reply after it are two writes; with Nagle
+        # on, the second would wait for the client's delayed ACK (~40 ms).
+        self.request.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, True)
+        self.gateway: Gateway = self.server.gateway  # type: ignore
+        self.reader = http1.RequestReader(self.gateway.config.max_body_bytes)
+        self.events: deque = deque()
+        self.close_connection = False
 
-    @property
-    def gateway(self) -> "Gateway":
-        return self.server.gateway  # type: ignore[attr-defined]
-
-    def log_message(self, fmt, *args):  # route through logging, not stderr
-        logger.debug("%s " + fmt, self.client_address[0], *args)
-
-    def parse_request(self) -> bool:
-        """BaseHTTPRequestHandler.parse_request: the same request-line,
-        keep-alive and Expect rules and error replies, but the fields are
-        read by _read_fields, not by http.client.parse_headers, which
-        builds an email.message.Message for every request."""
-        self.command = None
-        self.request_version = version = self.default_request_version
-        self.close_connection = True
-        self.requestline = requestline = \
-            str(self.raw_requestline, "iso-8859-1").rstrip("\r\n")
-        words = requestline.split()
-        if not words:
-            return False
-        if len(words) >= 3:
-            version = words[-1]
-            try:
-                if not version.startswith("HTTP/"):
-                    raise ValueError
-                numbers = version[5:].split(".")
-                if len(numbers) != 2 or not all(
-                        n.isdigit() and len(n) <= 10 for n in numbers):
-                    raise ValueError
-                number = int(numbers[0]), int(numbers[1])
-            except ValueError:
-                self.send_error(HTTPStatus.BAD_REQUEST,
-                                "Bad request version (%r)" % version)
-                return False
-            if number >= (1, 1):
-                self.close_connection = False
-            if number >= (2, 0):
-                self.send_error(HTTPStatus.HTTP_VERSION_NOT_SUPPORTED,
-                                "Invalid HTTP version (%s)" % version[5:])
-                return False
-            self.request_version = version
-        if not 2 <= len(words) <= 3:
-            self.send_error(HTTPStatus.BAD_REQUEST,
-                            "Bad request syntax (%r)" % requestline)
-            return False
-        self.command, self.path = words[:2]
-        if len(words) == 2:
-            self.close_connection = True
-            if self.command != "GET":
-                self.send_error(HTTPStatus.BAD_REQUEST,
-                                "Bad HTTP/0.9 request type (%r)"
-                                % self.command)
-                return False
-        if self.path.startswith("//"):  # not an absolute URI (gh-87389)
-            self.path = "/" + self.path.lstrip("/")
+    def handle(self) -> None:
         try:
-            self.headers = _read_fields(self.rfile)
-        except http.client.LineTooLong as err:
-            self.send_error(HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE,
-                            "Line too long", str(err))
-            return False
-        except http.client.HTTPException as err:
-            self.send_error(HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE,
-                            "Too many headers", str(err))
-            return False
-        connection = self.headers.get("Connection", "").lower()
-        if connection == "close":
-            self.close_connection = True
-        elif connection == "keep-alive":
-            self.close_connection = False
-        if self.headers.get("Expect", "").lower() == "100-continue" \
-                and self.request_version >= "HTTP/1.1":
-            return self.handle_expect_100()
-        return True
+            while not self.close_connection:
+                self.deadline = None
+                head = self._next_event()
+                if not isinstance(head, http1.Head):  # the end, or a bad head
+                    if head is not None and head.status:
+                        self._send_page(head.status, head.error,
+                                        head.explain, head.bare)
+                    return
+                self._serve(head)
+        except (ConnectionResetError, BrokenPipeError, TimeoutError) as exc:
+            # A client that resets, hangs up or stalls is routine.
+            logger.info("client %s dropped: %r", self.client_address[0], exc)
+        except Exception:
+            logger.exception("error serving client %s", self.client_address[0])
+
+    def _serve(self, head: http1.Head) -> None:
+        self.head, self.close_connection = head, head.close
+        if head.expect_continue:
+            self.request.sendall(http1.write_head("HTTP/1.1 100 Continue", ()))
+        route = head.method, head.target
+        if route in (("POST", "/v1/execute"), ("POST", "/v1/verify")):
+            self.gateway.handle_tool_call(
+                self, forward=head.target == "/v1/execute")
+        elif route == ("POST", "/v1/policy/reload"):
+            self._handle_reload()
+        elif head.method not in ("GET", "POST"):
+            self._send_page(501, "Unsupported method (%r)" % head.method,
+                            with_page=head.method != "HEAD")
+        else:
+            # No body is read here: a declared one must not be parsed as the
+            # next request, and one that cannot be framed is a 400.
+            self.close_connection |= head.declares_body
+            if head.malformed:
+                self._send_json(400, {"error": "bad-framing"})
+            elif route == ("GET", "/v1/healthz"):
+                doc = self.gateway.health_doc()
+                self._send_json(200 if doc["status"] == "ok" else 503, doc)
+            elif route == ("GET", "/v1/policy"):
+                self._send_json(200, self.gateway.policy_doc())
+            else:
+                self._send_json(404, {"error": "not-found"})
+
+    def _next_event(self):
+        """The reader's next event; None when the stream ends first. Before
+        a request's first byte one read waits up to _CLIENT_TIMEOUT_SECS;
+        from that byte to its last body byte, the same span is a deadline
+        for the whole request. Past either, raises TimeoutError."""
+        while not self.events:
+            if self.deadline is None and self.reader.buffer:
+                self.deadline = time.monotonic() + _CLIENT_TIMEOUT_SECS
+            timeout = _CLIENT_TIMEOUT_SECS if self.deadline is None \
+                else self.deadline - time.monotonic()
+            if timeout <= 0:
+                raise TimeoutError("request deadline passed")
+            self.request.settimeout(timeout)
+            data = self.request.recv(65536)
+            if self.deadline is None:
+                self.deadline = time.monotonic() + _CLIENT_TIMEOUT_SECS
+            self.events.extend(self.reader.feed(data))
+            if not data:
+                break
+        return self.events.popleft() if self.events else None
+
+    def read_body(self) -> bytes | http1.Refusal:
+        """The request body, or its Refusal. After one that closes, the 408
+        of a request past its deadline among them, the bytes left on the
+        connection must never be read as a request."""
+        if not self.head.declares_body:
+            return b""
+        try:
+            event = self._next_event()
+        except TimeoutError:
+            event = http1.Refusal(408, "read-timeout", True)
+        if isinstance(event, http1.Refusal):
+            self.close_connection |= event.close
+        return event
 
     def _send_json(self, status: int, doc: dict) -> None:
         self._send_raw(status, json.dumps(doc).encode("utf-8"),
@@ -334,23 +291,37 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _send_raw(self, status: int, body: bytes, content_type: str,
                   headers: dict[str, str]) -> None:
-        """The reply in one write: the bytes send_response, send_header
-        and end_headers would write, then the body."""
-        self.log_request(status)
-        if self.request_version != "HTTP/0.9":
-            reason = self.responses[status][0] \
-                if status in self.responses else ""
-            lines = ["%s %d %s\r\nServer: %s\r\nDate: %s\r\n"
-                     "Content-Type: %s\r\nContent-Length: %d\r\n"
-                     % (self.protocol_version, status, reason,
-                        self.version_string(), self.date_time_string(),
-                        content_type or "application/octet-stream",
-                        len(body))]
-            lines.extend("%s: %s\r\n" % item for item in headers.items())
-            lines.append("\r\n")
-            body = "".join(lines).encode("latin-1") + body
+        """The reply in one write: `Server`, `Date`, `Content-Type`,
+        `Content-Length`, then `headers`, then the body."""
+        self._send(status, _REASONS.get(status, ""), body, [
+            ("Content-Type", content_type or "application/octet-stream"),
+            ("Content-Length", str(len(body))), *headers.items()],
+            self.head.version == "HTTP/0.9")
+
+    def _send_page(self, status: int, message: str, explain: str | None = None,
+                   bare: bool = False, with_page: bool = True) -> None:
+        """The error page `http.server`'s send_error writes; the connection
+        closes after it."""
+        self.close_connection = True
+        page = (DEFAULT_ERROR_MESSAGE % {
+            "code": status, "message": html.escape(message, quote=False),
+            "explain": html.escape(explain or HTTPStatus(status).description,
+                                   quote=False)}).encode("utf-8", "replace")
+        self._send(status, message, page if with_page else b"", [
+            ("Connection", "close"), ("Content-Type", DEFAULT_ERROR_CONTENT_TYPE),
+            ("Content-Length", str(len(page)))], bare)
+
+    def _send(self, status: int, reason: str, body: bytes, fields: list,
+              bare: bool) -> None:
+        """`body` behind a head of `Server`, `Date` and `fields`, in one
+        write; the reply to an HTTP/0.9 request (`bare`) is the body alone."""
+        if not bare:
+            body = http1.write_head("HTTP/1.1 %d %s" % (status, reason), [
+                ("Server", _SERVER), ("Date", formatdate(usegmt=True)),
+                *fields]) + body
+        self.request.settimeout(_CLIENT_TIMEOUT_SECS)
         try:
-            self.wfile.write(body)
+            self.request.sendall(body)
         except OSError:
             # The client reset or closed the connection. The request was
             # already decided and audited; a lost reply is not a new decision.
@@ -358,155 +329,37 @@ class _Handler(BaseHTTPRequestHandler):
             logger.info("client %s went away before the %d response",
                         self.client_address[0], status)
 
-    def _skip_body(self) -> bool:
-        """For a request whose body nothing reads. A head that cannot frame
-        a body is answered 400 here, and True returned. Otherwise a
-        declared body stays on the connection, which is marked to close:
-        it must not be parsed as the next request."""
-        if self.headers.malformed:
-            self.close_connection = True
-            self._send_json(400, {"error": "bad-framing"})
-            return True
-        if "Content-Length" in self.headers \
-                or "Transfer-Encoding" in self.headers:
-            self.close_connection = True
-        return False
-
-    def do_GET(self) -> None:
-        if self._skip_body():
-            return
-        if self.path == "/v1/healthz":
-            doc = self.gateway.health_doc()
-            self._send_json(200 if doc["status"] == "ok" else 503, doc)
-        elif self.path == "/v1/policy":
-            self._send_json(200, self.gateway.policy_doc())
-        else:
-            self._send_json(404, {"error": "not-found"})
-
-    def do_POST(self) -> None:
-        if self.path == "/v1/execute":
-            self.gateway.handle_tool_call(self, forward=True)
-        elif self.path == "/v1/verify":
-            self.gateway.handle_tool_call(self, forward=False)
-        elif self.path == "/v1/policy/reload":
-            self._handle_reload()
-        elif not self._skip_body():
-            self._send_json(404, {"error": "not-found"})
-
     def _handle_reload(self) -> None:
         """Reload the configured policy file; the body must be empty. The
         published snapshot changes only on a 200."""
-        try:
-            raw = _read_body(self, self.gateway.config.max_body_bytes)
-        except _UnreadableBody as exc:
-            self._send_json(exc.status, {"error": exc.error})
-            return
-        if raw:
+        raw = self.read_body()
+        if isinstance(raw, http1.Refusal):
+            self._send_json(raw.status, {"error": raw.error})
+        elif raw:
             self._send_json(400, {"error": "malformed-body"})
-            return
-        try:
-            outcome = self.gateway.reload_policy()
-        except OSError as exc:
-            self._send_json(422, {"error": "policy-unreadable",
-                                  "diagnostics": [f"cannot read: {exc}"]})
-            return
-        if isinstance(outcome, str):
-            self._send_json(200, {"env_version": outcome})
         else:
-            self._send_json(
-                422, {"diagnostics": [d.render() for d in outcome]}
-            )
+            try:
+                outcome = self.gateway.reload_policy()
+            except OSError as exc:
+                self._send_json(422, {"error": "policy-unreadable",
+                                      "diagnostics": [f"cannot read: {exc}"]})
+                return
+            if isinstance(outcome, str):
+                self._send_json(200, {"env_version": outcome})
+            else:
+                self._send_json(
+                    422, {"diagnostics": [d.render() for d in outcome]})
 
 
-class _UnreadableBody(Exception):
-    """There is no body to act on: it is too large, it cannot be read, or
-    where it ends cannot be trusted. The reply is `status` with `error`."""
-
-    def __init__(self, status: int, error: str) -> None:
-        super().__init__(error)
-        self.status = status
-        self.error = error
-
-
-def _content_length(headers: _Fields) -> int:
-    """The declared body length, 0 when none is declared.
-
-    One framing rule (RFC 9112 §6.3): the head must be well formed, every
-    Content-Length value must be ASCII digits and all of them equal, and
-    any Transfer-Encoding is refused, since it would decide the framing and
-    no coding is read here.
-    """
-    if headers.malformed:
-        raise _UnreadableBody(400, "bad-framing")
-    codings = headers.get_all("Transfer-Encoding")
-    if codings:
-        if any("chunked" in coding.lower() for coding in codings):
-            raise _UnreadableBody(501, "unsupported-transfer-encoding")
-        raise _UnreadableBody(400, "bad-framing")
-    try:
-        return max(_declared_length(headers), 0)
-    except ValueError:
-        raise _UnreadableBody(400, "bad-framing") from None
-
-
-def _declared_length(fields: _Fields) -> int:
-    """The Content-Length of a head, -1 when it declares none. Raises
-    ValueError unless every value is ASCII digits and all are equal."""
-    values = {value.strip(" \t")
-              for field in fields.get_all("Content-Length") or ()
-              for value in field.split(",")}
-    if not values:
-        return -1
-    if not all(value.isascii() and value.isdigit() for value in values):
-        raise ValueError("Content-Length is not a number")
-    lengths = {int(value) for value in values}  # ValueError past int's limit
-    if len(lengths) != 1:
-        raise ValueError("Content-Length values differ")
-    return lengths.pop()
-
-
-def _read_body(handler: _Handler, limit: int) -> bytes:
-    """The request body; otherwise raises _UnreadableBody. A body over the
-    limit is read and dropped, so the connection can carry the 413. After bad framing or
-    a stalled body the connection is marked to close: the bytes still on it
-    must never be parsed as a request."""
-    try:
-        n = _content_length(handler.headers)
-        if n <= limit:
-            return handler.rfile.read(n) if n else b""
-        while n > 0:
-            chunk = handler.rfile.read(min(65536, n))
-            if not chunk:
-                break
-            n -= len(chunk)
-    except _UnreadableBody:
-        handler.close_connection = True
-        raise
-    except TimeoutError:
-        handler.close_connection = True
-        raise _UnreadableBody(408, "read-timeout") from None
-    raise _UnreadableBody(413, "oversize-body")
-
-
-class _Server(ThreadingHTTPServer):
-    daemon_threads = False  # shutdown drains in-flight handler threads
-    block_on_close = True
+class _Server(socketserver.ThreadingTCPServer):
+    # Handler threads are not daemons and are joined at close, so shutdown
+    # drains the requests in flight.
+    allow_reuse_address = True
     request_queue_size = 128  # default backlog of 5 drops bursts of connects
 
     def __init__(self, address, gateway: "Gateway"):
         super().__init__(address, _Handler)
         self.gateway = gateway
-
-    def handle_error(self, request, client_address) -> None:
-        # Called with the exception that escaped the handler, typically from
-        # reading the request line or headers. A client that resets, hangs
-        # up or stalls there is routine; anything else is a fault.
-        exc = sys.exc_info()[1]
-        if isinstance(exc, (ConnectionResetError, BrokenPipeError,
-                            TimeoutError)):
-            logger.info("client %s dropped: %r", client_address[0], exc)
-        else:
-            logger.exception("error serving client %s", client_address[0])
 
 
 # The gateway -------------------------------------------------------------------
@@ -543,7 +396,7 @@ class Gateway:
             raise
         # Idle keep-alive connections to the upstream, most recently used
         # last. It never holds more than the peak of concurrent forwards.
-        self._upstream_idle: list[_UpstreamConnection] = []
+        self._upstream_idle: list[http.client.HTTPConnection] = []
         self._upstream_lock = threading.Lock()
         self._inflight = threading.BoundedSemaphore(config.max_in_flight)
         self.requests_received = 0
@@ -700,10 +553,9 @@ class Gateway:
             ))
             handler._send_json(status, {"error": error})
 
-        try:
-            raw = _read_body(handler, self.config.max_body_bytes)
-        except _UnreadableBody as exc:
-            refuse(exc.status, exc.error, exc.error)
+        raw = handler.read_body()
+        if isinstance(raw, http1.Refusal):
+            refuse(raw.status, raw.error, raw.error)
             return
 
         parsed = _parse_tool_call(raw)
@@ -729,7 +581,8 @@ class Gateway:
             # enforce mode blocks a Refuted call without contacting the
             # upstream; otherwise it forwards the original body bytes.
             enforced = enforce and forward and result.decision == REFUTED
-            upstream = self._forward(raw, handler.headers.get("Content-Type")) \
+            upstream = self._forward(
+                raw, http1.first(handler.head.fields, "content-type")) \
                 if forward and not enforced else None
             unreachable = forward and not enforced and upstream is None
             if upstream is None:
@@ -777,13 +630,13 @@ class Gateway:
         finally:
             self._inflight.release()
 
-    def _forward(self, body: bytes, content_type: str | None):
+    def _forward(self, body: bytes, content_type: str):
         """(status, body, content type) of the upstream's reply to `body`,
         or None when there is no reply to relay."""
         if self._upstream is None:
             return None
-        host, port, head = self._upstream
-        conn = self._idle_upstream() or _UpstreamConnection(
+        host, port, start, host_field = self._upstream
+        conn = self._idle_upstream() or http.client.HTTPConnection(
             host, port, timeout=self.config.upstream_timeout_secs)
         try:
             if conn.sock is None:
@@ -792,26 +645,31 @@ class Gateway:
             # exchange. A Nagle-on upstream holds its reply body until the
             # headers are ACKed; a delayed ACK would cost about 40 ms.
             _quickack(conn.sock)
-            conn.sock.sendall(b"%s%s\r\nContent-Length: %d\r\n\r\n%s" % (
-                head, (content_type or "application/json").encode("latin-1"),
-                len(body), body))
+            conn.sock.sendall(http1.write_head(start, (
+                ("Host", host_field), ("Accept-Encoding", "identity"),
+                ("Content-Type", content_type or "application/json"),
+                ("Content-Length", str(len(body))))) + body)
             _quickack(conn.sock)
-            status, data, reply_type, keep = _read_reply(conn.reader)
-        except (OSError, ValueError, http.client.HTTPException):
+            reader, replies = http1.ReplyReader(), []
+            while not replies:
+                replies = reader.feed(conn.sock.recv(65536))
+        except (OSError, ValueError):
             # Unreachable, reset, or an answer that is not HTTP or not
             # framed: there is no upstream reply to relay. The body may have
             # gone out and /v1/execute is not idempotent, so it is never
             # sent again.
             conn.close()
             return None
-        if _QUICKACK is None or not keep:
+        reply = replies[0]
+        # Bytes after the reply answer no request of ours.
+        if _QUICKACK is None or not reply.keep or reader.buffer:
             conn.close()
         else:
             with self._upstream_lock:
                 self._upstream_idle.append(conn)
-        return status, data, reply_type
+        return reply.status, reply.body, reply.content_type
 
-    def _idle_upstream(self) -> _UpstreamConnection | None:
+    def _idle_upstream(self) -> http.client.HTTPConnection | None:
         """The most recently used idle upstream connection that the peer
         has not closed, or None."""
         while True:
@@ -827,11 +685,10 @@ class Gateway:
 # The upstream hop ---------------------------------------------------------------
 
 
-def _upstream_target(url: str) -> tuple[str, int, bytes] | None:
-    """(host, port, the request head up to the Content-Type value) of an
-    http:// upstream URL, the head as http.client writes it; None when the
-    URL names no upstream http.client could send to: every forward is then
-    a 502."""
+def _upstream_target(url: str) -> tuple[str, int, str, str] | None:
+    """(host, port, request line, Host field) of an http:// upstream URL,
+    as http.client writes them; None when the URL names no upstream
+    http.client could send to: every forward is then a 502."""
     parts = urlsplit(url)
     host = parts.hostname
     path = parts.path or "/"
@@ -843,105 +700,16 @@ def _upstream_target(url: str) -> tuple[str, int, bytes] | None:
         return None
     try:
         port = parts.port or 80
-        target = path.encode("ascii")
-        try:
-            host_bytes = host.encode("ascii")
-        except UnicodeEncodeError:
-            host_bytes = host.encode("idna")
+        path.encode("ascii")
+        host_field = host if host.isascii() else \
+            host.encode("idna").decode("ascii")
     except ValueError:  # no port number, or a name that does not encode
         return None
-    if b":" in host_bytes:  # an IPv6 address
-        host_bytes = b"[%s]" % host_bytes
+    if ":" in host_field:  # an IPv6 address
+        host_field = "[%s]" % host_field
     if port != 80:
-        host_bytes += b":%d" % port
-    return host, port, (b"POST %s HTTP/1.1\r\nHost: %s\r\n"
-                        b"Accept-Encoding: identity\r\nContent-Type: "
-                        % (target, host_bytes))
-
-
-class _UpstreamConnection(http.client.HTTPConnection):
-    """A keep-alive connection to the upstream. http.client opens it; each
-    request goes out in one sendall, and the replies are read through
-    `reader`, which lives and closes with the socket."""
-
-    reader = None
-
-    def connect(self) -> None:
-        super().connect()
-        self.reader = self.sock.makefile("rb")
-
-    def close(self) -> None:
-        reader, self.reader = self.reader, None
-        if reader is not None:
-            reader.close()
-        super().close()
-
-
-def _read_reply(reader) -> tuple[int, bytes, str, bool]:
-    """One upstream reply: (status, body, content type, whether the
-    connection can carry another request). Interim 1xx replies are
-    skipped; 204 and 304 have no body; otherwise the body is read by its
-    Content-Length, de-chunked, or read to the close. Raises
-    http.client.HTTPException or ValueError for a reply that cannot be
-    relayed."""
-    while True:
-        line = reader.readline(_MAX_LINE + 1)
-        words = line.split(None, 2)
-        try:
-            version, status = words[0], int(words[1])
-        except (IndexError, ValueError):
-            raise http.client.BadStatusLine(repr(line)) from None
-        if len(line) > _MAX_LINE or not version.startswith(b"HTTP/") \
-                or not 100 <= status <= 999 or status == 101:
-            raise http.client.BadStatusLine(repr(line))
-        fields = _read_fields(reader)
-        if fields.malformed:  # a 502, as RFC 9112 §5.2 allows for obs-fold
-            raise http.client.HTTPException("malformed reply head")
-        if status >= 200:
-            break
-    connection = fields.get("Connection", "").lower()
-    if version in (b"HTTP/1.0", b"HTTP/0.9"):
-        keep = "keep-alive" in connection or "Keep-Alive" in fields
-    elif version.startswith(b"HTTP/1."):
-        keep = "close" not in connection
-    else:
-        raise http.client.UnknownProtocol(repr(version))
-    codings = fields.get_all("Transfer-Encoding")
-    if status in (204, 304):
-        body = b""
-    elif codings:
-        if len(codings) != 1 or codings[0].lower() != "chunked":
-            raise http.client.HTTPException(f"transfer coding {codings}")
-        body = _read_chunked(reader)
-    else:
-        length = _declared_length(fields)
-        if length < 0:
-            body, keep = reader.read(), False
-        else:
-            body = reader.read(length)
-            if len(body) < length:
-                raise http.client.IncompleteRead(body, length - len(body))
-    return status, body, fields.get("Content-Type", ""), keep
-
-
-def _read_chunked(reader) -> bytes:
-    """A chunked body without its framing; the trailer fields are read and
-    dropped."""
-    chunks = []
-    while True:
-        line = reader.readline(_MAX_LINE + 1)
-        if len(line) > _MAX_LINE:
-            raise http.client.LineTooLong("chunk size")
-        size = int(line.split(b";", 1)[0], 16)
-        if size < 0:
-            raise ValueError(f"chunk size {size}")
-        if size == 0:
-            _read_fields(reader)
-            return b"".join(chunks)
-        chunk = reader.read(size + 2)
-        if len(chunk) < size + 2 or chunk[-2:] != b"\r\n":
-            raise http.client.IncompleteRead(chunk, size + 2 - len(chunk))
-        chunks.append(chunk[:-2])
+        host_field += ":%d" % port
+    return host, port, "POST %s HTTP/1.1" % path, host_field
 
 
 def _quickack(sock: socket.socket) -> None:
@@ -949,22 +717,12 @@ def _quickack(sock: socket.socket) -> None:
         sock.setsockopt(socket.IPPROTO_TCP, _QUICKACK, 1)
 
 
-def _still_idle(conn: _UpstreamConnection) -> bool:
+def _still_idle(conn: http.client.HTTPConnection) -> bool:
     """True when nothing is waiting to be read: no FIN, no reset and no
-    unsolicited bytes from the peer, on the socket or in the reader."""
-    sock = conn.sock
-    timeout = sock.gettimeout()
-    sock.settimeout(0)  # with a timeout set, recv would wait for data first
-    try:
-        sock.recv(1, socket.MSG_PEEK)
-    except BlockingIOError:
-        # The socket is empty, so the peek returns only buffered bytes.
-        return not conn.reader.peek(1)
-    except OSError:
-        return False
-    finally:
-        sock.settimeout(timeout)
-    return False
+    unsolicited bytes from the peer."""
+    poller = select.poll()
+    poller.register(conn.sock, select.POLLIN)
+    return not poller.poll(0)
 
 
 def _parse_tool_call(raw: bytes):

@@ -1764,3 +1764,115 @@ def test_values_too_large_to_write_are_refused_not_500(tmp_path, caplog,
             "Decision refused: the policy check could not be completed.")
         assert "Order volume <Order volume (shares): unavailable> exceeds" \
             in doc["notice"]["lines"][1]
+
+
+# Strict upstream framing -------------------------------------------------------
+
+
+@pytest.mark.parametrize("reply", [
+    _CHUNKED.replace(b"5\r\nhello", b"+5\r\nhello"),
+    _CHUNKED.replace(b"5\r\nhello", b"0x5\r\nhello"),
+    _CHUNKED.replace(b"5\r\nhello", b" 5 \r\nhello"),
+    UPSTREAM_OK.replace(b"200", b"2_00"),
+    UPSTREAM_OK.replace(b"200", b"+200"),
+    UPSTREAM_OK.replace(b"200", b"0200"),
+], ids=["chunk-size-+5", "chunk-size-0x5", "chunk-size-spaces", "status-2_00",
+        "status-+200", "status-0200"])
+def test_upstream_numbers_that_are_not_strict_digits_are_502_once(
+        workspace, reply):
+    """`int()` read these chunk sizes and status codes, so each reply was
+    relayed as a 200."""
+    def answer(conn, n):
+        conn.sendall(reply)
+        return True
+
+    with _RawUpstream(answer) as upstream:
+        with Gateway(make_config(workspace, upstream.url)) as gw:
+            status, _, data = post(gw, "/v1/execute", tool_call("strict", 10))
+            records = drained_records(gw)
+        assert len(upstream.bodies) == 1
+    assert (status, json.loads(data)["error"]) == (502, "upstream-unreachable")
+    assert [(r.decision, r.note) for r in records] == \
+        [("Proven", "upstream-unreachable")]
+
+
+@pytest.mark.parametrize("reply", [
+    _CHUNKED.replace(b"chunked\r\n", b"chunked\r\nContent-Length: 5\r\n"),
+    _CHUNKED.replace(b"HTTP/1.1", b"HTTP/1.0").replace(
+        b"chunked\r\n", b"chunked\r\nConnection: keep-alive\r\n"),
+], ids=["transfer-encoding-and-content-length", "http-1.0-chunked"])
+def test_suspect_upstream_framing_retires_the_connection(workspace, reply):
+    """RFC 9112 §6.1 and §6.3: such a reply is relayed, and its connection
+    is closed after it; both were kept for the next forward."""
+    def answer(conn, n):
+        conn.sendall(reply)
+        return True
+
+    with _RawUpstream(answer) as upstream:
+        with Gateway(make_config(workspace, upstream.url)) as gw:
+            replies = [post(gw, "/v1/execute", tool_call(f"te-{i}", 10))
+                       for i in range(3)]
+        assert upstream.accepted == 3
+    assert [(status, data) for status, _, data in replies] == \
+        [(200, b"hello, world")] * 3
+
+
+# One deadline per request ---------------------------------------------------------
+
+
+def test_a_trickled_body_gets_408_at_the_request_deadline(workspace,
+                                                          monkeypatch):
+    """One byte every 0.3 s kept each read under the 0.5 s timeout, so the
+    request was answered 200 after about 20 s. The deadline bounds the
+    whole request: 408, one record, and a close."""
+    import select
+    import socket
+    import time
+
+    import axgate.gateway as gateway_module
+    from axgate.canonical import ZERO_DIGEST
+
+    monkeypatch.setattr(gateway_module, "_CLIENT_TIMEOUT_SECS", 0.5)
+    body = json.dumps(tool_call("t", 1)).encode()
+    with Gateway(make_config(workspace, "http://127.0.0.1:9/none")) as gw:
+        with socket.create_connection(gw.address, timeout=10) as sock:
+            start = time.monotonic()
+            sock.sendall(b"POST /v1/verify HTTP/1.1\r\nHost: x\r\n"
+                         b"Content-Length: %d\r\n\r\n" % len(body))
+            for byte in body:
+                if select.select([sock], [], [], 0.3)[0] \
+                        or time.monotonic() - start > 3:
+                    break
+                sock.sendall(bytes([byte]))
+            answered = time.monotonic() - start
+            reply = b""
+            while chunk := sock.recv(65536):
+                reply += chunk
+        records = drained_records(gw)
+    assert len(body) == 69
+    assert reply.startswith(b"HTTP/1.1 408 ")
+    assert answered < 2.0, answered
+    assert [(r.decision, r.trace_digest, r.note) for r in records] == \
+        [("Refuted", ZERO_DIGEST, "read-timeout")]
+
+
+def test_a_body_cut_short_by_the_client_is_400_with_one_record(workspace):
+    """The client half-closes one byte short of its Content-Length. The
+    short body was decided as if whole; it is now refused."""
+    import socket
+
+    body = json.dumps(tool_call("cut", 10)).encode()
+    with Gateway(make_config(workspace, "http://127.0.0.1:9/none")) as gw:
+        with socket.create_connection(gw.address, timeout=10) as sock:
+            sock.sendall(b"POST /v1/verify HTTP/1.1\r\nHost: x\r\n"
+                         b"Content-Length: %d\r\n\r\n%s" % (len(body) + 1, body))
+            sock.shutdown(socket.SHUT_WR)
+            reply = b""
+            while chunk := sock.recv(65536):
+                reply += chunk
+        records = drained_records(gw)
+    assert reply.startswith(b"HTTP/1.1 400 ")
+    assert json.loads(reply.split(b"\r\n\r\n", 1)[1]) == \
+        {"error": "incomplete-body"}
+    assert [(r.request_id, r.decision, r.note) for r in records] == \
+        [("", "Refuted", "incomplete-body")]
