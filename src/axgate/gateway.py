@@ -281,6 +281,8 @@ class _Handler(socketserver.BaseRequestHandler):
             event = self._next_event()
         except TimeoutError:
             event = http1.Refusal(408, "read-timeout", True)
+        except OSError:  # a reset inside the body, as a close there
+            event = http1.Refusal(400, "incomplete-body", True)
         if isinstance(event, http1.Refusal):
             self.close_connection |= event.close
         return event

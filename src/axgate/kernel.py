@@ -160,35 +160,58 @@ class RefusalCause:
 class VerificationResult:
     """The decision on one action, its causes, and its canonical trace.
 
-    `trace` is given as a ProofTrace, or by verify() as the walk it made;
-    then the ProofTrace, valuation trees included, is built on first read
-    by walking the condition ASTs again under the same bound values.
+    It keeps the walk verify() made: the environment version, the tool, the
+    plan, the walk values bound, and for each of the plan's steps its value,
+    or its `missing` tuple when it was not evaluated. `trace`, valuation
+    trees included, and `bindings` are built on first read, the trees by
+    walking the condition ASTs again under the same bound values.
     """
 
-    __slots__ = ("decision", "_trace", "trace_digest", "refusal_causes",
-                 "trace_bytes")
+    __slots__ = ("decision", "refusal_causes", "trace_bytes", "trace_digest",
+                 "_env_version", "_tool", "_plan", "_bound", "_values",
+                 "_trace", "_bindings")
 
-    def __init__(self, decision: str, trace, trace_digest: str,
-                 refusal_causes: tuple[RefusalCause, ...],
-                 trace_bytes: bytes) -> None:
+    def __init__(self, decision: str, refusal_causes: tuple[RefusalCause, ...],
+                 trace_bytes: bytes, env_version: str, tool: str, plan: Plan,
+                 bound: dict[str, tuple], values: list) -> None:
         self.decision = decision
-        self._trace = trace
-        self.trace_digest = trace_digest
         self.refusal_causes = refusal_causes
-        # the trace.canonical() bytes that trace_digest hashes
-        self.trace_bytes = trace_bytes
+        self.trace_bytes = trace_bytes  # the trace.canonical() bytes
+        self.trace_digest = sha256_hex(trace_bytes)
+        self._env_version = env_version
+        self._tool = tool
+        self._plan = plan
+        self._bound = bound
+        self._values = values
+        self._trace = None
+        self._bindings = None
 
     @property
     def trace(self) -> ProofTrace:
         trace = self._trace
-        if type(trace) is _Walk:
-            trace = self._trace = trace.materialise()
+        if trace is None:
+            bound = self._bound
+            entries = tuple(
+                TraceEntry(step.axiom.id, step.axiom.effect, None, None, value)
+                if type(value) is tuple
+                else TraceEntry(step.axiom.id, step.axiom.effect, value,
+                                _tree(step.axiom.condition, bound))
+                for step, value in zip(self._plan.steps, self._values))
+            trace = self._trace = ProofTrace(
+                self._env_version, self._tool, entries, self.bindings,
+                {c.symbol: c.decl.origin for c in self._plan.trailer
+                 if c.symbol in bound})
         return trace
 
     @property
     def bindings(self) -> Mapping[str, object]:
-        """The closed bindings, without materialising the trace."""
-        return self._trace.bindings
+        """The closed bindings as Fractions and Money, without building the
+        trace."""
+        bindings = self._bindings
+        if bindings is None:
+            bindings = self._bindings = {
+                symbol: _obj(value) for symbol, (value, _) in self._bound.items()}
+        return bindings
 
     @property
     def proven(self) -> bool:
@@ -622,11 +645,10 @@ def _entry_causes(axiom_id: str, effect: str, value: bool | None,
 def decide(trace) -> tuple[str, tuple[RefusalCause, ...]]:
     """Deny-overrides, permit-required combination of a complete trace.
 
-    `trace` is a ProofTrace, or anything whose entries carry effect, value
-    and causes (`_entry_causes` of the entry). Order of axioms never matters:
-    any satisfied forbid refutes, any unevaluated axiom refutes, and
-    otherwise at least one satisfied permit is required. An empty trace is
-    therefore refuted.
+    Order of axioms never matters: any satisfied forbid refutes, any
+    unevaluated axiom refutes, and otherwise at least one satisfied permit
+    is required. An empty trace is therefore refuted. verify() applies this
+    rule in its walk; this is the reference the tests hold it to.
     """
     causes: list[RefusalCause] = []
     permit_satisfied = False
@@ -647,6 +669,7 @@ def decide(trace) -> tuple[str, tuple[RefusalCause, ...]]:
 
 
 _NO_PERMIT = (RefusalCause(REASON_NO_PERMIT),)
+_UNNAMED_TOOL = RefusalCause(REASON_EVALUATION)
 _EVAL_MISSING = (("", DETAIL_EVAL),)
 _EVAL_MISSING_TEXT = '[["",%s]]' % json_string(DETAIL_EVAL)
 
@@ -662,11 +685,11 @@ class _Step:
     """One axiom, as every plan it is in holds it: the symbols its condition
     needs (derived ones and all their inputs), its condition folded (see
     _fold), its entry's head and its template: the text of the evaluated
-    entry with the tree's holes, then one for the entry's value; and what
-    it gives decide(): its causes when it holds (a forbid's one) and its
-    cause when its walk faults. A condition with an unresolved name, or
-    that is no tree of the DSL, is held as a name, whose walk always
-    faults, and its template is empty."""
+    entry with the tree's holes, then one for the entry's value; and the
+    causes it gives when it holds (a forbid's one) and when its walk
+    faults. A condition with an unresolved name, or that is no tree of the
+    DSL, is held as a name, whose walk always faults, and its template is
+    empty."""
 
     __slots__ = ("axiom", "symbols", "condition", "head", "template",
                  "fired", "faulted")
@@ -760,77 +783,28 @@ def plan_for(env: PolicyEnvironment, tool: str) -> Plan:
 # Verification ----------------------------------------------------------------
 
 
-class _Outcome:
-    """One axiom's result, as decide() reads a trace entry."""
-
-    __slots__ = ("axiom_id", "effect", "value", "missing", "causes")
-
-    def __init__(self, axiom_id: str, effect: str, value: bool | None,
-                 missing: tuple[tuple[str, str], ...],
-                 causes: tuple[RefusalCause, ...]) -> None:
-        self.axiom_id = axiom_id
-        self.effect = effect
-        self.value = value
-        self.missing = missing
-        self.causes = causes
-
-
-class _Walk:
-    """What verify() recorded: enough to decide, and to build the ProofTrace
-    (valuation trees included) only when someone reads it."""
-
-    __slots__ = ("env_version", "tool", "entries", "plan", "bound",
-                 "_bindings")
-
-    def __init__(self, env_version, tool, entries, plan, bound) -> None:
-        self.env_version = env_version
-        self.tool = tool
-        self.entries = entries
-        self.plan = plan  # its steps give one entry each
-        self.bound = bound  # the walk values the conditions were walked under
-        self._bindings = None
-
-    @property
-    def bindings(self) -> dict[str, object]:
-        """The bound values as Fractions and Money, built on first read."""
-        bindings = self._bindings
-        if bindings is None:
-            bindings = self._bindings = {
-                symbol: _obj(value) for symbol, (value, _) in self.bound.items()}
-        return bindings
-
-    @property
-    def provenance(self) -> dict[str, str]:
-        """Each bound symbol's origin, built when read."""
-        bound = self.bound
-        return {c.symbol: c.decl.origin for c in self.plan.trailer
-                if c.symbol in bound}
-
-    def materialise(self) -> ProofTrace:
-        entries = tuple(
-            TraceEntry(o.axiom_id, o.effect, o.value,
-                       None if o.value is None
-                       else _tree(step.axiom.condition, self.bound),
-                       o.missing)
-            for step, o in zip(self.plan.steps, self.entries))
-        return ProofTrace(self.env_version, self.tool, entries,
-                          self.bindings, self.provenance)
-
-
 def verify(
     request: ActionRequest, state: SystemState, env: PolicyEnvironment
 ) -> VerificationResult:
     """Formulate, evaluate, and decide one action. Never raises: every
     failure mode collapses to a Refuted result with explicit causes.
 
-    The trace bytes are written while the conditions are evaluated; they
-    equal `result.trace.canonical()`."""
-    if type(request.tool) is not str or not encodable(request.tool):
-        return _unnamed_tool(env)
-    plan = plan_for(env, request.tool)
+    The decision is made in the walk that writes the trace bytes, by
+    decide()'s rule: a blocked or faulted step gives its causes, a forbid
+    that holds its one, and with no cause a permit that holds proves. The
+    bytes equal `result.trace.canonical()`."""
+    tool = request.tool
+    if type(tool) is str and encodable(tool):
+        plan = plan_for(env, tool)
+        causes: list[RefusalCause] = []
+    else:
+        # names no tool a trace can record, so no axiom is evaluated for it:
+        # an empty trace records the tool as "" and the call is refused
+        tool, plan, causes = "", Plan((), env, {}), [_UNNAMED_TOOL]
     bound, failures = _bind(request, state, plan)
 
-    outcomes: list[_Outcome] = []
+    permitted = False
+    values: list = []  # each step's value, or its missing tuple
     texts: list[str] = []
     for step in plan.steps:
         axiom = step.axiom
@@ -840,9 +814,8 @@ def verify(
         if blocked:
             blocked = sorted(blocked)
             missing = tuple([(s, failures[s][1]) for s in blocked])
-            outcomes.append(_Outcome(
-                axiom.id, axiom.effect, None, missing,
-                _entry_causes(axiom.id, axiom.effect, None, missing)))
+            causes += _entry_causes(axiom.id, axiom.effect, None, missing)
+            values.append(missing)
             texts.append('%s[%s],"tree":null,"value":null}' % (
                 step.head,
                 ",".join(['[%s,"%s"]' % failures[s] for s in blocked])))
@@ -854,18 +827,24 @@ def verify(
             if type(value) is not bool:
                 raise _EvalFault("the condition is not a flag")
         except (_EvalFault, KeyError):  # KeyError: a symbol with no binding
-            outcomes.append(_Outcome(axiom.id, axiom.effect, None,
-                                     _EVAL_MISSING, (step.faulted,)))
+            causes.append(step.faulted)
+            values.append(_EVAL_MISSING)
             texts.append(step.head + _EVAL_MISSING_TEXT
                          + ',"tree":null,"value":null}')
             continue
-        outcomes.append(_Outcome(axiom.id, axiom.effect, value, (),
-                                 step.fired if value else ()))
+        if value:
+            causes += step.fired  # a forbid's one cause, none for a permit
+            permitted = permitted or axiom.effect == "permit"
+        values.append(value)
         holes.append("true" if value else "false")
         texts.append(step.template % tuple(holes))
 
-    walk = _Walk(env.version_digest, request.tool, outcomes, plan, bound)
-    decision, causes = decide(walk)
+    if causes:
+        decision, causes = REFUTED, tuple(causes)
+    elif permitted:
+        decision, causes = PROVEN, ()
+    else:
+        decision, causes = REFUTED, _NO_PERMIT
     bindings_text = []
     provenance_text = []
     for concept in plan.trailer:  # sorted by symbol; the bound ones
@@ -880,18 +859,7 @@ def verify(
             ",".join(texts),
             json_string(env.version_digest),
             ",".join(provenance_text),
-            json_string(request.tool),
+            json_string(tool),
         )).encode("utf-8")
-    return VerificationResult(decision, walk, sha256_hex(trace_bytes), causes,
-                              trace_bytes)
-
-
-def _unnamed_tool(env: PolicyEnvironment) -> VerificationResult:
-    """A call whose tool is not a string, or not valid Unicode, names no
-    tool that a trace can record, so no axiom can be
-    evaluated for it: it is refused with an evaluation failure, under an
-    empty trace that records the tool as ""."""
-    trace = ProofTrace(env.version_digest, "", (), {}, {})
-    trace_bytes = trace.canonical()
-    return VerificationResult(REFUTED, trace, sha256_hex(trace_bytes),
-                              (RefusalCause(REASON_EVALUATION),), trace_bytes)
+    return VerificationResult(decision, causes, trace_bytes,
+                              env.version_digest, tool, plan, bound, values)

@@ -55,9 +55,10 @@ from .syntax import (
 # (a leaf is 0), so no later pass over a tree can blow the stack.
 MAX_EXPR_DEPTH = 200
 
-# A literal's reduced numerator and denominator must each be below this:
-# at most 4,300 digits, the most Python converts between int and str.
-_LITERAL_LIMIT = 10 ** 4300
+# A literal's reduced numerator and denominator must each be below this, and
+# so must those of each constant the typechecker folds: at most 4,300 digits,
+# the most Python converts between int and str.
+LITERAL_LIMIT = 10 ** 4300
 
 
 @dataclass(frozen=True, slots=True)
@@ -324,7 +325,7 @@ def _literal(tok: Token) -> Fraction:
     """The exact value of a NUMBER token. Decimal reads any number of
     digits, where int() and Fraction() stop at 4,300."""
     numerator, denominator = Decimal(tok.text).as_integer_ratio()
-    if numerator >= _LITERAL_LIMIT or denominator >= _LITERAL_LIMIT:
+    if numerator >= LITERAL_LIMIT or denominator >= LITERAL_LIMIT:
         raise _ParseError(tok.span, "number literal has more than 4300 digits "
                           "in its reduced numerator or denominator")
     return Fraction(numerator, denominator)

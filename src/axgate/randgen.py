@@ -57,20 +57,21 @@ class Instance:
     state: SystemState
 
 
+# The most concepts, derived ones included, and axioms a policy declares.
+MAX_SYMBOLS = 12
+MAX_AXIOMS = 8
+
+
 class PolicyGenerator:
     def __init__(
         self,
         rng: random.Random,
         *,
-        max_symbols: int = 12,
-        max_axioms: int = 8,
         drop_prob: float = 0.12,
         mutate_prob: float = 0.08,
         alien_tool_prob: float = 0.08,
     ) -> None:
         self.rng = rng
-        self.max_symbols = max_symbols
-        self.max_axioms = max_axioms
         self.drop_prob = drop_prob
         self.mutate_prob = mutate_prob
         self.alien_tool_prob = alien_tool_prob
@@ -79,7 +80,7 @@ class PolicyGenerator:
 
     def _gen_concepts(self) -> list[ConceptDecl]:
         rng = self.rng
-        count = rng.randint(2, max(2, self.max_symbols - 2))
+        count = rng.randint(2, MAX_SYMBOLS - 2)
         concepts: list[ConceptDecl] = []
         for i in range(count):
             roll = rng.random()
@@ -107,7 +108,7 @@ class PolicyGenerator:
     def _gen_derived(self, concepts: list[ConceptDecl]) -> None:
         """Append up to two derived concepts over those already declared."""
         rng = self.rng
-        budget = self.max_symbols - len(concepts)
+        budget = MAX_SYMBOLS - len(concepts)
         for i in range(rng.randint(0, min(2, max(0, budget)))):
             symbol = f"drv{i}"
             moneys = self._by_kind(concepts, "money")
@@ -248,7 +249,7 @@ class PolicyGenerator:
         self._gen_derived(concepts)
         items: list = list(concepts)
 
-        n_axioms = rng.randint(0, self.max_axioms)
+        n_axioms = rng.randint(0, MAX_AXIOMS)
         for i in range(n_axioms):
             condition = self._condition(concepts)
             if condition is None:

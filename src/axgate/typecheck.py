@@ -22,6 +22,7 @@ from .diagnostics import (
     Diagnostic,
     E_CURRENCY_MISMATCH,
     E_DIVISION_BY_ZERO,
+    E_SYNTAX,
     E_TYPE_MISMATCH,
     E_UNIT_MISMATCH,
     E_UNREGISTERED_SYMBOL,
@@ -29,6 +30,7 @@ from .diagnostics import (
     error,
     has_errors,
 )
+from .parser import LITERAL_LIMIT
 from .registry import ConceptRegistry
 from .syntax import (
     Atom,
@@ -91,6 +93,18 @@ class TypecheckResult:
 class _TypeError(Exception):
     def __init__(self, code: str, span: Span, message: str) -> None:
         self.diagnostic = error(code, span, message)
+
+
+def _constant(value: Fraction, expr: Binary) -> Fraction:
+    """`value`, the constant `expr` folds to, if its reduced numerator and
+    denominator are within a literal's bound, as the kernel must write them.
+    Checked at each operator node, the arithmetic stops at the first one
+    past it; a negation keeps its operand's bound."""
+    if abs(value.numerator) >= LITERAL_LIMIT or value.denominator >= LITERAL_LIMIT:
+        raise _TypeError(E_SYNTAX, expr.span,
+                         "constant has more than 4300 digits in its reduced "
+                         "numerator or denominator")
+    return value
 
 
 def _concept_type(decl) -> Ty:
@@ -172,13 +186,13 @@ class _Checker:
         if expr.op in ("+", "-"):
             if lc is not None and rc is not None:
                 value = lc + rc if expr.op == "+" else lc - rc
-                return CONST, out, value
+                return CONST, out, _constant(value, expr)
             ty = self._additive_type(lt, rt, expr)
             return ty, out, None
 
         if expr.op == "*":
             if lc is not None and rc is not None:
-                return CONST, out, lc * rc
+                return CONST, out, _constant(lc * rc, expr)
             if lc is not None:
                 return rt, out, None
             if rc is not None:
@@ -197,7 +211,7 @@ class _Checker:
         if rc == 0:
             raise _TypeError(E_DIVISION_BY_ZERO, expr.span, "division by zero")
         if lc is not None:
-            return CONST, out, lc / rc
+            return CONST, out, _constant(lc / rc, expr)
         return lt, out, None
 
     def _additive_type(self, lt: Ty, rt: Ty, expr: Binary) -> Ty:

@@ -480,3 +480,34 @@ def test_literal_digits_are_bounded_after_reduction(literal, ok):
     if not ok:
         [diag] = result.diagnostics
         assert (diag.code, diag.span.line, diag.span.col) == ("syntax", 2, 27)
+
+
+# 10**2200 has 2,201 digits; the reduced square, 4,401, is past the bound.
+_N = "1" + "0" * 2200
+_X = 'concept x : quantity from request "X"\n'
+
+
+@pytest.mark.parametrize("source, col", [
+    (f"axiom a permit t when x < {_N} * {_N}\n", 28 + len(_N)),
+    (f"axiom a permit t when x < {_N} * {_N} * {_N} / 0\n", 28 + len(_N)),
+    (f'concept big : quantity from derived = x + 1 / {_N} / {_N} "Big"\n'
+     "axiom a permit t when big > 0\n", 48 + len(_N)),
+    (f"axiom a permit t when x < {_N[:2150]} * {_N[:2151]} - 1\n", None),
+], ids=["condition", "first-node-past-the-bound", "derived", "4300-digits"])
+def test_constants_are_bounded_as_literals(source, col):
+    """A constant whose reduced numerator or denominator has more than
+    4,300 digits is a located syntax diagnostic at the first operator whose
+    value passes the bound. Before, the policy compiled: verify() refused
+    every call with an evaluation failure, and oracle_verify proved x = 1."""
+    from fractions import Fraction
+
+    from axgate import ActionRequest, SystemState, verify
+
+    result = compile_source(_X + source)
+    if col is None:
+        request = ActionRequest("r", "t", {"x": Fraction(1)})
+        assert verify(request, SystemState(None), result.environment).proven
+        return
+    [diag] = result.diagnostics
+    assert (diag.code, diag.span.line, diag.span.col) == ("syntax", 2, col)
+    assert "more than 4300 digits" in diag.message

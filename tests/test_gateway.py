@@ -1876,3 +1876,33 @@ def test_a_body_cut_short_by_the_client_is_400_with_one_record(workspace):
         {"error": "incomplete-body"}
     assert [(r.request_id, r.decision, r.note) for r in records] == \
         [("", "Refuted", "incomplete-body")]
+
+
+def test_a_reset_inside_a_body_is_refused_with_one_record(workspace):
+    """The client sends a head, 13 of its 100 body bytes, then a reset.
+    Before, the reset left read_body as an exception: the call was counted
+    but got no record. It is now refused as a close inside a body is."""
+    import socket
+    import struct
+    import time
+
+    with Gateway(make_config(workspace, "http://127.0.0.1:9/none")) as gw:
+        sock = socket.create_connection(gw.address, timeout=10)
+        try:
+            sock.sendall(b"POST /v1/verify HTTP/1.1\r\nHost: x\r\n"
+                         b"Content-Length: 100\r\n\r\n" + b'{"request_id"')
+            deadline = time.monotonic() + 10
+            while gw.requests_received < 1 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert gw.requests_received == 1
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                            struct.pack("ii", 1, 0))
+        finally:
+            sock.close()
+        deadline = time.monotonic() + 10
+        while gw.pump.records_written < 1 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        records = drained_records(gw)
+        assert gw.requests_received == len(records)
+    assert [(r.request_id, r.decision, r.note) for r in records] == \
+        [("", "Refuted", "incomplete-body")]

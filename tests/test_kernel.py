@@ -11,7 +11,14 @@ from axgate import (
     oracle_verify,
     verify,
 )
-from axgate.kernel import ProofTrace, TraceEntry, ValNode, plan_for, plans
+from axgate.kernel import (
+    ProofTrace,
+    RefusalCause,
+    TraceEntry,
+    ValNode,
+    plan_for,
+    plans,
+)
 from axgate.randgen import PolicyGenerator, iter_instances
 from axgate.syntax import Compare, Lit, Sym
 
@@ -221,6 +228,37 @@ def test_decide_unevaluated_entry_refutes():
     assert decision == "Refuted"
     assert any(c.reason == "binding-failure" and c.symbol == "daily_capital"
                for c in causes)
+
+
+def test_verify_decides_as_decide_does_on_its_trace():
+    """verify() decides in the walk that writes the trace bytes; decide()
+    over the trace it records is the reference. A tool that is not a valid
+    string has an empty trace, on which decide() finds no permit, and is
+    refused with its one evaluation failure instead."""
+    cases = [(inst.request, inst.state, inst.env)
+             for seed, env_reuse in ((31, 25), (67, 1))
+             for inst in iter_instances(seed, 3000, env_reuse=env_reuse)]
+    cases += _corpus()
+    decisions = set()
+    for request, state, env in cases:
+        result = verify(request, state, env)
+        assert decide(result.trace) == (result.decision, result.refusal_causes)
+        assert result.trace.canonical() == result.trace_bytes
+        decisions.add((result.decision, result.refusal_causes[:1] and
+                       result.refusal_causes[0].reason))
+    assert decisions == {("Proven", ()), ("Refuted", "forbid-fired"),
+                         ("Refuted", "no-permit-satisfied"),
+                         ("Refuted", "binding-failure"),
+                         ("Refuted", "evaluation-failure")}
+    env = shipped_env()
+    for tool in (["execute_trade"], "execute_trade\ud800"):
+        result = verify(ActionRequest("u", tool, trade_request().params),
+                        trade_state(), env)
+        assert decide(result.trace) == ("Refuted", (RefusalCause(
+            "no-permit-satisfied"),))
+        assert (result.decision, result.refusal_causes) == (
+            "Refuted", (RefusalCause("evaluation-failure"),))
+        assert result.trace.canonical() == result.trace_bytes
 
 
 # Whole verification ----------------------------------------------------------
@@ -550,13 +588,13 @@ axiom never forbid other_tool when 681098 / 567713 > 1.2 and side != café
 
 # 10**2200 has 2,201 digits, within the 4,300 Python writes; its square
 # has 4,401, past them.
-_BIG = "1" + "0" * 2200
+_BIG = Lit(Fraction(10**2200))
 
 
 def _zero_division_env():
     """Conditions and derived definitions dividing by zero, and a constant
-    too large to write: the compiler refuses `/ 0`, so the environment is
-    assembled by hand."""
+    too large to write: the compiler refuses `/ 0` and the constant, so the
+    environment is assembled by hand."""
     import dataclasses
 
     from axgate.compiler import Axiom, PolicyEnvironment
@@ -568,7 +606,6 @@ def _zero_division_env():
         'concept half : quantity from derived = rate / 2 "Half"\n'
         'concept fixed : quantity from derived = rate / 3 "Fixed"\n'
         "axiom ok permit t when rate > 0\n"
-        f"axiom too_big forbid t when rate > {_BIG} * {_BIG} - rate\n"
     ).environment
     by_zero = Binary("/", Sym("rate"), Lit(Fraction(0)))
     one_by_zero = Binary("/", Lit(Fraction(1)), Lit(Fraction(0)))
@@ -576,6 +613,8 @@ def _zero_division_env():
     decls["half"] = dataclasses.replace(decls["half"], derived=by_zero)
     decls["fixed"] = dataclasses.replace(decls["fixed"], derived=one_by_zero)
     axioms = env.axioms + (
+        Axiom("too_big", "forbid", "t", Compare(">", Sym("rate"), Binary(
+            "-", Binary("*", _BIG, _BIG), Sym("rate")))),
         Axiom("div_zero", "forbid", "t", Compare(">", by_zero, Lit(Fraction(1)))),
         Axiom("uses_half", "forbid", "t", Compare(">", Sym("half"), Lit(Fraction(1)))),
         Axiom("const_zero", "forbid", "t",

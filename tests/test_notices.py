@@ -133,18 +133,18 @@ def test_notice_totality_on_fuzzed_causes():
     """render_notice never raises for anything the kernel can produce."""
     import itertools
 
-    from axgate.kernel import ProofTrace, RefusalCause, VerificationResult
+    from axgate.kernel import RefusalCause
 
     env = _dti_env()
     reasons = ["forbid-fired", "no-permit-satisfied", "binding-failure",
                "evaluation-failure"]
     axiom_ids = ["dti_limit", "base", "ghost", None]
     symbols = ["debt_to_income", "missing_sym", None]
-    empty_trace = ProofTrace(env.version_digest, "approve_loan", (), {}, {})
     for combo in itertools.product(reasons, axiom_ids, symbols):
-        causes = (RefusalCause(*combo),)
-        result = VerificationResult("Refuted", empty_trace, "0" * 64, causes,
-                                    empty_trace.canonical())
+        # a refusal with no bindings, its causes replaced by the fuzzed one
+        result = verify(ActionRequest("rx", "approve_loan", {}),
+                        SystemState({}), env)
+        result.refusal_causes = (RefusalCause(*combo),)
         notice = render_notice(result, env, "rx")
         assert notice.lines
 
@@ -173,15 +173,15 @@ def test_notice_cites_what_the_valuation_tree_holds_without_reading_it(
     from axgate.notices import _walk
     from axgate.values import render_value
 
-    materialise = kernel._Walk.materialise
+    tree = kernel._tree
     cited = 0
     for inst in iter_instances(53, 600, env_reuse=25):
         result = verify(inst.request, inst.state, inst.env)
         if result.decision != "Refuted":
             continue
-        monkeypatch.setattr(kernel._Walk, "materialise", None)
+        monkeypatch.setattr(kernel, "_tree", None)
         notice = render_notice(result, inst.env, inst.request.request_id)
-        monkeypatch.setattr(kernel._Walk, "materialise", materialise)
+        monkeypatch.setattr(kernel, "_tree", tree)
         trees = {e.axiom_id: e.tree for e in result.trace.entries}
         for axiom in notice.cited_axioms:
             nodes = list(_walk(trees[axiom.axiom_id]))
