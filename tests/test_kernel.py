@@ -239,17 +239,16 @@ def test_verify_decides_as_decide_does_on_its_trace():
              for seed, env_reuse in ((31, 25), (67, 1))
              for inst in iter_instances(seed, 3000, env_reuse=env_reuse)]
     cases += _corpus()
-    decisions = set()
+    decisions, reasons = set(), set()
     for request, state, env in cases:
         result = verify(request, state, env)
         assert decide(result.trace) == (result.decision, result.refusal_causes)
         assert result.trace.canonical() == result.trace_bytes
-        decisions.add((result.decision, result.refusal_causes[:1] and
-                       result.refusal_causes[0].reason))
-    assert decisions == {("Proven", ()), ("Refuted", "forbid-fired"),
-                         ("Refuted", "no-permit-satisfied"),
-                         ("Refuted", "binding-failure"),
-                         ("Refuted", "evaluation-failure")}
+        decisions.add(result.decision)
+        reasons.update(c.reason for c in result.refusal_causes)
+    assert decisions == {"Proven", "Refuted"}
+    assert reasons == {"forbid-fired", "no-permit-satisfied",
+                       "binding-failure", "evaluation-failure"}
     env = shipped_env()
     for tool in (["execute_trade"], "execute_trade\ud800"):
         result = verify(ActionRequest("u", tool, trade_request().params),
